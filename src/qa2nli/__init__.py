@@ -22,7 +22,9 @@ from .engine import (
     DeclarativeCandidate,
     EngineConfig,
     PrepositionTable,
+    QuestionPlan,
     insert_article,
+    plan_question,
     realize,
     select_preposition,
     transform,
@@ -87,6 +89,7 @@ __all__ = [
     "PrepositionTable",
     "Provenance",
     "QAExample",
+    "QuestionPlan",
     "QuestionType",
     "SkipRecord",
     "TransformError",
@@ -106,6 +109,7 @@ __all__ = [
     "load_qa_jsonl",
     "normalize",
     "parse_conllu",
+    "plan_question",
     "pmi",
     "realize",
     "reinflect",

@@ -7,9 +7,11 @@ Four subcommands cover the pipeline end to end:
     eval      score declaratives against reference sentences
     analyze   probe a converted corpus for label giveaways
 
-Data problems (unreadable files, schema violations, unknown ids) exit
-with status 2. Examples the rewriter cannot handle are reported on
-stderr as JSON lines plus a summary and do not affect the exit status.
+Data problems (unreadable files, schema violations, unknown ids) and bad
+flag values exit with status 2. A reader that closes standard output
+early (`| head`) ends the run quietly with status 1. Examples the
+rewriter cannot handle are reported on stderr as JSON lines plus a
+summary and do not affect the exit status.
 Outputs are deterministic: rerunning a command on the same inputs gives
 byte-identical files, regardless of --jobs.
 """
@@ -20,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -46,9 +49,20 @@ __all__ = ["main"]
 def _open_out(path: str) -> Iterator[TextIO]:
     if path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     else:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -128,19 +142,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
     with _open_out(args.output) as out:
         for pair in pairs:
-            out.write(
-                json.dumps(
-                    {
-                        "id": pair.id,
-                        "premise": pair.premise,
-                        "hypothesis": pair.hypothesis,
-                        "label": pair.label.value,
-                        "provenance": pair.provenance.value,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            out.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
     for skip in skips:
         print(json.dumps(skip.to_dict(), ensure_ascii=False), file=sys.stderr)
     by_provenance: dict[str, int] = {}
@@ -285,13 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
     qa2d = sub.add_parser("qa2d", help="rewrite question+answer pairs into declaratives")
     qa2d.add_argument("--qa", required=True, help="JSONL with id/question/passage/answer")
     qa2d.add_argument("--parses", required=True, help="CoNLL-U file, sent_id matching example ids")
-    qa2d.add_argument("--alternatives", type=int, default=1, help="candidates per item")
+    qa2d.add_argument("--alternatives", type=_positive_int, default=1, help="candidates per item")
     qa2d.add_argument(
         "--copy-wh-phrase",
         action="store_true",
         help="keep residual nouns of Which/How phrases next to the answer",
     )
-    qa2d.add_argument("--jobs", type=int, default=1, help="worker threads")
+    qa2d.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
     qa2d.add_argument("--output", default="-", help="output file (default stdout)")
     qa2d.set_defaults(fn=_cmd_qa2d)
 
@@ -306,14 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep residual nouns of Which/How phrases next to the answer",
     )
-    convert.add_argument("--jobs", type=int, default=1, help="worker threads")
+    convert.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
     convert.add_argument("--output", default="-", help="output file (default stdout)")
     convert.set_defaults(fn=_cmd_convert)
 
     ev = sub.add_parser("eval", help="score declaratives against references")
     ev.add_argument("--hypotheses", required=True, help="qa2d output JSONL")
     ev.add_argument("--references", required=True, help="JSONL with id/references[/qtype/qa_length]")
-    ev.add_argument("--k", type=int, default=None, help="candidate depth for top-k scores")
+    ev.add_argument("--k", type=_positive_int, default=None, help="candidate depth for top-k scores")
     ev.add_argument("--format", default="text", choices=("text", "json"))
     ev.add_argument("--output", default="-", help="output file (default stdout)")
     ev.set_defaults(fn=_cmd_eval)
@@ -321,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="probe an NLI corpus for label giveaways")
     an.add_argument("--pairs", required=True, help="NLI JSONL (convert output)")
     an.add_argument("--smoothing", type=float, default=100.0, help="PMI smoothing k")
-    an.add_argument("--top", type=int, default=5, help="words per class")
+    an.add_argument("--top", type=_positive_int, default=5, help="words per class")
     an.add_argument("--format", default="text", choices=("text", "csv"))
     an.add_argument("--output", default="-", help="output file (default stdout)")
     an.set_defaults(fn=_cmd_analyze)
@@ -333,6 +335,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # The reader went away (e.g. piped into head). Point stdout at
+        # devnull so the interpreter's final flush cannot fail again; see
+        # "Note on SIGPIPE" in the Python signal module docs.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (PipelineError, OSError, ValueError) as exc:
         print(f"qa2nli: error: {exc}", file=sys.stderr)
         return 2

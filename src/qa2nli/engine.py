@@ -6,6 +6,11 @@ at the phrase's argument position with preposition and article adjustments,
 and realize the token sequence as a sentence. Each candidate carries an
 ordered audit trail of the rules that fired.
 
+Only the answer substitution and realization depend on the answer.
+plan_question does everything else once per question and returns a
+QuestionPlan; its realize method then rewrites one answer at a time.
+transform does both steps for a single answer.
+
 Where the answer lands depends on what the wh phrase was doing:
 
 * subject questions splice the answer in place of the phrase;
@@ -42,7 +47,9 @@ __all__ = [
     "DeclarativeCandidate",
     "EngineConfig",
     "PrepositionTable",
+    "QuestionPlan",
     "insert_article",
+    "plan_question",
     "realize",
     "reinflect",
     "select_preposition",
@@ -416,6 +423,192 @@ def realize(tokens: Sequence[str]) -> str:
     return text
 
 
+def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
+    """Index in seq where an argument or adjunct answer goes, and its rule."""
+    sent = analysis.question
+    attach_id = analysis.wh_attachment
+    head_tok = sent.token(_span_head_id(sent, analysis.wh_phrase))
+    if head_tok.deprel.split(":", 1)[0] in _ARG_BASES and attach_id in seq:
+        index = seq.index(attach_id) + 1
+        while index < len(seq):
+            nxt = sent.token(seq[index])
+            if nxt.head == attach_id and nxt.deprel == "compound:prt":
+                index += 1
+            else:
+                break
+        return index, "insert:after_predicate"
+    members = set(sent.subtree_ids(attach_id))
+    for child in sent.children(attach_id):
+        if child.deprel.split(":", 1)[0] in _CLAUSE_SKIP_BASES:
+            members -= sent.subtree_ids(child.id)
+    positions = [i for i, tid in enumerate(seq) if tid in members]
+    return (positions[-1] + 1 if positions else len(seq)), "insert:attachment_end"
+
+
+def _candidate(tokens: list[str], rules: tuple[str, ...], rank: int) -> DeclarativeCandidate:
+    try:
+        text = realize(tokens)
+    except ValueError as exc:
+        raise TransformError(str(exc)) from exc
+    return DeclarativeCandidate(
+        text=text,
+        tokens=tuple(t for t in tokens if t and t != "?"),
+        applied_rules=(*rules, "realize"),
+        rank=rank,
+    )
+
+
+@dataclass(frozen=True)
+class QuestionPlan:
+    """The answer-independent half of a rewrite, built by plan_question.
+
+    A plan is built once per question and realized once per answer, so a
+    multichoice item pays for de-inversion, wh-phrase deletion and the
+    insertion-site search once rather than once per option.
+    """
+
+    analysis: WhAnalysis
+    config: EngineConfig
+    rules: tuple[str, ...]  # qtype, inversion, copy_wh_nouns, delete_wh_phrase
+    body: tuple[str, ...]  # declarative-order forms, wh phrase deleted
+    insert_index: int  # where in body the answer goes
+    insert_rules: tuple[str, ...]  # the insert:* rule, after prep:*(stranded)
+    residual: tuple[str, ...]  # copied Which/How nouns, placed after the answer
+    answer_prep: bool  # False for subject and stranded-preposition questions
+    flip_body: tuple[str, ...] | None  # copula + subject for "Answer is X's Y."
+
+    def realize(
+        self, answer: str, *, table: PrepositionTable | None = None
+    ) -> list[DeclarativeCandidate]:
+        """Ranked declaratives for one answer, exactly as transform gives them.
+
+        Raises:
+            TransformError: empty answer, or nothing realizable remained.
+        """
+        table = table or PrepositionTable.bundled()
+        analysis, config = self.analysis, self.config
+        answer_clean = _clean_answer(answer)
+        if not answer_clean:
+            raise TransformError("answer is empty after trimming")
+        articled = insert_article(
+            answer_clean,
+            config.article_exceptions
+            if config.article_exceptions is not None
+            else table.article_orgs,
+        )
+        rules = self.rules + ("article:the",) if articled != answer_clean else self.rules
+        answer_tokens = articled.split()
+        options, source = _preposition_plan(analysis.qtype, analysis, answer_clean, table)
+
+        tokens, extra = self._splice(answer_tokens, options[0] if options else None, source)
+        if self.answer_prep and not options:
+            extra = (*extra, "prep:none")
+        candidates = [_candidate(tokens, rules + extra, 1)]
+        if config.emit_alternatives > 1:
+            if self.flip_body is not None and answer_tokens[0][:1].isupper():
+                candidates.append(
+                    _candidate(
+                        [*answer_tokens, *self.flip_body],
+                        rules + ("insert:copular_flip",),
+                        len(candidates) + 1,
+                    )
+                )
+            # Subject questions take no preposition, so each extra When/Where
+            # option repeats the rank-1 text.
+            for prep in options[1:]:
+                if len(candidates) >= config.emit_alternatives:
+                    break
+                tokens, extra = self._splice(answer_tokens, prep, source)
+                candidates.append(_candidate(tokens, rules + extra, len(candidates) + 1))
+        return candidates
+
+    def _splice(
+        self, answer_tokens: list[str], prep: str | None, source: str
+    ) -> tuple[list[str], tuple[str, ...]]:
+        """The body with the answer inserted, and the rules that placed it."""
+        head, tail = self.body[: self.insert_index], self.body[self.insert_index :]
+        if prep is None or not self.answer_prep:
+            return [*head, *answer_tokens, *self.residual, *tail], self.insert_rules
+        return (
+            [*head, prep, *answer_tokens, *self.residual, *tail],
+            (f"prep:{prep}({source})", *self.insert_rules),
+        )
+
+
+def plan_question(
+    analysis: WhAnalysis,
+    config: EngineConfig | None = None,
+    *,
+    lexicon: VerbLexicon | None = None,
+) -> QuestionPlan:
+    """Do the part of transform that does not depend on the answer.
+
+    plan_question(analysis, config).realize(answer) equals
+    transform(analysis, answer, config) for every answer.
+    """
+    config = config or EngineConfig()
+    sent = analysis.question
+    seq, forms, inv_rules = _deinverted(analysis, lexicon or VerbLexicon.bundled())
+    start, end = analysis.wh_phrase
+    rules = [f"qtype:{analysis.qtype}", *inv_rules]
+
+    residual: tuple[str, ...] = ()
+    if config.copy_wh_phrase and analysis.qtype in (QuestionType.WHICH, QuestionType.HOW):
+        residual = tuple(
+            sent.token(tid).form
+            for tid in range(start, end + 1)
+            if tid != analysis.wh_token and sent.token(tid).upos in ("NOUN", "PROPN")
+        )
+        if residual:
+            rules.append("copy_wh_nouns:" + "_".join(residual))
+    seq = [tid for tid in seq if not start <= tid <= end]
+    rules.append(f"delete_wh_phrase:{start}-{end}")
+
+    # The rightmost dangling preposition outside the wh phrase is stranded:
+    # it stays in the sentence and the answer follows it.
+    stranded = analysis.dangling_preps[-1] if analysis.dangling_preps else None
+    if stranded is not None and start <= stranded <= end:
+        stranded = None
+    copular_identity = (
+        analysis.copula is not None
+        and not analysis.subject_wh
+        and start <= analysis.root <= end
+    )
+    answer_prep = False
+    if analysis.subject_wh:
+        insert_index = sum(1 for tid in seq if tid < start)
+        insert_rules: tuple[str, ...] = ("insert:subject_position",)
+    elif stranded is not None:
+        insert_index = seq.index(stranded) + 1
+        insert_rules = (
+            f"prep:{sent.token(stranded).form}(stranded)",
+            "insert:after_stranded_prep",
+        )
+    else:
+        answer_prep = True
+        if copular_identity:
+            insert_index, rule = len(seq), "insert:predicate_position"
+        else:
+            insert_index, rule = _insertion_site(analysis, seq)
+        insert_rules = (rule,)
+
+    body = tuple(forms.get(tid, sent.token(tid).form) for tid in seq)
+    flip_body = None
+    if copular_identity and seq and seq[-1] == analysis.copula:
+        flip_body = (sent.token(analysis.copula).form, *body[:-1])
+    return QuestionPlan(
+        analysis=analysis,
+        config=config,
+        rules=tuple(rules),
+        body=body,
+        insert_index=insert_index,
+        insert_rules=insert_rules,
+        residual=residual,
+        answer_prep=answer_prep,
+        flip_body=flip_body,
+    )
+
+
 def transform(
     analysis: WhAnalysis,
     answer: str,
@@ -427,148 +620,11 @@ def transform(
     """Rewrite an analyzed question plus answer into ranked declaratives.
 
     Deterministic: the same inputs always produce the same candidate list,
-    at most config.emit_alternatives long and never empty.
+    at most config.emit_alternatives long and never empty. To rewrite one
+    question with several answers, build its plan_question once and call
+    realize per answer instead.
 
     Raises:
         TransformError: empty answer, or nothing realizable remained.
     """
-    config = config or EngineConfig()
-    lexicon = lexicon or VerbLexicon.bundled()
-    table = table or PrepositionTable.bundled()
-    sent = analysis.question
-
-    answer_clean = _clean_answer(answer)
-    if not answer_clean:
-        raise TransformError("answer is empty after trimming")
-
-    rules: list[str] = [f"qtype:{analysis.qtype}"]
-    seq, forms, inv_rules = _deinverted(analysis, lexicon)
-    rules += inv_rules
-
-    start, end = analysis.wh_phrase
-    span_ids = set(range(start, end + 1))
-    head_id = _span_head_id(sent, analysis.wh_phrase)
-    subject_idx = sum(1 for tid in seq if tid < start and tid not in span_ids)
-
-    residual: list[str] = []
-    if config.copy_wh_phrase and analysis.qtype in (QuestionType.WHICH, QuestionType.HOW):
-        residual = [
-            sent.token(tid).form
-            for tid in sorted(span_ids)
-            if tid != analysis.wh_token and sent.token(tid).upos in ("NOUN", "PROPN")
-        ]
-        if residual:
-            rules.append("copy_wh_nouns:" + "_".join(residual))
-    seq = [tid for tid in seq if tid not in span_ids]
-    rules.append(f"delete_wh_phrase:{start}-{end}")
-
-    articled = insert_article(
-        answer_clean,
-        config.article_exceptions
-        if config.article_exceptions is not None
-        else table.article_orgs,
-    )
-    if articled != answer_clean:
-        rules.append("article:the")
-    answer_tokens = articled.split()
-
-    prep_options, prep_source = _preposition_plan(
-        analysis.qtype, analysis, answer_clean, table
-    )
-
-    copular_identity = (
-        analysis.copula is not None
-        and not analysis.subject_wh
-        and start <= analysis.root <= end
-    )
-
-    def build(prep_index: int) -> tuple[list[str], list[str]]:
-        """Token list and extra rules for one preposition choice."""
-        extra: list[str] = []
-        prefix: list[str] = []
-        insert_idx: int
-        if analysis.subject_wh:
-            insert_idx = subject_idx
-            extra.append("insert:subject_position")
-        elif prep_source == "stranded" and prep_options:
-            prep_id = analysis.dangling_preps[-1]
-            insert_idx = seq.index(prep_id) + 1
-            extra.append(f"prep:{prep_options[0]}(stranded)")
-            extra.append("insert:after_stranded_prep")
-        elif copular_identity:
-            insert_idx = len(seq)
-            if prep_options:
-                prefix = [prep_options[prep_index]]
-                extra.append(f"prep:{prefix[0]}({prep_source})")
-            extra.append("insert:predicate_position")
-        else:
-            if prep_options:
-                prefix = [prep_options[prep_index]]
-                extra.append(f"prep:{prefix[0]}({prep_source})")
-            attach_id = analysis.wh_attachment
-            head_tok = sent.token(head_id)
-            base = head_tok.deprel.split(":", 1)[0]
-            if base in _ARG_BASES and attach_id in seq:
-                insert_idx = seq.index(attach_id) + 1
-                while insert_idx < len(seq):
-                    nxt = sent.token(seq[insert_idx])
-                    if nxt.head == attach_id and nxt.deprel == "compound:prt":
-                        insert_idx += 1
-                    else:
-                        break
-                extra.append("insert:after_predicate")
-            else:
-                members = set(sent.subtree_ids(attach_id))
-                for child in sent.children(attach_id):
-                    if child.deprel.split(":", 1)[0] in _CLAUSE_SKIP_BASES:
-                        members -= sent.subtree_ids(child.id)
-                positions = [i for i, tid in enumerate(seq) if tid in members]
-                insert_idx = positions[-1] + 1 if positions else len(seq)
-                extra.append("insert:attachment_end")
-        body = [forms.get(tid, sent.token(tid).form) for tid in seq]
-        tokens = body[:insert_idx] + prefix + answer_tokens + residual + body[insert_idx:]
-        return tokens, extra
-
-    candidates: list[DeclarativeCandidate] = []
-
-    def emit(tokens: list[str], extra: list[str]) -> None:
-        try:
-            text = realize(tokens)
-        except ValueError as exc:
-            raise TransformError(str(exc)) from exc
-        candidates.append(
-            DeclarativeCandidate(
-                text=text,
-                tokens=tuple(t for t in tokens if t and t != "?"),
-                applied_rules=tuple(rules + extra + ["realize"]),
-                rank=len(candidates) + 1,
-            )
-        )
-
-    first_tokens, first_extra = build(0)
-    if not prep_options and prep_source in ("table", "none") and not analysis.subject_wh:
-        first_extra = [*first_extra, "prep:none"]
-    emit(first_tokens, first_extra)
-
-    if config.emit_alternatives > 1:
-        if (
-            copular_identity
-            and analysis.copula in seq
-            and seq
-            and seq[-1] == analysis.copula
-            and answer_tokens
-            and answer_tokens[0][:1].isupper()
-        ):
-            cop_form = sent.token(analysis.copula).form
-            body = [forms.get(tid, sent.token(tid).form) for tid in seq[:-1]]
-            flipped = answer_tokens + [cop_form] + body
-            emit(flipped, ["insert:copular_flip"])
-        for i in range(1, len(prep_options)):
-            if len(candidates) >= config.emit_alternatives:
-                break
-            if prep_source == "stranded":
-                break  # the stranded token is fixed; no variants
-            alt_tokens, alt_extra = build(i)
-            emit(alt_tokens, alt_extra)
-
-    return candidates[: config.emit_alternatives]
+    return plan_question(analysis, config, lexicon=lexicon).realize(answer, table=table)

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .analysis import analyze
 from .conllu import DepSentence
-from .engine import EngineConfig, PrepositionTable, transform
+from .engine import EngineConfig, PrepositionTable, plan_question
 from .errors import (
     AnalysisError,
     DatasetError,
@@ -95,6 +95,16 @@ class NliPair:
     hypothesis: str
     label: Label
     provenance: Provenance
+
+    def to_dict(self) -> dict:
+        """The JSONL row for this pair, in the fixed output key order."""
+        return {
+            "id": self.id,
+            "premise": self.premise,
+            "hypothesis": self.hypothesis,
+            "label": self.label.value,
+            "provenance": self.provenance.value,
+        }
 
 
 @dataclass(frozen=True)
@@ -247,20 +257,36 @@ def build_pairs(
         except (NotWhQuestionError, AnalysisError) as exc:
             skips.append(SkipRecord(example.id, "analysis", str(exc)))
             continue
+        plan = plan_question(analysis, config, lexicon=lexicon)
+
+        if example.answerable:
+            correct = example.correct_options
+            if not correct:
+                skips.append(SkipRecord(example.id, "options", "no correct answer"))
+                continue
+            wrong = example.incorrect_options
+            if wrong and negatives == "one-random":
+                rng = random.Random(f"{seed}:{example.id}")
+                wrong = (rng.choice(wrong),)
+            todo = [(correct[0], Label.ENTAILED, Provenance.CORRECT_ANSWER)]
+            todo += [(o, Label.NOT_ENTAILED, Provenance.INCORRECT_OPTION) for o in wrong]
+        else:
+            if not example.options:
+                skips.append(
+                    SkipRecord(example.id, "options", "unanswerable without a plausible answer")
+                )
+                continue
+            todo = [(example.options[0], Label.NOT_ENTAILED, Provenance.UNANSWERABLE)]
 
         n = 0
-
-        def emit(answer: str, label: Label, provenance: Provenance, option_desc: str) -> None:
-            nonlocal n
+        for option, label, provenance in todo:
             try:
-                hypothesis = transform(
-                    analysis, answer, config, lexicon=lexicon, table=table
-                )[0].text
+                hypothesis = plan.realize(option.text, table=table)[0].text
             except TransformError as exc:
                 skips.append(
-                    SkipRecord(example.id, "transform", str(exc), option=option_desc)
+                    SkipRecord(example.id, "transform", str(exc), option=option.text)
                 )
-                return
+                continue
             pairs.append(
                 NliPair(
                     id=f"{example.id}:{n}",
@@ -271,27 +297,6 @@ def build_pairs(
                 )
             )
             n += 1
-
-        if example.answerable:
-            correct = example.correct_options
-            if not correct:
-                skips.append(SkipRecord(example.id, "options", "no correct answer"))
-                continue
-            emit(correct[0].text, Label.ENTAILED, Provenance.CORRECT_ANSWER, correct[0].text)
-            wrong = example.incorrect_options
-            if wrong and negatives == "one-random":
-                rng = random.Random(f"{seed}:{example.id}")
-                wrong = (rng.choice(wrong),)
-            for option in wrong:
-                emit(option.text, Label.NOT_ENTAILED, Provenance.INCORRECT_OPTION, option.text)
-        else:
-            if not example.options:
-                skips.append(
-                    SkipRecord(example.id, "options", "unanswerable without a plausible answer")
-                )
-                continue
-            plausible = example.options[0]
-            emit(plausible.text, Label.NOT_ENTAILED, Provenance.UNANSWERABLE, plausible.text)
 
     return BuildResult(pairs=tuple(pairs), skips=tuple(skips))
 
@@ -305,18 +310,6 @@ def write_nli_jsonl(pairs: Iterable[NliPair], path: str) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": pair.id,
-                        "premise": pair.premise,
-                        "hypothesis": pair.hypothesis,
-                        "label": pair.label.value,
-                        "provenance": pair.provenance.value,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
             count += 1
     return count

@@ -235,7 +235,7 @@ def test_criterion_7_no_negation_giveaways(multichoice_examples):
     print(f"criterion 7 negation giveaways: PASS - not_entailed top-5 {top} is negation-free")
 
 
-def test_criterion_8_end_to_end_pipeline(tmp_path, qa2d_rows):
+def test_criterion_8_end_to_end_pipeline(tmp_path, qa2d_rows, child_env):
     qa = _FIXTURES / "qa2d_fixtures.jsonl"
     parses = _FIXTURES / "qa2d_fixtures.conllu"
     mc_qa = _FIXTURES / "multichoice_20.jsonl"
@@ -261,7 +261,8 @@ def test_criterion_8_end_to_end_pipeline(tmp_path, qa2d_rows):
 
     def run(*argv):
         proc = subprocess.run(
-            [sys.executable, "-m", "qa2nli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "qa2nli", *argv], capture_output=True, text=True,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from qa2nli.cli import main
+from qa2nli.nli import build_pairs, write_nli_jsonl
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 QA = str(_FIXTURES / "qa2d_fixtures.jsonl")
@@ -131,6 +132,14 @@ def test_convert_job_invariant(tmp_path):
     _convert(a, "--negatives", "one-random", "--seed", "3")
     _convert(b, "--negatives", "one-random", "--seed", "3", "--jobs", "3")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_convert_output_matches_library_writer(tmp_path, multichoice_examples):
+    out = tmp_path / "cli.jsonl"
+    assert _convert(out) == 0
+    lib = tmp_path / "lib.jsonl"
+    write_nli_jsonl(build_pairs(multichoice_examples, negatives="all").pairs, lib)
+    assert out.read_bytes() == lib.read_bytes()
 
 
 def test_convert_span_schema(tmp_path):
@@ -267,12 +276,53 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err  # first violation wins
 
 
-def test_module_entry_point(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qa2d", "--qa", "no-such.jsonl", "--parses", "no-such.conllu", "--jobs", "0"],
+        ["convert", "--qa", "no-such.jsonl", "--parses", "no-such.conllu",
+         "--schema", "span", "--jobs", "-1"],
+        ["qa2d", "--qa", "no-such.jsonl", "--parses", "no-such.conllu", "--alternatives", "0"],
+        ["eval", "--hypotheses", "no-such.jsonl", "--references", "no-such.jsonl", "--k", "0"],
+        ["analyze", "--pairs", "no-such.jsonl", "--top", "0"],
+    ],
+    ids=["jobs", "convert-jobs", "alternatives", "k", "top"],
+)
+def test_flag_below_one_fails_before_reading_input(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be >= 1, got {argv[-1]}" in err
+    assert "no-such" not in err
+
+
+@pytest.mark.parametrize("command", ["qa2d", "convert"])
+def test_closed_stdout_stops_quietly(command, child_env):
+    argv = [sys.executable, "-m", "qa2nli", command]
+    if command == "qa2d":
+        argv += ["--qa", QA, "--parses", PARSES, "--alternatives", "3"]
+    else:
+        argv += ["--qa", MC_QA, "--parses", MC_PARSES, "--schema", "multichoice"]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env
+    )
+    proc.stdout.close()  # the reader is gone before the first line is written
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert "error" not in err and "Traceback" not in err
+
+
+def test_module_entry_point(tmp_path, child_env):
     result = subprocess.run(
         [sys.executable, "-m", "qa2nli", "qa2d", "--qa", QA, "--parses", PARSES,
          "--output", str(tmp_path / "out.jsonl")],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert result.returncode == 0
     assert "52 declaratives written" in result.stderr

@@ -1,5 +1,7 @@
 """Declarative rewrite engine: realization, prepositions, articles, transform."""
 
+import json
+
 import pytest
 
 from qa2nli.analysis import QuestionType, analyze
@@ -9,6 +11,7 @@ from qa2nli.engine import (
     EngineConfig,
     PrepositionTable,
     insert_article,
+    plan_question,
     realize,
     select_preposition,
     transform,
@@ -327,6 +330,8 @@ def test_transform_rejects_empty_answers(qa2d_parses):
         transform(a, "   ")
     with pytest.raises(TransformError, match="empty"):
         transform(a, "?!,")
+    with pytest.raises(TransformError, match="empty"):
+        plan_question(a).realize("   ")
 
 
 def test_transform_inversion_fallback():
@@ -351,6 +356,45 @@ def test_transform_deterministic(qa2d_parses, qa2d_rows):
     for row in qa2d_rows[:10]:
         a = analyze(qa2d_parses[row["id"]])
         assert transform(a, row["answer"], cfg) == transform(a, row["answer"], cfg)
+
+
+# -- plan / realize ----------------------------------------------------------
+
+
+def _as_rows(candidates):
+    return [
+        {"text": c.text, "tokens": list(c.tokens), "applied_rules": list(c.applied_rules),
+         "rank": c.rank}
+        for c in candidates
+    ]
+
+
+def test_plan_realize_matches_recorded_transform(fixtures_dir, qa2d_parses, multichoice_examples):
+    # transform_golden.jsonl is what the single-pass transform (before the
+    # plan/realize split) returned for each fixture answer: the 52 qa2d items
+    # and every option of the 20 multichoice items, at emit_alternatives=3.
+    # Lower caps gave its prefixes. candidates_copy_wh_phrase is present only
+    # where copy_wh_phrase changed the output.
+    with open(fixtures_dir / "transform_golden.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert len(records) == 52 + 20 * 4
+    parses = {**qa2d_parses, **{ex.id: ex.parse for ex in multichoice_examples}}
+    by_id: dict[str, list[dict]] = {}
+    for rec in records:
+        by_id.setdefault(rec["id"], []).append(rec)
+    for qid, recs in by_id.items():
+        analysis = analyze(parses[qid])
+        for copy in (False, True):
+            for cap in (1, 2, 3):
+                config = EngineConfig(copy_wh_phrase=copy, emit_alternatives=cap)
+                plan = plan_question(analysis, config)  # one plan, every answer
+                for rec in recs:
+                    want = rec["candidates"]
+                    if copy:
+                        want = rec.get("candidates_copy_wh_phrase", want)
+                    got = plan.realize(rec["answer"])
+                    assert _as_rows(got) == want[:cap], (qid, rec["answer"], copy, cap)
+                    assert transform(analysis, rec["answer"], config) == got
 
 
 # -- config and candidate validation ---------------------------------------

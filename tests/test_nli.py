@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qa2nli import nli
 from qa2nli.conllu import DepSentence, DepToken
+from qa2nli.engine import plan_question
 from qa2nli.errors import DatasetError
 from qa2nli.nli import (
     AnswerOption,
@@ -268,6 +270,7 @@ def test_build_pairs_transform_skip_keeps_others():
         options=(
             AnswerOption("Liz", correct=True),
             AnswerOption("?!", correct=False),  # nothing left after cleanup
+            AnswerOption("   ", correct=False),  # blank
             AnswerOption("Tom", correct=False),
         ),
         parse=_who_parse("x3", "called", "Taylor"),
@@ -275,8 +278,26 @@ def test_build_pairs_transform_skip_keeps_others():
     result = build_pairs([ex], negatives="all")
     assert [p.hypothesis for p in result.pairs] == ["Liz called Taylor.", "Tom called Taylor."]
     assert [p.id for p in result.pairs] == ["x3:0", "x3:1"]  # ids stay dense
-    (skip,) = result.skips
-    assert skip.stage == "transform" and skip.option == "?!"
+    assert [s.to_dict() for s in result.skips] == [
+        {"id": "x3", "stage": "transform", "reason": "answer is empty after trimming",
+         "option": option}
+        for option in ("?!", "   ")
+    ]
+
+
+def test_build_pairs_plans_each_question_once(monkeypatch, multichoice_examples):
+    planned = []
+
+    def counting_plan(analysis, *args, **kwargs):
+        planned.append(analysis.question.sent_id)
+        return plan_question(analysis, *args, **kwargs)
+
+    monkeypatch.setattr(nli, "plan_question", counting_plan)
+    no_parse = QAExample(id="x1", question="Who called Taylor?", passage="p",
+                         options=(AnswerOption("Liz", True),))
+    result = build_pairs([*multichoice_examples, no_parse], negatives="all")
+    assert len(result.pairs) == 80
+    assert planned == [ex.id for ex in multichoice_examples]
 
 
 def test_build_pairs_unanswerable():
@@ -321,6 +342,7 @@ def test_write_nli_jsonl(tmp_path, multichoice_examples):
     assert len(lines) == 8
     first = json.loads(lines[0])
     assert list(first) == ["id", "premise", "hypothesis", "label", "provenance"]
+    assert first == pairs[0].to_dict()
     assert first["label"] in ("entailed", "not_entailed")
 
     again = tmp_path / "pairs2.jsonl"
