@@ -45,6 +45,7 @@ from .metrics import (
     bleu_corpus,
     evaluate,
     exact_match,
+    load_eval_records,
     normalize,
     sentence_bleu,
     topk_match,
@@ -106,6 +107,7 @@ __all__ = [
     "insert_article",
     "length_histogram",
     "load_conllu",
+    "load_eval_records",
     "load_qa_jsonl",
     "normalize",
     "parse_conllu",

@@ -131,13 +131,7 @@ def classify_question(sentence: DepSentence) -> QuestionType:
     Raises:
         NotWhQuestionError: no wh word anywhere in the sentence.
     """
-    for tok in sentence.tokens:
-        qtype = _WH_FORMS.get(tok.form.lower())
-        if qtype is not None:
-            return qtype
-    raise NotWhQuestionError(
-        f"no wh word in {sentence.text or ' '.join(t.form for t in sentence.tokens)!r}"
-    )
+    return _WH_FORMS[_wh_token(sentence).form.lower()]
 
 
 def _wh_token(sentence: DepSentence) -> DepToken:

@@ -25,21 +25,23 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
-from .analysis import analyze
 from .artifacts import length_histogram, pmi, word_overlap
 from .conllu import index_by_sent_id, load_conllu
 from .engine import EngineConfig, transform
 from .errors import PipelineError, TransformError
-from .metrics import EvalRecord, evaluate
+from .metrics import evaluate, load_eval_records
 from .nli import (
     NEGATIVE_POLICIES,
     SCHEMAS,
     SkipRecord,
+    analyze_example,
     attach_parses,
     build_pairs,
     load_qa_jsonl,
+    read_jsonl,
+    require_key,
 )
 
 __all__ = ["main"]
@@ -72,10 +74,11 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))  # order-preserving
 
 
-def _report_skips(skips: Sequence[SkipRecord], kept: int, noun: str) -> None:
+def _report_skips(skips: Sequence[SkipRecord], written: str) -> None:
+    """One JSON line per skip on stderr, then "qa2nli: <written>, N skipped"."""
     for skip in skips:
         print(json.dumps(skip.to_dict(), ensure_ascii=False), file=sys.stderr)
-    print(f"qa2nli: {kept} {noun} written, {len(skips)} skipped", file=sys.stderr)
+    print(f"qa2nli: {written}, {len(skips)} skipped", file=sys.stderr)
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -96,14 +99,13 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
     config = _engine_config(args)
 
     def rewrite(example) -> tuple[list[dict], SkipRecord | None]:
-        if example.parse is None:
-            return [], SkipRecord(example.id, "parse", "no dependency parse for this id")
+        analysis = analyze_example(example)
+        if isinstance(analysis, SkipRecord):
+            return [], analysis
         try:
-            analysis = analyze(example.parse)
             candidates = transform(analysis, example.options[0].text, config)
-        except PipelineError as exc:
-            stage = "transform" if isinstance(exc, TransformError) else "analysis"
-            return [], SkipRecord(example.id, stage, str(exc))
+        except TransformError as exc:
+            return [], SkipRecord(example.id, "transform", str(exc))
         rows = [
             {
                 "id": example.id,
@@ -123,7 +125,7 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
             for row in rows:
                 out.write(json.dumps(row, ensure_ascii=False) + "\n")
                 written += 1
-    _report_skips(skips, written, "declaratives")
+    _report_skips(skips, f"{written} declaratives written")
     return 0
 
 
@@ -143,92 +145,16 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     with _open_out(args.output) as out:
         for pair in pairs:
             out.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
-    for skip in skips:
-        print(json.dumps(skip.to_dict(), ensure_ascii=False), file=sys.stderr)
     by_provenance: dict[str, int] = {}
     for pair in pairs:
         by_provenance[pair.provenance.value] = by_provenance.get(pair.provenance.value, 0) + 1
     breakdown = " ".join(f"{k}={v}" for k, v in sorted(by_provenance.items()))
-    print(
-        f"qa2nli: {len(pairs)} pairs written ({breakdown or 'none'}), "
-        f"{len(skips)} skipped",
-        file=sys.stderr,
-    )
+    _report_skips(skips, f"{len(pairs)} pairs written ({breakdown or 'none'})")
     return 0
 
 
-def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {line_no}: expected a JSON object")
-            yield line_no, obj
-
-
-def _field(path: str, line_no: int, obj: dict, key: str, kind: type):
-    if key not in obj:
-        raise ValueError(f"{path}: line {line_no}: missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{path}: line {line_no}: key {key!r} must be {kind.__name__}")
-    return value
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    references: dict[str, dict] = {}
-    for line_no, obj in _read_jsonl(args.references):
-        ref_id = _field(args.references, line_no, obj, "id", str)
-        refs = _field(args.references, line_no, obj, "references", list)
-        if not refs or not all(isinstance(r, str) for r in refs):
-            raise ValueError(
-                f"{args.references}: line {line_no}: 'references' must be a "
-                "non-empty list of strings"
-            )
-        if ref_id in references:
-            raise ValueError(f"{args.references}: line {line_no}: duplicate id {ref_id!r}")
-        qtype = obj.get("qtype")
-        qa_length = obj.get("qa_length")
-        if qtype is not None and not isinstance(qtype, str):
-            raise ValueError(f"{args.references}: line {line_no}: 'qtype' must be a string")
-        if qa_length is not None and (isinstance(qa_length, bool) or not isinstance(qa_length, int)):
-            raise ValueError(f"{args.references}: line {line_no}: 'qa_length' must be an int")
-        references[ref_id] = {"references": refs, "qtype": qtype, "qa_length": qa_length}
-
-    order: list[str] = []
-    candidates: dict[str, list[tuple[int, str]]] = {}
-    for line_no, obj in _read_jsonl(args.hypotheses):
-        hyp_id = _field(args.hypotheses, line_no, obj, "id", str)
-        text = _field(args.hypotheses, line_no, obj, "declarative", str)
-        rank = _field(args.hypotheses, line_no, obj, "rank", int)
-        if hyp_id not in references:
-            raise ValueError(
-                f"{args.hypotheses}: line {line_no}: id {hyp_id!r} has no reference entry"
-            )
-        if hyp_id not in candidates:
-            order.append(hyp_id)
-            candidates[hyp_id] = []
-        candidates[hyp_id].append((rank, text))
-
-    records = []
-    for hyp_id in order:
-        ranked = tuple(text for _, text in sorted(candidates[hyp_id], key=lambda rt: rt[0]))
-        ref = references[hyp_id]
-        records.append(
-            EvalRecord(
-                id=hyp_id,
-                candidates=ranked,
-                references=tuple(ref["references"]),
-                qtype=ref["qtype"],
-                qa_length=ref["qa_length"],
-            )
-        )
-    report = evaluate(records, k=args.k)
+    report = evaluate(load_eval_records(args.hypotheses, args.references), k=args.k)
     with _open_out(args.output) as out:
         if args.format == "json":
             out.write(report.to_json() + "\n")
@@ -239,12 +165,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     rows: list[dict] = []
-    for line_no, obj in _read_jsonl(args.pairs):
+    for line_no, obj in read_jsonl(args.pairs):
         rows.append(
             {
-                "premise": _field(args.pairs, line_no, obj, "premise", str),
-                "hypothesis": _field(args.pairs, line_no, obj, "hypothesis", str),
-                "label": _field(args.pairs, line_no, obj, "label", str),
+                "premise": require_key(obj, "premise", str, line_no, args.pairs),
+                "hypothesis": require_key(obj, "hypothesis", str, line_no, args.pairs),
+                "label": require_key(obj, "label", str, line_no, args.pairs),
             }
         )
     if not rows:

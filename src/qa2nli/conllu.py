@@ -211,9 +211,17 @@ def parse_conllu(text: str) -> list[DepSentence]:
 
 
 def load_conllu(path: str) -> list[DepSentence]:
-    """Parse a CoNLL-U file from disk (UTF-8)."""
+    """Parse a CoNLL-U file from disk (UTF-8).
+
+    Errors are those of parse_conllu, their messages prefixed by the path.
+    """
     with open(path, encoding="utf-8") as fh:
-        return parse_conllu(fh.read())
+        text = fh.read()
+    try:
+        return parse_conllu(text)
+    except (ConlluFormatError, ConlluStructureError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def index_by_sent_id(sentences: list[DepSentence]) -> dict[str, DepSentence]:

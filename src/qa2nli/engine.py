@@ -51,7 +51,6 @@ __all__ = [
     "insert_article",
     "plan_question",
     "realize",
-    "reinflect",
     "select_preposition",
     "transform",
     "undo_inversion",
@@ -75,13 +74,10 @@ class EngineConfig:
     caps how many ranked candidates transform may return; extra candidates
     vary the preposition in table order, or flip a copular identity
     sentence when the answer starts with a capitalized phrase.
-    article_exceptions overrides the bundled organization list used by
-    insert_article (None means bundled).
     """
 
     copy_wh_phrase: bool = False
     emit_alternatives: int = 1
-    article_exceptions: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.emit_alternatives < 1:
@@ -490,12 +486,7 @@ class QuestionPlan:
         answer_clean = _clean_answer(answer)
         if not answer_clean:
             raise TransformError("answer is empty after trimming")
-        articled = insert_article(
-            answer_clean,
-            config.article_exceptions
-            if config.article_exceptions is not None
-            else table.article_orgs,
-        )
+        articled = insert_article(answer_clean, table.article_orgs)
         rules = self.rules + ("article:the",) if articled != answer_clean else self.rules
         answer_tokens = articled.split()
         options, source = _preposition_plan(analysis.qtype, analysis, answer_clean, table)

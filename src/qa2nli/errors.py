@@ -43,10 +43,14 @@ class DatasetError(PipelineError):
     """A JSONL dataset line is malformed or violates its schema.
 
     Carries the 1-based line number when the failure is tied to a line.
+    The message starts with the file path and line when given
+    ("data.jsonl: line 3: ...").
     """
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line_no = line_no

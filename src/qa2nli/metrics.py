@@ -14,7 +14,11 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
+
+from .errors import DatasetError
+from .nli import read_jsonl, require_key
 
 __all__ = [
     "EvalRecord",
@@ -23,6 +27,7 @@ __all__ = [
     "evaluate",
     "exact_match",
     "length_bucket",
+    "load_eval_records",
     "normalize",
     "sentence_bleu",
     "topk_match",
@@ -258,12 +263,10 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
             raise ValueError(f"record {record.id!r} has no candidates")
     depth = k if k is not None else max(len(r.candidates) for r in records)
 
-    refs = [list(r.references) for r in records]
-    rank1 = [r.candidates[0] for r in records]
-    matched = sum(1 for r in records if exact_match(r.candidates[0], r.references))
-    exact = 100.0 * matched / len(records)
-    bleu = bleu_corpus(rank1, refs)
-    topk_exact, topk_bleu = topk_match([r.candidates[:depth] for r in records], refs)
+    overall = _group_stats(records)
+    topk_exact, topk_bleu = topk_match(
+        [r.candidates[:depth] for r in records], [list(r.references) for r in records]
+    )
 
     by_qtype: dict = {}
     typed = [r for r in records if r.qtype is not None]
@@ -280,10 +283,63 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
     return EvalReport(
         n=len(records),
         k=depth,
-        exact=exact,
-        bleu=bleu,
+        exact=overall["exact_match"],
+        bleu=overall["bleu"],
         topk_exact=topk_exact,
         topk_bleu=topk_bleu,
         by_qtype=by_qtype,
         by_length=by_length,
     )
+
+
+def _load_references(path: str) -> dict[str, tuple[tuple[str, ...], str | None, int | None]]:
+    """id -> (references, qtype, qa_length), from a references JSONL file."""
+    references: dict[str, tuple] = {}
+    for line_no, obj in read_jsonl(path):
+        ref_id = require_key(obj, "id", str, line_no, path)
+        refs = require_key(obj, "references", list, line_no, path)
+        if not refs or not all(isinstance(r, str) for r in refs):
+            raise DatasetError("'references' must be a non-empty list of strings", line_no, path)
+        if ref_id in references:
+            raise DatasetError(f"duplicate id {ref_id!r}", line_no, path)
+        qtype = obj.get("qtype")
+        qa_length = obj.get("qa_length")
+        if qtype is not None and not isinstance(qtype, str):
+            raise DatasetError("'qtype' must be a string", line_no, path)
+        if qa_length is not None and (
+            isinstance(qa_length, bool) or not isinstance(qa_length, int)
+        ):
+            raise DatasetError("'qa_length' must be an int", line_no, path)
+        references[ref_id] = (tuple(refs), qtype, qa_length)
+    return references
+
+
+def load_eval_records(hypotheses_path: str, references_path: str) -> list[EvalRecord]:
+    """Read qa2d output and its references into records for evaluate.
+
+    References are JSON lines {id, references: [str, ...], qtype?, qa_length?}
+    with unique ids. Hypotheses are JSON lines {id, declarative, rank}; the
+    lines of one id are its candidates, ordered by rank (ties keep file
+    order). Records come in order of each id's first hypothesis line;
+    references with no hypotheses are left out.
+
+    Raises:
+        DatasetError: malformed line, missing/mistyped key, duplicate
+            reference id, or a hypothesis id with no reference entry, with
+            the path and the offending line number.
+    """
+    references = _load_references(references_path)
+    path = hypotheses_path
+    candidates: dict[str, list[tuple[int, str]]] = {}
+    for line_no, obj in read_jsonl(path):
+        hyp_id = require_key(obj, "id", str, line_no, path)
+        text = require_key(obj, "declarative", str, line_no, path)
+        rank = require_key(obj, "rank", int, line_no, path)
+        if hyp_id not in references:
+            raise DatasetError(f"id {hyp_id!r} has no reference entry", line_no, path)
+        candidates.setdefault(hyp_id, []).append((rank, text))
+    by_rank = itemgetter(0)
+    return [
+        EvalRecord(hyp_id, tuple(t for _, t in sorted(ranked, key=by_rank)), *references[hyp_id])
+        for hyp_id, ranked in candidates.items()
+    ]

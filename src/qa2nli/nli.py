@@ -14,9 +14,9 @@ import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
-from .analysis import analyze
+from .analysis import WhAnalysis, analyze
 from .conllu import DepSentence
 from .engine import EngineConfig, PrepositionTable, plan_question
 from .errors import (
@@ -129,12 +129,32 @@ class BuildResult:
     skips: tuple[SkipRecord, ...]
 
 
-def _require(obj: dict, key: str, kind: type, line_no: int):
+def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    Raises:
+        DatasetError: a line is not valid JSON or not a JSON object.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"invalid JSON ({exc.msg})", line_no, path) from exc
+            if not isinstance(obj, dict):
+                raise DatasetError("expected a JSON object", line_no, path)
+            yield line_no, obj
+
+
+def require_key(obj: dict, key: str, kind: type, line_no: int, path: str):
+    """obj[key], checked to be present and of type kind (bool is not an int)."""
     if key not in obj:
-        raise DatasetError(f"missing key {key!r}", line_no)
+        raise DatasetError(f"missing key {key!r}", line_no, path)
     value = obj[key]
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise DatasetError(f"key {key!r} must be {kind.__name__}", line_no)
+        raise DatasetError(f"key {key!r} must be {kind.__name__}", line_no, path)
     return value
 
 
@@ -150,64 +170,53 @@ def load_qa_jsonl(path: str, schema: str) -> list[QAExample]:
 
     Raises:
         DatasetError: malformed JSON, missing/mistyped keys, duplicate ids,
-            with the offending line number.
+            with the path and the offending line number.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"schema must be one of {SCHEMAS}, got {schema!r}")
     examples: list[QAExample] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(obj, dict):
-                raise DatasetError("each line must be a JSON object", line_no)
-            ex_id = _require(obj, "id", str, line_no)
-            if ex_id in seen:
-                raise DatasetError(f"duplicate id {ex_id!r}", line_no)
-            seen.add(ex_id)
-            question = _require(obj, "question", str, line_no)
-            passage = _require(obj, "passage", str, line_no)
-            if schema == "span":
-                answer = _require(obj, "answer", str, line_no)
-                options = (AnswerOption(answer, correct=True),)
-                answerable = True
-            elif schema == "multichoice":
-                raw = _require(obj, "options", list, line_no)
-                if not raw or not all(isinstance(o, str) for o in raw):
-                    raise DatasetError("'options' must be a non-empty list of strings", line_no)
-                correct = _require(obj, "correct", int, line_no)
-                if not 0 <= correct < len(raw):
-                    raise DatasetError(f"'correct' index {correct} out of range", line_no)
-                options = tuple(
-                    AnswerOption(text, correct=(i == correct)) for i, text in enumerate(raw)
-                )
-                answerable = True
-            else:  # unanswerable
-                answerable = _require(obj, "answerable", bool, line_no)
-                if answerable:
-                    answer = _require(obj, "answer", str, line_no)
-                    options = (AnswerOption(answer, correct=True),)
-                else:
-                    plausible = obj.get("plausible_answer")
-                    if plausible is not None and not isinstance(plausible, str):
-                        raise DatasetError("'plausible_answer' must be a string", line_no)
-                    options = (
-                        (AnswerOption(plausible, correct=False),) if plausible else ()
-                    )
-            examples.append(
-                QAExample(
-                    id=ex_id,
-                    question=question,
-                    passage=passage,
-                    options=options,
-                    answerable=answerable,
-                )
+    for line_no, obj in read_jsonl(path):
+        ex_id = require_key(obj, "id", str, line_no, path)
+        if ex_id in seen:
+            raise DatasetError(f"duplicate id {ex_id!r}", line_no, path)
+        seen.add(ex_id)
+        question = require_key(obj, "question", str, line_no, path)
+        passage = require_key(obj, "passage", str, line_no, path)
+        if schema == "span":
+            answer = require_key(obj, "answer", str, line_no, path)
+            options = (AnswerOption(answer, correct=True),)
+            answerable = True
+        elif schema == "multichoice":
+            raw = require_key(obj, "options", list, line_no, path)
+            if not raw or not all(isinstance(o, str) for o in raw):
+                raise DatasetError("'options' must be a non-empty list of strings", line_no, path)
+            correct = require_key(obj, "correct", int, line_no, path)
+            if not 0 <= correct < len(raw):
+                raise DatasetError(f"'correct' index {correct} out of range", line_no, path)
+            options = tuple(
+                AnswerOption(text, correct=(i == correct)) for i, text in enumerate(raw)
             )
+            answerable = True
+        else:  # unanswerable
+            answerable = require_key(obj, "answerable", bool, line_no, path)
+            if answerable:
+                answer = require_key(obj, "answer", str, line_no, path)
+                options = (AnswerOption(answer, correct=True),)
+            else:
+                plausible = obj.get("plausible_answer")
+                if plausible is not None and not isinstance(plausible, str):
+                    raise DatasetError("'plausible_answer' must be a string", line_no, path)
+                options = (AnswerOption(plausible, correct=False),) if plausible else ()
+        examples.append(
+            QAExample(
+                id=ex_id,
+                question=question,
+                passage=passage,
+                options=options,
+                answerable=answerable,
+            )
+        )
     return examples
 
 
@@ -220,6 +229,17 @@ def attach_parses(
     as skips.
     """
     return [replace(ex, parse=sentences.get(ex.id)) for ex in examples]
+
+
+def analyze_example(example: QAExample) -> WhAnalysis | SkipRecord:
+    """The wh analysis of an example's question, or the skip saying why
+    there is none (stage "parse" or "analysis")."""
+    if example.parse is None:
+        return SkipRecord(example.id, "parse", "no dependency parse for this id")
+    try:
+        return analyze(example.parse)
+    except (NotWhQuestionError, AnalysisError) as exc:
+        return SkipRecord(example.id, "analysis", str(exc))
 
 
 def build_pairs(
@@ -249,13 +269,9 @@ def build_pairs(
     skips: list[SkipRecord] = []
 
     for example in examples:
-        if example.parse is None:
-            skips.append(SkipRecord(example.id, "parse", "no dependency parse for this id"))
-            continue
-        try:
-            analysis = analyze(example.parse)
-        except (NotWhQuestionError, AnalysisError) as exc:
-            skips.append(SkipRecord(example.id, "analysis", str(exc)))
+        analysis = analyze_example(example)
+        if isinstance(analysis, SkipRecord):
+            skips.append(analysis)
             continue
         plan = plan_question(analysis, config, lexicon=lexicon)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from qa2nli.cli import main
+from qa2nli.metrics import evaluate, load_eval_records
 from qa2nli.nli import build_pairs, write_nli_jsonl
 
 _FIXTURES = Path(__file__).parent / "fixtures"
@@ -99,6 +100,39 @@ def test_qa2d_reports_missing_parse_as_skip(tmp_path, capsys):
     assert skip == {"id": "zz", "stage": "parse", "reason": "no dependency parse for this id"}
     assert "0 declaratives written, 1 skipped" in err
     assert out.read_text(encoding="utf-8") == ""
+
+
+_NON_WH_PARSE = """# sent_id = nw
+# text = Did Liz win?
+1\tDid\tdo\tAUX\t_\t_\t3\taux\t_\t_
+2\tLiz\tLiz\tPROPN\t_\t_\t3\tnsubj\t_\t_
+3\twin\twin\tVERB\t_\t_\t0\troot\t_\t_
+4\t?\t?\tPUNCT\t_\t_\t3\tpunct\t_\t_
+"""
+
+
+@pytest.mark.parametrize(
+    "item_id, stage", [("nw", "analysis"), ("zz", "parse")], ids=["non-wh", "missing-parse"]
+)
+def test_qa2d_and_convert_classify_skips_alike(tmp_path, capsys, item_id, stage):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        json.dumps({"id": item_id, "question": "Did Liz win?", "passage": "p", "answer": "yes"})
+        + "\n",
+        encoding="utf-8",
+    )
+    parses = tmp_path / "parses.conllu"
+    parses.write_text(_NON_WH_PARSE, encoding="utf-8")
+    common = ["--qa", str(qa), "--parses", str(parses), "--output", str(tmp_path / "out")]
+    skips = {}
+    for command in (["qa2d"], ["convert", "--schema", "span"]):
+        assert main([*command, *common]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[1].endswith(", 1 skipped")
+        skips[command[0]] = json.loads(err[0])
+    assert skips["qa2d"] == skips["convert"]
+    assert list(skips["qa2d"]) == ["id", "stage", "reason"]
+    assert (skips["qa2d"]["id"], skips["qa2d"]["stage"]) == (item_id, stage)
 
 
 # -- convert ----------------------------------------------------------------
@@ -206,6 +240,19 @@ def test_eval_json_report(tmp_path, eval_files):
     assert set(report["by_question_type"]) >= {"Who", "What", "When", "Where"}
 
 
+def test_load_eval_records_matches_eval_json(tmp_path, eval_files):
+    hyp, _ = eval_files
+    refs = _FIXTURES / "qa2d_references.jsonl"
+    out = tmp_path / "report.json"
+    code = main(
+        ["eval", "--hypotheses", str(hyp), "--references", str(refs),
+         "--k", "2", "--format", "json", "--output", str(out)]
+    )
+    assert code == 0
+    report = evaluate(load_eval_records(str(hyp), str(refs)), k=2)
+    assert report.to_dict() == json.loads(out.read_text(encoding="utf-8"))
+
+
 def test_eval_orphan_hypothesis_id(tmp_path, eval_files, capsys):
     hyp, refs = eval_files
     with open(hyp, "a", encoding="utf-8") as fh:
@@ -267,6 +314,10 @@ def test_analyze_single_label_corpus_fails(tmp_path, capsys):
 def test_missing_input_file(tmp_path, capsys):
     assert main(["qa2d", "--qa", "no-such.jsonl", "--parses", PARSES]) == 2
     assert "qa2nli: error:" in capsys.readouterr().err
+    # The message names which input is missing.
+    assert main(["qa2d", "--qa", QA, "--parses", "no-such.conllu"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qa2nli: error:") and "no-such.conllu" in err
 
 
 def test_malformed_jsonl_reports_line(tmp_path, capsys):
@@ -274,6 +325,21 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
     bad.write_text('{"id": "a"}\nnot json\n', encoding="utf-8")
     assert main(["analyze", "--pairs", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err  # first violation wins
+    # Errors in --qa and --parses start with the path of the bad file.
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        json.dumps({"id": "a", "question": "Who?", "passage": "p", "answer": "x"})
+        + '\n{"id": "b", "passage": "p", "answer": "x"}\n',
+        encoding="utf-8",
+    )
+    parses = tmp_path / "parses.conllu"
+    parses.write_text("# sent_id = a\n1\tWho\n", encoding="utf-8")
+    for argv, message in (
+        (["--qa", str(qa), "--parses", PARSES], f"{qa}: line 2: missing key 'question'"),
+        (["--qa", QA, "--parses", str(parses)], f"{parses}: line 2: expected 10 tab-separated"),
+    ):
+        assert main(["convert", "--schema", "span", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"qa2nli: error: {message}")
 
 
 @pytest.mark.parametrize(
