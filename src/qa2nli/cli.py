@@ -13,7 +13,7 @@ early (`| head`) ends the run quietly with status 1. Examples the
 rewriter cannot handle are reported on stderr as JSON lines plus a
 summary and do not affect the exit status.
 Outputs are deterministic: rerunning a command on the same inputs gives
-byte-identical files, regardless of --jobs.
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .artifacts import length_histogram, pmi, word_overlap
 from .conllu import index_by_sent_id, load_conllu
@@ -67,13 +66,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))  # order-preserving
-
-
 def _report_skips(skips: Sequence[SkipRecord], written: str) -> None:
     """One JSON line per skip on stderr, then "qa2nli: <written>, N skipped"."""
     for skip in skips:
@@ -90,39 +82,37 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
 
 def _load_examples(args: argparse.Namespace, schema: str):
     examples = load_qa_jsonl(args.qa, schema)
-    parses = index_by_sent_id(load_conllu(args.parses))
+    sentences = load_conllu(args.parses)
+    try:
+        parses = index_by_sent_id(sentences)
+    except ValueError as exc:  # a duplicate sent_id; the library does not know the path
+        raise ValueError(f"{args.parses}: {exc}") from exc
     return attach_parses(examples, parses)
 
 
 def _cmd_qa2d(args: argparse.Namespace) -> int:
     examples = _load_examples(args, "span")
     config = _engine_config(args)
-
-    def rewrite(example) -> tuple[list[dict], SkipRecord | None]:
-        analysis = analyze_example(example)
-        if isinstance(analysis, SkipRecord):
-            return [], analysis
-        try:
-            candidates = transform(analysis, example.options[0].text, config)
-        except TransformError as exc:
-            return [], SkipRecord(example.id, "transform", str(exc))
-        rows = [
-            {
-                "id": example.id,
-                "declarative": cand.text,
-                "rank": cand.rank,
-                "applied_rules": list(cand.applied_rules),
-            }
-            for cand in candidates
-        ]
-        return rows, None
-
-    results = _pmap(rewrite, examples, args.jobs)
-    skips = [skip for _, skip in results if skip is not None]
+    skips: list[SkipRecord] = []
     written = 0
     with _open_out(args.output) as out:
-        for rows, _ in results:
-            for row in rows:
+        for example in examples:
+            analysis = analyze_example(example)
+            if isinstance(analysis, SkipRecord):
+                skips.append(analysis)
+                continue
+            try:
+                candidates = transform(analysis, example.options[0].text, config)
+            except TransformError as exc:
+                skips.append(SkipRecord(example.id, "transform", str(exc)))
+                continue
+            for cand in candidates:
+                row = {
+                    "id": example.id,
+                    "declarative": cand.text,
+                    "rank": cand.rank,
+                    "applied_rules": list(cand.applied_rules),
+                }
                 out.write(json.dumps(row, ensure_ascii=False) + "\n")
                 written += 1
     _report_skips(skips, f"{written} declaratives written")
@@ -131,25 +121,17 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     examples = _load_examples(args, args.schema)
-    config = _engine_config(args)
-
-    def one(example):
-        return build_pairs(
-            [example], config, negatives=args.negatives, seed=args.seed
-        )
-
-    results = _pmap(one, examples, args.jobs)
-    pairs = [pair for result in results for pair in result.pairs]
-    skips = [skip for result in results for skip in result.skips]
-
+    result = build_pairs(
+        examples, _engine_config(args), negatives=args.negatives, seed=args.seed
+    )
     with _open_out(args.output) as out:
-        for pair in pairs:
+        for pair in result.pairs:
             out.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
     by_provenance: dict[str, int] = {}
-    for pair in pairs:
+    for pair in result.pairs:
         by_provenance[pair.provenance.value] = by_provenance.get(pair.provenance.value, 0) + 1
     breakdown = " ".join(f"{k}={v}" for k, v in sorted(by_provenance.items()))
-    _report_skips(skips, f"{len(pairs)} pairs written ({breakdown or 'none'})")
+    _report_skips(result.skips, f"{len(result.pairs)} pairs written ({breakdown or 'none'})")
     return 0
 
 
@@ -219,7 +201,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep residual nouns of Which/How phrases next to the answer",
     )
-    qa2d.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
+    qa2d.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="ignored; accepted so existing command lines keep working",
+    )
     qa2d.add_argument("--output", default="-", help="output file (default stdout)")
     qa2d.set_defaults(fn=_cmd_qa2d)
 
@@ -234,7 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep residual nouns of Which/How phrases next to the answer",
     )
-    convert.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
+    convert.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="ignored; accepted so existing command lines keep working",
+    )
     convert.add_argument("--output", default="-", help="output file (default stdout)")
     convert.set_defaults(fn=_cmd_convert)
 

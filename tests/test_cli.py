@@ -170,10 +170,11 @@ def test_convert_job_invariant(tmp_path):
 
 def test_convert_output_matches_library_writer(tmp_path, multichoice_examples):
     out = tmp_path / "cli.jsonl"
-    assert _convert(out) == 0
     lib = tmp_path / "lib.jsonl"
-    write_nli_jsonl(build_pairs(multichoice_examples, negatives="all").pairs, lib)
-    assert out.read_bytes() == lib.read_bytes()
+    for negatives, seed in (("all", 0), ("one-random", 3)):
+        assert _convert(out, "--negatives", negatives, "--seed", str(seed)) == 0
+        write_nli_jsonl(build_pairs(multichoice_examples, negatives=negatives, seed=seed).pairs, lib)
+        assert out.read_bytes() == lib.read_bytes(), negatives
 
 
 def test_convert_span_schema(tmp_path):
@@ -334,9 +335,13 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
     )
     parses = tmp_path / "parses.conllu"
     parses.write_text("# sent_id = a\n1\tWho\n", encoding="utf-8")
+    dup = tmp_path / "dup.conllu"
+    sentences = Path(PARSES).read_text(encoding="utf-8").rstrip() + "\n\n"
+    dup.write_text(sentences * 2, encoding="utf-8")  # every sent_id twice
     for argv, message in (
         (["--qa", str(qa), "--parses", PARSES], f"{qa}: line 2: missing key 'question'"),
         (["--qa", QA, "--parses", str(parses)], f"{parses}: line 2: expected 10 tab-separated"),
+        (["--qa", QA, "--parses", str(dup)], f"{dup}: duplicate sent_id 'f01'"),
     ):
         assert main(["convert", "--schema", "span", *argv]) == 2
         assert capsys.readouterr().err.startswith(f"qa2nli: error: {message}")
@@ -361,6 +366,23 @@ def test_flag_below_one_fails_before_reading_input(argv, capsys):
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be >= 1, got {argv[-1]}" in err
     assert "no-such" not in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "summary"),
+    [
+        (["qa2d"], "qa2nli: 0 declaratives written, 0 skipped"),
+        (["convert", "--schema", "multichoice"], "qa2nli: 0 pairs written (none), 0 skipped"),
+    ],
+    ids=["qa2d", "convert"],
+)
+def test_empty_qa_file_writes_empty_output(tmp_path, capsys, argv, summary):
+    qa = tmp_path / "empty.jsonl"
+    qa.write_bytes(b"")
+    out = tmp_path / "out.jsonl"
+    assert main([*argv, "--qa", str(qa), "--parses", MC_PARSES, "--output", str(out)]) == 0
+    assert out.read_bytes() == b""
+    assert capsys.readouterr().err == summary + "\n"
 
 
 @pytest.mark.parametrize("command", ["qa2d", "convert"])
