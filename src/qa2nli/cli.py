@@ -29,7 +29,7 @@ from typing import Iterator, Sequence, TextIO
 from .artifacts import length_histogram, pmi, word_overlap
 from .conllu import index_by_sent_id, load_conllu
 from .engine import EngineConfig, transform
-from .errors import PipelineError, TransformError
+from .errors import DatasetError, PipelineError, TransformError
 from .metrics import evaluate, load_eval_records
 from .nli import (
     NEGATIVE_POLICIES,
@@ -150,6 +150,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for line_no, obj in read_jsonl(args.pairs):
         rows.append(
             {
+                "line_no": line_no,
                 "premise": require_key(obj, "premise", str, line_no, args.pairs),
                 "hypothesis": require_key(obj, "hypothesis", str, line_no, args.pairs),
                 "label": require_key(obj, "label", str, line_no, args.pairs),
@@ -159,6 +160,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.pairs}: no pairs")
     items = [(row["hypothesis"], row["label"]) for row in rows]
     table = pmi(items, k=args.smoothing, top_n=args.top)
+    # Everything the text report needs is computed before the output is
+    # opened, so a bad line leaves nothing written.
+    overlaps: dict[str, list[float]] = {}
+    if args.format == "text":
+        lengths = sorted(length_histogram(items).items())
+        for row in rows:
+            try:
+                overlap = word_overlap(row["hypothesis"], row["premise"])
+            except ValueError as exc:
+                raise DatasetError(
+                    "hypothesis has no words", row["line_no"], args.pairs
+                ) from exc
+            overlaps.setdefault(row["label"], []).append(overlap)
 
     with _open_out(args.output) as out:
         if args.format == "csv":
@@ -169,15 +183,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else:
             out.write(table.to_text() + "\n")
             out.write("hypothesis length by label:\n")
-            for label, stats in sorted(length_histogram(items).items()):
+            for label, stats in lengths:
                 out.write(
                     f"  {label}: mean={stats.mean:.2f} median={stats.median:.1f} "
                     f"histogram={stats.counts}\n"
-                )
-            overlaps: dict[str, list[float]] = {}
-            for row in rows:
-                overlaps.setdefault(row["label"], []).append(
-                    word_overlap(row["hypothesis"], row["premise"])
                 )
             out.write("hypothesis-premise word overlap by label:\n")
             for label, values in sorted(overlaps.items()):

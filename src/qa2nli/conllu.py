@@ -7,12 +7,16 @@ well-formed sentence are exactly 1..n. A sentence is accepted only if those
 ids form a single tree: every head in range, exactly one head of 0, no
 cycles. Anything else is rejected outright; downstream modules can therefore
 assume tree shape.
+
+Validation is one linear pass over the tokens that also indexes each token's
+children, so a DepSentence answers `children` and `root` in O(1) and
+`subtree_ids` in time linear in the subtree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConlluFormatError, ConlluStructureError
 
@@ -23,7 +27,7 @@ _RANGE_ID_RE = re.compile(r"^\d+-\d+$")
 _EMPTY_ID_RE = re.compile(r"^\d+\.\d+$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepToken:
     """One syntactic word of a parsed sentence.
 
@@ -50,7 +54,7 @@ class DepToken:
             raise ValueError(f"token {self.id} has an empty form")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepSentence:
     """A dependency tree over tokens with ids 1..n.
 
@@ -61,11 +65,17 @@ class DepSentence:
     tokens: tuple[DepToken, ...]
     text: str | None = None
     sent_id: str | None = None
+    # _children[i]: dependents of token i in surface order; _children[0] holds
+    # the root. Derived from tokens, so it takes no part in ==, hash or repr.
+    _children: tuple[tuple[DepToken, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        problem = _tree_problem(self.tokens)
-        if problem is not None:
-            raise ConlluStructureError(f"{self._name()}: {problem}")
+        children = _index_tree(self.tokens)
+        if isinstance(children, str):
+            raise ConlluStructureError(f"{self._name()}: {children}")
+        object.__setattr__(self, "_children", children)
 
     def _name(self) -> str:
         if self.sent_id:
@@ -89,10 +99,7 @@ class DepSentence:
     @property
     def root(self) -> DepToken:
         """The unique token whose head is 0."""
-        for tok in self.tokens:
-            if tok.head == 0:
-                return tok
-        raise ConlluStructureError(f"{self._name()}: no root token")
+        return self._children[0][0]
 
     def children(self, token_id: int) -> tuple[DepToken, ...]:
         """Direct dependents of a token, in surface order."""
@@ -100,44 +107,55 @@ class DepSentence:
             raise ValueError(
                 f"token id {token_id} out of range 1..{len(self.tokens)}"
             )
-        return tuple(t for t in self.tokens if t.head == token_id)
+        return self._children[token_id]
 
     def subtree_ids(self, token_id: int) -> frozenset[int]:
         """Ids of the token and all its descendants."""
-        out = {self.token(token_id).id}
-        frontier = [token_id]
-        while frontier:
-            nxt = frontier.pop()
-            for child in self.children(nxt):
-                out.add(child.id)
-                frontier.append(child.id)
-        return frozenset(out)
+        members = [self.token(token_id)]
+        for t in members:
+            members.extend(self._children[t.id])
+        return frozenset(t.id for t in members)
 
 
-def _tree_problem(tokens: tuple[DepToken, ...]) -> str | None:
+def _index_tree(
+    tokens: tuple[DepToken, ...],
+) -> tuple[tuple[DepToken, ...], ...] | str:
+    """Children table of a valid tree, or the first problem that makes it invalid.
+
+    Problems are reported in a fixed order: ids not 1..n, then the root count,
+    then a head beyond n, then a cycle.
+    """
     if not tokens:
         return "no tokens"
     n = len(tokens)
-    ids = [t.id for t in tokens]
-    if ids != list(range(1, n + 1)):
-        return f"token ids are not exactly 1..{n}: {ids}"
-    roots = [t.id for t in tokens if t.head == 0]
-    if len(roots) != 1:
+    kids: list[list[DepToken]] = [[] for _ in range(n + 1)]
+    ids_ok = True
+    beyond = None
+    for i, t in enumerate(tokens, 1):
+        if t.id != i:
+            ids_ok = False
+        if t.head <= n:
+            kids[t.head].append(t)
+        elif beyond is None:
+            beyond = t
+    if not ids_ok:
+        return f"token ids are not exactly 1..{n}: {[t.id for t in tokens]}"
+    if len(kids[0]) != 1:
+        roots = [t.id for t in kids[0]]
         return f"expected exactly one root, found heads of 0 at {roots}"
-    for t in tokens:
-        if t.head > n:
-            return f"token {t.id} has head {t.head} beyond last id {n}"
-    # Single root and one in-range parent per node: a cycle is the only way
-    # left to break treehood, and it leaves its members unable to reach 0.
-    for t in tokens:
-        seen = {t.id}
-        cur = t.head
-        while cur != 0:
-            if cur in seen:
-                return f"cycle through token {t.id}"
-            seen.add(cur)
-            cur = tokens[cur - 1].head
-    return None
+    if beyond is not None:
+        return f"token {beyond.id} has head {beyond.head} beyond last id {n}"
+    # With one root and one in-range head per token, a token's walk up its
+    # heads loops exactly when the root cannot reach it: the first token the
+    # search from the root misses is the first one whose walk would cycle.
+    reached = list(kids[0])
+    for t in reached:
+        reached.extend(kids[t.id])
+    if len(reached) < n:
+        seen = {t.id for t in reached}
+        first = next(tid for tid in range(1, n + 1) if tid not in seen)
+        return f"cycle through token {first}"
+    return tuple(map(tuple, kids))
 
 
 def _parse_token_line(line: str, line_no: int) -> DepToken | None:
@@ -148,9 +166,9 @@ def _parse_token_line(line: str, line_no: int) -> DepToken | None:
             line_no,
         )
     raw_id = cols[0]
-    if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
-        return None  # multiword range / empty node: not a syntactic word
     if not raw_id.isdigit():
+        if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
+            return None  # multiword range / empty node: not a syntactic word
         raise ConlluFormatError(f"bad token id {raw_id!r}", line_no)
     if not cols[6].lstrip("-").isdigit():
         raise ConlluFormatError(f"bad head {cols[6]!r}", line_no)

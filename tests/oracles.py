@@ -102,6 +102,60 @@ def oracle_pmi(items, k):
     return out
 
 
+
+def oracle_tree_problem(tokens):
+    """The tree check the package ran before it indexed children, kept verbatim.
+
+    Returns the first problem with a token tuple's ids/heads, or None for a
+    valid tree.
+    """
+    if not tokens:
+        return "no tokens"
+    n = len(tokens)
+    ids = [t.id for t in tokens]
+    if ids != list(range(1, n + 1)):
+        return f"token ids are not exactly 1..{n}: {ids}"
+    roots = [t.id for t in tokens if t.head == 0]
+    if len(roots) != 1:
+        return f"expected exactly one root, found heads of 0 at {roots}"
+    for t in tokens:
+        if t.head > n:
+            return f"token {t.id} has head {t.head} beyond last id {n}"
+    # Single root and one in-range parent per node: a cycle is the only way
+    # left to break treehood, and it leaves its members unable to reach 0.
+    for t in tokens:
+        seen = {t.id}
+        cur = t.head
+        while cur != 0:
+            if cur in seen:
+                return f"cycle through token {t.id}"
+            seen.add(cur)
+            cur = tokens[cur - 1].head
+    return None
+
+
+def oracle_children(tokens, token_id):
+    """Ids of the tokens whose head is token_id, by a full scan."""
+    return [t.id for t in tokens if t.head == token_id]
+
+
+def oracle_subtree_ids(tokens, token_id):
+    """Ids of token_id and every token whose head chain passes through it."""
+    out = set()
+    for t in tokens:
+        cur = t.id
+        while cur != 0:
+            if cur == token_id:
+                out.add(t.id)
+                break
+            cur = tokens[cur - 1].head
+    return out
+
+
+def oracle_root(tokens):
+    """Id of the one token whose head is 0."""
+    return [t.id for t in tokens if t.head == 0][0]
+
 # -- fixed cases --------------------------------------------------------------
 
 BLEU_CASES = {

@@ -309,6 +309,29 @@ def test_analyze_single_label_corpus_fails(tmp_path, capsys):
     assert "two distinct labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_analyze_hypothesis_with_no_words(tmp_path, capsys, fmt):
+    pairs = tmp_path / "pairs.jsonl"
+    rows = [
+        {"premise": "Liz called Taylor.", "hypothesis": "...", "label": "entailed"},
+        {"premise": "Liz called Taylor.", "hypothesis": "Tom called Taylor.", "label": "not_entailed"},
+    ]
+    pairs.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "report"
+    code = main(["analyze", "--pairs", str(pairs), "--format", fmt, "--output", str(out)])
+    err = capsys.readouterr().err
+    if fmt == "csv":  # the PMI table computes no overlap
+        assert code == 0 and err == ""
+        assert out.read_text(encoding="utf-8").startswith("label,rank,word,pmi,count,percent")
+        return
+    # The text report's overlap table fails: the error names the file and
+    # line, and nothing is written, to a file or to stdout.
+    assert code == 2 and not out.exists()
+    assert err == f"qa2nli: error: {pairs}: line 1: hypothesis has no words\n"
+    assert main(["analyze", "--pairs", str(pairs)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- failure modes ------------------------------------------------------------
 
 

@@ -1,6 +1,13 @@
 """CoNLL-U reader: line format, tree validation, round-tripping."""
 
+import dataclasses
+import string
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from qa2nli.conllu import (
     DepSentence,
@@ -147,3 +154,124 @@ def test_load_conllu(tmp_path):
     path.write_text(GOOD, encoding="utf-8")
     (sent,) = load_conllu(path)
     assert sent.sent_id == "q1"
+
+
+def test_slots_and_index_leave_value_semantics_alone():
+    sent = parse_conllu(GOOD)[0]
+    for obj, attr in ((sent, "sent_id"), (sent, "_children"), (sent.tokens[0], "form")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, "x")
+    assert not hasattr(sent, "__dict__") and not hasattr(sent.tokens[0], "__dict__")
+    twin = parse_conllu(GOOD)[0]
+    assert twin is not sent and twin == sent and hash(twin) == hash(sent)
+    assert repr(sent) == (
+        f"DepSentence(tokens={sent.tokens!r}, text={sent.text!r}, sent_id={sent.sent_id!r})"
+    )
+    renamed = dataclasses.replace(sent, sent_id="x")
+    assert renamed.sent_id == "x" and renamed != sent
+    assert [t.id for t in renamed.children(2)] == [1, 3, 4]
+    assert renamed.root.id == 2
+
+
+# -- generated trees -------------------------------------------------------------
+
+GENERATED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def _tokens(pairs):
+    return tuple(
+        DepToken(id=tid, form=f"w{tid}", lemma=None, upos="X", xpos=None, head=head, deprel="dep")
+        for tid, head in pairs
+    )
+
+
+@st.composite
+def trees(draw, max_size=12):
+    """(id, head) pairs of a valid tree over ids 1..n."""
+    n = draw(st.integers(1, max_size))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: 0}
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))]
+    return [(tid, heads[tid]) for tid in range(1, n + 1)]
+
+
+@st.composite
+def cyclic_trees(draw):
+    """A valid tree with one non-root token's head moved into its own subtree."""
+    heads = dict(draw(trees()))
+    moves = []
+    for low in heads:
+        up = heads[low]
+        while up != 0:
+            if heads[up] != 0:
+                moves.append((up, low))
+            up = heads[up]
+    assume(moves)
+    tid, head = draw(st.sampled_from(moves))
+    heads[tid] = head
+    return sorted(heads.items())
+
+
+@st.composite
+def head_arrays(draw):
+    """Arbitrary heads, and now and then ids other than 1..n."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()) and draw(st.booleans()):
+        ids = draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n))
+    else:
+        ids = list(range(1, n + 1))
+    return [(tid, draw(st.integers(0, n + 2).filter(lambda h, t=tid: h != t))) for tid in ids]
+
+
+@GENERATED
+@given(st.one_of(trees(), cyclic_trees(), head_arrays()))
+def test_validation_matches_full_walk_oracle(pairs):
+    tokens = _tokens(pairs)
+    problem = oracles.oracle_tree_problem(tokens)
+    if problem is None:
+        DepSentence(tokens=tokens, sent_id="s")
+    else:
+        with pytest.raises(ConlluStructureError) as err:
+            DepSentence(tokens=tokens, sent_id="s")
+        assert str(err.value) == f"sentence 's': {problem}"
+
+
+@GENERATED
+@given(trees(max_size=30))
+def test_navigation_matches_full_scans(pairs):
+    tokens = _tokens(pairs)
+    sent = DepSentence(tokens=tokens)
+    assert sent.root.id == oracles.oracle_root(tokens)
+    for tid in range(1, len(tokens) + 1):
+        assert [t.id for t in sent.children(tid)] == oracles.oracle_children(tokens, tid)
+        assert sent.subtree_ids(tid) == oracles.oracle_subtree_ids(tokens, tid)
+
+
+_WORD = st.text(string.ascii_letters + string.digits + "'.,?!-_", min_size=1, max_size=6)
+_NOT_BLANK = _WORD.filter(lambda w: w != "_")  # "_" in lemma/xpos reads back as None
+
+
+@st.composite
+def sentences(draw):
+    tokens = tuple(
+        DepToken(
+            id=tid,
+            form=draw(_WORD),
+            lemma=draw(st.none() | _NOT_BLANK),
+            upos=draw(_WORD),
+            xpos=draw(st.none() | _NOT_BLANK),
+            head=head,
+            deprel=draw(_WORD),
+        )
+        for tid, head in draw(trees())
+    )
+    text = draw(st.none() | st.lists(_WORD, min_size=1, max_size=4).map(" ".join))
+    return DepSentence(tokens=tokens, text=text, sent_id=draw(st.none() | _WORD))
+
+
+@settings(GENERATED, max_examples=100)
+@given(sentences())
+def test_round_trip_generated(sent):
+    (back,) = parse_conllu(to_conllu(sent))
+    assert back == sent and hash(back) == hash(sent)
