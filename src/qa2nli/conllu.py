@@ -23,8 +23,8 @@ from .errors import ConlluFormatError, ConlluStructureError
 _COLUMNS = 10
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(.+?)\s*$")
 _TEXT_RE = re.compile(r"^#\s*text\s*=\s*(.+?)\s*$")
-_RANGE_ID_RE = re.compile(r"^\d+-\d+$")
-_EMPTY_ID_RE = re.compile(r"^\d+\.\d+$")
+_RANGE_ID_RE = re.compile(r"^\d+-\d+$", re.ASCII)
+_EMPTY_ID_RE = re.compile(r"^\d+\.\d+$", re.ASCII)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,11 +166,13 @@ def _parse_token_line(line: str, line_no: int) -> DepToken | None:
             line_no,
         )
     raw_id = cols[0]
-    if not raw_id.isdigit():
+    # Ids and heads are ASCII digits: str.isdigit() alone also accepts
+    # digits that int() rejects ("²").
+    if not (raw_id.isascii() and raw_id.isdigit()):
         if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
             return None  # multiword range / empty node: not a syntactic word
         raise ConlluFormatError(f"bad token id {raw_id!r}", line_no)
-    if not cols[6].lstrip("-").isdigit():
+    if not (cols[6].isascii() and cols[6].removeprefix("-").isdigit()):
         raise ConlluFormatError(f"bad head {cols[6]!r}", line_no)
     try:
         return DepToken(

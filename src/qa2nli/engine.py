@@ -35,13 +35,12 @@ import re
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Iterable, Sequence
 
 from .analysis import QuestionType, WhAnalysis
 from .conllu import DepSentence
 from .errors import TransformError
-from .morphology import VerbLexicon, reinflect
+from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
 
 __all__ = [
     "DeclarativeCandidate",
@@ -141,14 +140,7 @@ class PrepositionTable:
     @classmethod
     def _from_lines(cls, lines: Iterable[str], source: str) -> "PrepositionTable":
         lists: dict[str, set[str]] = {}
-        for line_no, line in enumerate(lines, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{source}: line {line_no}: expected key<TAB>value")
-            key, value = parts
+        for _, key, value in _key_value_lines(lines, source):
             if key != "article_org":
                 value = value.lower()
             lists.setdefault(key, set()).add(value)
@@ -244,12 +236,7 @@ def _dedupe(items: list[str]) -> list[str]:
 
 @lru_cache(maxsize=1)
 def _bundled_table() -> PrepositionTable:
-    data = (
-        resources.files("qa2nli")
-        .joinpath("data/prepositions.tsv")
-        .read_text(encoding="utf-8")
-    )
-    return PrepositionTable._from_lines(data.splitlines(), "prepositions.tsv")
+    return _load_bundled(PrepositionTable, "prepositions.tsv")
 
 
 def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:

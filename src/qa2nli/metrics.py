@@ -5,6 +5,11 @@ whitespace collapsed. Corpus BLEU is the standard unsmoothed 4-gram score
 (so one missing n-gram order zeroes it); sentence BLEU is add-1 smoothed
 with the order capped at the hypothesis length, which keeps "exact match
 implies 100" true for short sentences. Both are reported on a 0-100 scale.
+
+Both scores are functions of per-sentence counts (lengths plus clipped and
+total n-grams), and corpus BLEU is the score of their sum. So each candidate
+is counted once, and the whole-file, per-breakdown-row and top-k corpus
+BLEU of `evaluate` are sums of those counts, not re-scored text.
 """
 
 from __future__ import annotations
@@ -55,22 +60,44 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clipped(hyp: Sequence[str], refs: Sequence[Sequence[str]], n: int) -> tuple[int, int]:
-    counts = _ngrams(hyp, n)
-    if not counts:
-        return 0, 0
-    best: Counter = Counter()
-    for ref in refs:
-        for gram, c in _ngrams(ref, n).items():
-            if c > best[gram]:
-                best[gram] = c
-    clipped = sum(min(c, best[gram]) for gram, c in counts.items())
-    return clipped, sum(counts.values())
+def _bleu_counts(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> tuple:
+    """BLEU counts: hypothesis length, closest reference length, then clipped
+    and total n-grams for n = 1..4. Ties go to the shorter reference; with no
+    references that length is infinite, so any score summing these counts is 0."""
+    hyp_len = len(hyp)
+    ref_len = min(
+        (len(r) for r in refs), key=lambda rl: (abs(rl - hyp_len), rl), default=math.inf
+    )
+    counts = [hyp_len, ref_len]
+    for n in range(1, 5):
+        grams = _ngrams(hyp, n)
+        best: Counter = Counter()
+        for ref in refs:
+            best |= _ngrams(ref, n)
+        counts += (sum(min(c, best[gram]) for gram, c in grams.items()), sum(grams.values()))
+    return tuple(counts)
 
 
-def _closest_ref_len(hyp_len: int, refs: Sequence[Sequence[str]]) -> int:
-    # Ties go to the shorter reference.
-    return min((len(r) for r in refs), key=lambda rl: (abs(rl - hyp_len), rl))
+def _bleu(counts: Sequence[float], smooth: bool = False) -> float:
+    """BLEU, 0-100, of one count tuple or a sum of them: unsmoothed corpus
+    BLEU-4, or add-1 smoothed with the order capped at the hypothesis length."""
+    hyp_len, ref_len = counts[0], counts[1]
+    if hyp_len == 0:
+        return 0.0
+    n_max = min(4, hyp_len) if smooth else 4
+    add = 1 if smooth else 0
+    log_precision = 0.0
+    for n in range(n_max):
+        clipped, total = counts[2 + 2 * n] + add, counts[3 + 2 * n] + add
+        if clipped == 0:
+            return 0.0
+        log_precision += math.log(clipped / total) / n_max
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_precision)
+
+
+def _summed(counts: Sequence[Sequence[float]]) -> list[float]:
+    return [sum(column) for column in zip(*counts)]
 
 
 def bleu_corpus(hypotheses: Sequence[str], references: Sequence[Sequence[str]]) -> float:
@@ -81,29 +108,12 @@ def bleu_corpus(hypotheses: Sequence[str], references: Sequence[Sequence[str]]) 
     """
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis and reference counts differ")
-    if not hypotheses or any(not refs for refs in references):
+    if not hypotheses:
         return 0.0
-    hyp_tokens = [_tokens(h) for h in hypotheses]
-    ref_tokens = [[_tokens(r) for r in refs] for refs in references]
-
-    hyp_len = sum(len(h) for h in hyp_tokens)
-    ref_len = sum(_closest_ref_len(len(h), rs) for h, rs in zip(hyp_tokens, ref_tokens))
-    if hyp_len == 0:
-        return 0.0
-
-    log_precision = 0.0
-    for n in range(1, 5):
-        clipped = total = 0
-        for h, rs in zip(hyp_tokens, ref_tokens):
-            c, t = _clipped(h, rs, n)
-            clipped += c
-            total += t
-        if clipped == 0 or total == 0:
-            return 0.0
-        log_precision += 0.25 * math.log(clipped / total)
-
-    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_precision)
+    return _bleu(_summed(
+        _bleu_counts(_tokens(h), [_tokens(r) for r in refs])
+        for h, refs in zip(hypotheses, references)
+    ))
 
 
 def sentence_bleu(hypothesis: str, references: Sequence[str]) -> float:
@@ -112,18 +122,27 @@ def sentence_bleu(hypothesis: str, references: Sequence[str]) -> float:
     The maximum n-gram order is min(4, hypothesis length), so an exact
     match always scores 100 no matter how short the sentence is.
     """
-    hyp = _tokens(hypothesis)
+    return _bleu(_bleu_counts(_tokens(hypothesis), [_tokens(r) for r in references]), smooth=True)
+
+
+def _scored(candidates: Sequence[str], references: Sequence[str]) -> list[tuple[bool, tuple]]:
+    """(exact match, BLEU counts) of each candidate; references are tokenized once."""
     refs = [_tokens(r) for r in references]
-    if not hyp or not refs:
-        return 0.0
-    n_max = min(4, len(hyp))
-    log_precision = 0.0
-    for n in range(1, n_max + 1):
-        clipped, total = _clipped(hyp, refs, n)
-        log_precision += math.log((clipped + 1) / (total + 1)) / n_max
-    ref_len = _closest_ref_len(len(hyp), refs)
-    brevity = 1.0 if len(hyp) >= ref_len else math.exp(1.0 - ref_len / len(hyp))
-    return 100.0 * brevity * math.exp(log_precision)
+    return [(hyp in refs, _bleu_counts(hyp, refs)) for hyp in map(_tokens, candidates)]
+
+
+def _best(scored: Sequence[tuple[bool, tuple]]) -> tuple[bool, tuple]:
+    """The first exact match, else the highest sentence BLEU (ties keep the lower rank)."""
+    for item in scored:
+        if item[0]:
+            return item
+    return max(scored, key=lambda item: _bleu(item[1], smooth=True))
+
+
+def _rates(scored: Sequence[tuple[bool, tuple]]) -> tuple[float, float]:
+    """(exact-match rate in percent, corpus BLEU) of one scored candidate per item."""
+    matched = sum(exact for exact, _ in scored)
+    return 100.0 * matched / len(scored), _bleu(_summed(counts for _, counts in scored))
 
 
 def topk_match(
@@ -141,22 +160,12 @@ def topk_match(
         raise ValueError("candidate and reference counts differ")
     if not candidate_groups:
         return 0.0, 0.0
-    best: list[str] = []
-    matched = 0
+    best = []
     for cands, refs in zip(candidate_groups, references):
         if not cands:
             raise ValueError("empty candidate group")
-        chosen = None
-        for cand in cands:
-            if exact_match(cand, refs):
-                chosen = cand
-                matched += 1
-                break
-        if chosen is None:
-            chosen = max(cands, key=lambda c: sentence_bleu(c, refs))
-        best.append(chosen)
-    rate = 100.0 * matched / len(candidate_groups)
-    return rate, bleu_corpus(best, references)
+        best.append(_best(_scored(cands, refs)))
+    return _rates(best)
 
 
 def length_bucket(n: int) -> str:
@@ -235,15 +244,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _group_stats(records: Sequence[EvalRecord]) -> dict:
-    hyps = [r.candidates[0] for r in records]
-    refs = [list(r.references) for r in records]
-    matched = sum(1 for r in records if exact_match(r.candidates[0], r.references))
-    return {
-        "n": len(records),
-        "exact_match": 100.0 * matched / len(records),
-        "bleu": bleu_corpus(hyps, refs),
-    }
+def _row(rank1: Sequence[tuple[bool, tuple]]) -> dict:
+    exact, bleu = _rates(rank1)
+    return {"n": len(rank1), "exact_match": exact, "bleu": bleu}
 
 
 def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
@@ -252,7 +255,7 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
     Rank-1 candidates drive exact match and corpus BLEU; the top-k scores
     consider the first k candidates per item (all of them when k is None).
     Records missing qtype or qa_length are left out of the corresponding
-    breakdown.
+    breakdown. Each candidate is counted once; every row sums those counts.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
@@ -263,22 +266,21 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
             raise ValueError(f"record {record.id!r} has no candidates")
     depth = k if k is not None else max(len(r.candidates) for r in records)
 
-    overall = _group_stats(records)
-    topk_exact, topk_bleu = topk_match(
-        [r.candidates[:depth] for r in records], [list(r.references) for r in records]
-    )
+    scored = [_scored(r.candidates[:depth], r.references) for r in records]
+    rank1 = [s[0] for s in scored]
+    overall = _row(rank1)
+    topk_exact, topk_bleu = _rates([_best(s) for s in scored])
 
     by_qtype: dict = {}
-    typed = [r for r in records if r.qtype is not None]
-    for qtype in sorted({r.qtype for r in typed}):
-        by_qtype[qtype] = _group_stats([r for r in typed if r.qtype == qtype])
+    for qtype in sorted({r.qtype for r in records if r.qtype is not None}):
+        by_qtype[qtype] = _row([s for r, s in zip(records, rank1) if r.qtype == qtype])
 
     by_length: dict = {}
-    sized = [r for r in records if r.qa_length is not None]
+    buckets = [None if r.qa_length is None else length_bucket(r.qa_length) for r in records]
     for bucket in LENGTH_BUCKETS:
-        group = [r for r in sized if length_bucket(r.qa_length) == bucket]
+        group = [s for b, s in zip(buckets, rank1) if b == bucket]
         if group:
-            by_length[bucket] = _group_stats(group)
+            by_length[bucket] = _row(group)
 
     return EvalReport(
         n=len(records),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 _VOWELS = "aeiou"
 _SIBILANT_ENDINGS = ("s", "z", "x", "sh", "ch")
@@ -48,10 +48,20 @@ class VerbLexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "VerbLexicon":
+        with open(path, encoding="utf-8") as fh:
+            return cls._from_lines(fh, path)
+
+    @classmethod
+    def _from_lines(cls, lines: Iterable[str], source: str) -> "VerbLexicon":
         past: dict[str, str] = {}
         third: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            _fill_from_lines(fh, past, third, path)
+        for line_no, key, value in _key_value_lines(lines, source):
+            if key.startswith("past:"):
+                past[key[len("past:"):]] = value
+            elif key.startswith("3sg:"):
+                third[key[len("3sg:"):]] = value
+            else:
+                raise ValueError(f"{source}: line {line_no}: unknown key prefix {key!r}")
         return cls(irregular_past=past, irregular_third_singular=third)
 
     @classmethod
@@ -69,38 +79,27 @@ class VerbLexicon:
         ) or _regular_third_singular(lemma)
 
 
-def _fill_from_lines(lines, past, third, source) -> None:
+def _key_value_lines(lines: Iterable[str], source: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) per key<TAB>value line; blank and '#' lines are skipped."""
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(
-                f"{source}: line {line_no}: expected key<TAB>value"
-            )
-        key, value = parts
-        if key.startswith("past:"):
-            past[key[len("past:"):]] = value
-        elif key.startswith("3sg:"):
-            third[key[len("3sg:"):]] = value
-        else:
-            raise ValueError(
-                f"{source}: line {line_no}: unknown key prefix {key!r}"
-            )
+            raise ValueError(f"{source}: line {line_no}: expected key<TAB>value")
+        yield line_no, parts[0], parts[1]
+
+
+def _load_bundled(cls, name: str):
+    """cls built from a word list shipped in the package's data directory."""
+    text = resources.files("qa2nli").joinpath(f"data/{name}").read_text(encoding="utf-8")
+    return cls._from_lines(text.splitlines(), name)
 
 
 @lru_cache(maxsize=1)
 def _bundled_lexicon() -> VerbLexicon:
-    past: dict[str, str] = {}
-    third: dict[str, str] = {}
-    data = (
-        resources.files("qa2nli")
-        .joinpath("data/irregular_verbs.tsv")
-        .read_text(encoding="utf-8")
-    )
-    _fill_from_lines(data.splitlines(), past, third, "irregular_verbs.tsv")
-    return VerbLexicon(irregular_past=past, irregular_third_singular=third)
+    return _load_bundled(VerbLexicon, "irregular_verbs.tsv")
 
 
 def reinflect(lemma: str, aux_form: str, lexicon: VerbLexicon | None = None) -> str:

@@ -81,6 +81,32 @@ def oracle_sentence_bleu(hypothesis, references):
     return 100.0 * bp * math.exp(log_sum)
 
 
+def oracle_topk(candidate_groups, references):
+    """Top-k match: (exact-match rate in percent, corpus BLEU of the picks).
+
+    Each item's pick is its first candidate that normalizes to a reference,
+    else the first candidate with the highest smoothed sentence BLEU.
+    """
+    picks = []
+    matched = 0
+    for cands, refs in zip(candidate_groups, references):
+        ref_toks = [_norm_tokens(r) for r in refs]
+        pick = None
+        for cand in cands:
+            if _norm_tokens(cand) in ref_toks:
+                pick = cand
+                matched += 1
+                break
+        if pick is None:
+            best = None
+            for cand in cands:
+                score = oracle_sentence_bleu(cand, refs)
+                if best is None or score > best:
+                    pick, best = cand, score
+        picks.append(pick)
+    return 100.0 * matched / len(candidate_groups), oracle_corpus_bleu(picks, references)
+
+
 def oracle_pmi(items, k):
     """Document-level smoothed PMI; returns {label: {word: value}}."""
     docs = [(set(_norm_tokens(text)), label) for text, label in items]

@@ -1,6 +1,7 @@
 """CoNLL-U reader: line format, tree validation, round-tripping."""
 
 import dataclasses
+import re
 import string
 
 import pytest
@@ -88,13 +89,16 @@ def test_wrong_column_count_reports_line_number():
 
 
 def test_bad_token_id():
-    with pytest.raises(ConlluFormatError, match="bad token id"):
-        parse_conllu(_row("x", "Hi", "hi", "INTJ", 0, "root"))
+    # "²" and "٣" pass str.isdigit(); only ASCII digits make an id.
+    for raw_id in ("x", "²", "٣"):
+        with pytest.raises(ConlluFormatError, match=re.escape(f"line 1: bad token id '{raw_id}'")):
+            parse_conllu(_row(raw_id, "Hi", "hi", "INTJ", 0, "root"))
 
 
 def test_bad_head():
-    with pytest.raises(ConlluFormatError, match="bad head"):
-        parse_conllu(_row(1, "Hi", "hi", "INTJ", "?", "root"))
+    for head in ("?", "--1", "-", "٣"):
+        with pytest.raises(ConlluFormatError, match=re.escape(f"line 1: bad head '{head}'")):
+            parse_conllu(_row(1, "Hi", "hi", "INTJ", head, "root"))
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,42 @@ def test_topk_rate_non_decreasing_in_k():
         assert rates == sorted(rates)
 
 
+def test_topk_matches_oracle_on_random_groups():
+    rng = random.Random(523)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        refs = [
+            [" ".join(rng.choices(_WORDS, k=rng.randint(1, 10)))
+             for _ in range(rng.randint(1, 3))]
+            for _ in range(n)
+        ]
+        groups = []
+        for item_refs in refs:
+            cands = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 10)))
+                     for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.4:
+                cands[rng.randrange(len(cands))] = rng.choice(item_refs).upper() + "."
+            groups.append(cands)
+        rate, bleu = topk_match(groups, refs)
+        want_rate, want_bleu = oracles.oracle_topk(groups, refs)
+        assert rate == pytest.approx(want_rate, abs=1e-9)
+        assert bleu == pytest.approx(want_bleu, abs=1e-9)
+
+
+def test_topk_and_evaluate_score_empty_references_zero():
+    assert topk_match([["a b c d", "e"]], [[]]) == (0.0, 0.0)
+    records = [
+        EvalRecord("r1", ("a b c d.",), ("A b c d",), qtype="Who", qa_length=4),
+        EvalRecord("r2", ("a b c d.", "e"), (), qtype="What", qa_length=5),
+    ]
+    report = evaluate(records)
+    assert (report.exact, report.bleu) == (50.0, 0.0)
+    assert (report.topk_exact, report.topk_bleu) == (50.0, 0.0)
+    assert report.by_qtype["Who"]["bleu"] == pytest.approx(100.0, abs=1e-9)
+    assert report.by_qtype["What"] == {"n": 1, "exact_match": 0.0, "bleu": 0.0}
+    assert report.by_length["1-9"]["bleu"] == 0.0
+
+
 # -- buckets and reports ---------------------------------------------------
 
 
@@ -236,3 +272,55 @@ def test_report_serialization():
     assert "top-2 match" in text
     assert "by question type:" in text
     assert json.loads(report.to_json())["n"] == 3
+
+
+def test_evaluate_scores_match_oracle_on_random_records():
+    rng = random.Random(617)
+    for _ in range(30):
+        records = []
+        for i in range(rng.randint(1, 12)):
+            refs = tuple(
+                " ".join(rng.choices(_WORDS, k=rng.randint(1, 10)))
+                for _ in range(rng.randint(1, 3))
+            )
+            cands = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 10)))
+                     for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.4:
+                cands[rng.randrange(len(cands))] = rng.choice(refs).capitalize() + "."
+            records.append(EvalRecord(
+                f"r{i}", tuple(cands), refs,
+                qtype=rng.choice(["Who", "What", "When", None]),
+                qa_length=rng.choice([None, rng.randint(1, 40)]),
+            ))
+        k = rng.choice([None, 1, 2, 3])
+        report = evaluate(records, k=k)
+
+        def oracle_row(group):
+            hyps = [r.candidates[0] for r in group]
+            refs = [list(r.references) for r in group]
+            exact, _ = oracles.oracle_topk([[h] for h in hyps], refs)
+            return exact, oracles.oracle_corpus_bleu(hyps, refs)
+
+        rows = [((report.exact, report.bleu), oracle_row(records))]
+        for qtype, row in report.by_qtype.items():
+            group = [r for r in records if r.qtype == qtype]
+            rows.append(((row["exact_match"], row["bleu"]), oracle_row(group)))
+        for bucket, row in report.by_length.items():
+            group = [r for r in records
+                     if r.qa_length is not None and length_bucket(r.qa_length) == bucket]
+            rows.append(((row["exact_match"], row["bleu"]), oracle_row(group)))
+        assert sum(row["n"] for row in report.by_qtype.values()) == sum(
+            r.qtype is not None for r in records
+        )
+        assert sum(row["n"] for row in report.by_length.values()) == sum(
+            r.qa_length is not None for r in records
+        )
+        depth = report.k
+        rows.append((
+            (report.topk_exact, report.topk_bleu),
+            oracles.oracle_topk(
+                [r.candidates[:depth] for r in records], [r.references for r in records]
+            ),
+        ))
+        for got, want in rows:
+            assert got == pytest.approx(want, abs=1e-9)
