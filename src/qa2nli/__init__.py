@@ -26,7 +26,6 @@ from .engine import (
     insert_article,
     plan_question,
     realize,
-    select_preposition,
     transform,
     undo_inversion,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "pmi",
     "realize",
     "reinflect",
-    "select_preposition",
     "sentence_bleu",
     "to_conllu",
     "topk_match",

@@ -24,9 +24,13 @@ Where the answer lands depends on what the wh phrase was doing:
   subtree, skipping trailing adverbial clauses, so "Sam went _ to buy milk"
   and "Johnson crashed into the wall _" both come out right.
 
-Inserted prepositions come from the answer itself (a pied-piped preposition
-deleted with the wh phrase is re-emitted), else from the When/Where lookup
-table; a dangling preposition always beats the table.
+plan_question also decides, once, where a preposition before the answer
+comes from: a pied-piped preposition deleted with the wh phrase is
+re-emitted, else When and Where answers take one from the lookup table; a
+dangling preposition always beats the table, and subject and
+stranded-preposition questions take none. realize only asks the table
+which words fit the answer, so extra candidates are distinct preposition
+variants or a copular flip, never a repeat.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "insert_article",
     "plan_question",
     "realize",
-    "select_preposition",
     "transform",
     "undo_inversion",
 ]
@@ -252,53 +255,6 @@ def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:
     return answer
 
 
-def select_preposition(
-    qtype: QuestionType,
-    analysis: WhAnalysis,
-    answer: str,
-    table: PrepositionTable | None = None,
-) -> str | None:
-    """The preposition that should link the answer into the sentence.
-
-    A dangling preposition from the analysis wins over the table; When and
-    Where otherwise consult the table; other types take no preposition.
-    Returns None when nothing applies or the answer already starts with a
-    preposition or standalone adverb.
-    """
-    options, _ = _preposition_plan(qtype, analysis, answer, table or PrepositionTable.bundled())
-    return options[0] if options else None
-
-
-def _preposition_plan(
-    qtype: QuestionType,
-    analysis: WhAnalysis,
-    answer: str,
-    table: PrepositionTable,
-) -> tuple[list[str], str]:
-    """Ordered preposition options plus the source kind of option 0.
-
-    Source is one of "stranded" (token already in the sentence; nothing to
-    insert, the answer just follows it), "pied" (deleted with the wh phrase,
-    re-emit before the answer), "table", or "none".
-    """
-    sent = analysis.question
-    if analysis.dangling_preps:
-        prep_tok = sent.token(analysis.dangling_preps[-1])  # rightmost wins
-        start, end = analysis.wh_phrase
-        if start <= prep_tok.id <= end:
-            if table.starts_suppressed(answer, qtype):
-                return [], "none"
-            return [prep_tok.form.lower()], "pied"
-        return [prep_tok.form], "stranded"
-    if qtype is QuestionType.WHEN:
-        return table.when_options(answer), "table"
-    if qtype is QuestionType.WHERE:
-        attachment = sent.token(analysis.wh_attachment)
-        lemma = attachment.lemma or attachment.form.lower()
-        return table.where_options(answer, lemma), "table"
-    return [], "none"
-
-
 # -- sequencing --------------------------------------------------------------
 
 
@@ -457,7 +413,10 @@ class QuestionPlan:
     insert_index: int  # where in body the answer goes
     insert_rules: tuple[str, ...]  # the insert:* rule, after prep:*(stranded)
     residual: tuple[str, ...]  # copied Which/How nouns, placed after the answer
-    answer_prep: bool  # False for subject and stranded-preposition questions
+    # Where a preposition before the answer comes from: None (subject and
+    # stranded-preposition questions; the answer goes in bare), ("pied",
+    # prep), ("when", ""), ("where", attachment lemma) or ("none", "").
+    link: tuple[str, str] | None
     flip_body: tuple[str, ...] | None  # copula + subject for "Answer is X's Y."
 
     def realize(
@@ -469,20 +428,19 @@ class QuestionPlan:
             TransformError: empty answer, or nothing realizable remained.
         """
         table = table or PrepositionTable.bundled()
-        analysis, config = self.analysis, self.config
         answer_clean = _clean_answer(answer)
         if not answer_clean:
             raise TransformError("answer is empty after trimming")
         articled = insert_article(answer_clean, table.article_orgs)
         rules = self.rules + ("article:the",) if articled != answer_clean else self.rules
         answer_tokens = articled.split()
-        options, source = _preposition_plan(analysis.qtype, analysis, answer_clean, table)
+        options = self._prepositions(answer_clean, table)
 
-        tokens, extra = self._splice(answer_tokens, options[0] if options else None, source)
-        if self.answer_prep and not options:
+        tokens, extra = self._splice(answer_tokens, options[0] if options else None)
+        if self.link is not None and not options:
             extra = (*extra, "prep:none")
         candidates = [_candidate(tokens, rules + extra, 1)]
-        if config.emit_alternatives > 1:
+        if self.config.emit_alternatives > 1:
             if self.flip_body is not None and answer_tokens[0][:1].isupper():
                 candidates.append(
                     _candidate(
@@ -491,22 +449,34 @@ class QuestionPlan:
                         len(candidates) + 1,
                     )
                 )
-            # Subject questions take no preposition, so each extra When/Where
-            # option repeats the rank-1 text.
             for prep in options[1:]:
-                if len(candidates) >= config.emit_alternatives:
+                if len(candidates) >= self.config.emit_alternatives:
                     break
-                tokens, extra = self._splice(answer_tokens, prep, source)
+                tokens, extra = self._splice(answer_tokens, prep)
                 candidates.append(_candidate(tokens, rules + extra, len(candidates) + 1))
         return candidates
 
+    def _prepositions(self, answer: str, table: PrepositionTable) -> list[str]:
+        """This answer's preposition options, in rank order."""
+        if self.link is None:
+            return []
+        kind, word = self.link
+        if kind == "pied":
+            return [] if table.starts_suppressed(answer, self.analysis.qtype) else [word]
+        if kind == "when":
+            return table.when_options(answer)
+        if kind == "where":
+            return table.where_options(answer, word)
+        return []
+
     def _splice(
-        self, answer_tokens: list[str], prep: str | None, source: str
+        self, answer_tokens: list[str], prep: str | None
     ) -> tuple[list[str], tuple[str, ...]]:
         """The body with the answer inserted, and the rules that placed it."""
         head, tail = self.body[: self.insert_index], self.body[self.insert_index :]
-        if prep is None or not self.answer_prep:
+        if prep is None:
             return [*head, *answer_tokens, *self.residual, *tail], self.insert_rules
+        source = "pied" if self.link[0] == "pied" else "table"
         return (
             [*head, prep, *answer_tokens, *self.residual, *tail],
             (f"prep:{prep}({source})", *self.insert_rules),
@@ -542,33 +512,43 @@ def plan_question(
     seq = [tid for tid in seq if not start <= tid <= end]
     rules.append(f"delete_wh_phrase:{start}-{end}")
 
-    # The rightmost dangling preposition outside the wh phrase is stranded:
-    # it stays in the sentence and the answer follows it.
-    stranded = analysis.dangling_preps[-1] if analysis.dangling_preps else None
-    if stranded is not None and start <= stranded <= end:
-        stranded = None
+    # The rightmost dangling preposition decides how the answer attaches:
+    # outside the wh phrase it is stranded (it stays in the sentence and the
+    # answer follows it); inside it was pied-piped, deleted with the phrase
+    # and re-emitted before the answer. Without one, When and Where answers
+    # take a preposition from the table.
+    prep_id = analysis.dangling_preps[-1] if analysis.dangling_preps else None
+    pied = prep_id is not None and start <= prep_id <= end
     copular_identity = (
         analysis.copula is not None
         and not analysis.subject_wh
         and start <= analysis.root <= end
     )
-    answer_prep = False
+    link: tuple[str, str] | None = None
     if analysis.subject_wh:
         insert_index = sum(1 for tid in seq if tid < start)
         insert_rules: tuple[str, ...] = ("insert:subject_position",)
-    elif stranded is not None:
-        insert_index = seq.index(stranded) + 1
+    elif prep_id is not None and not pied:
+        insert_index = seq.index(prep_id) + 1
         insert_rules = (
-            f"prep:{sent.token(stranded).form}(stranded)",
+            f"prep:{sent.token(prep_id).form}(stranded)",
             "insert:after_stranded_prep",
         )
     else:
-        answer_prep = True
         if copular_identity:
             insert_index, rule = len(seq), "insert:predicate_position"
         else:
             insert_index, rule = _insertion_site(analysis, seq)
         insert_rules = (rule,)
+        if pied:
+            link = ("pied", sent.token(prep_id).form.lower())
+        elif analysis.qtype is QuestionType.WHEN:
+            link = ("when", "")
+        elif analysis.qtype is QuestionType.WHERE:
+            attachment = sent.token(analysis.wh_attachment)
+            link = ("where", attachment.lemma or attachment.form.lower())
+        else:
+            link = ("none", "")
 
     body = tuple(forms.get(tid, sent.token(tid).form) for tid in seq)
     flip_body = None
@@ -582,7 +562,7 @@ def plan_question(
         insert_index=insert_index,
         insert_rules=insert_rules,
         residual=residual,
-        answer_prep=answer_prep,
+        link=link,
         flip_body=flip_body,
     )
 

@@ -13,7 +13,6 @@ from qa2nli.engine import (
     insert_article,
     plan_question,
     realize,
-    select_preposition,
     transform,
     undo_inversion,
 )
@@ -147,34 +146,60 @@ def test_where_options(table, answer, lemma, options):
     assert table.where_options(answer, lemma) == options
 
 
+def _prep_rules(analysis, answer):
+    """The prep:* rules of the rank-1 candidate: the preposition chosen."""
+    return [r for r in transform(analysis, answer)[0].applied_rules if r.startswith("prep:")]
+
+
 def test_select_preposition_table_cases(qa2d_parses):
     born = analyze(qa2d_parses["f03"])
-    assert select_preposition(QuestionType.WHEN, born, "August 16, 1958") == "on"
-    assert select_preposition(QuestionType.WHEN, born, "1958") == "in"
-    assert select_preposition(QuestionType.WHEN, born, "yesterday") is None
+    assert _prep_rules(born, "August 16, 1958") == ["prep:on(table)"]
+    assert _prep_rules(born, "1958") == ["prep:in(table)"]
+    assert _prep_rules(born, "yesterday") == ["prep:none"]
     overlooked = analyze(qa2d_parses["f04"])
-    assert select_preposition(QuestionType.WHERE, overlooked, "American society") == "in"
+    assert _prep_rules(overlooked, "American society") == ["prep:in(table)"]
     went = analyze(qa2d_parses["f50"])  # "Where did Sam go?"
-    assert select_preposition(QuestionType.WHERE, went, "the store") == "to"
+    assert _prep_rules(went, "the store") == ["prep:to(table)"]
 
 
 def test_select_preposition_dangling_beats_table(qa2d_parses):
     # "Where did the plane take off from?": the stranded token wins over
     # anything the Where rules would pick.
     a = analyze(qa2d_parses["f20"])
-    assert select_preposition(QuestionType.WHERE, a, "Chicago") == "from"
+    assert _prep_rules(a, "Chicago") == ["prep:from(stranded)"]
 
 
 def test_select_preposition_pied_piping(qa2d_parses):
     a = analyze(qa2d_parses["f18"])  # "To whom did Liz speak?"
-    assert select_preposition(QuestionType.WHO, a, "Mary") == "to"
+    assert _prep_rules(a, "Mary") == ["prep:to(pied)"]
     # ... unless the answer brings its own preposition
-    assert select_preposition(QuestionType.WHO, a, "to Mary") is None
+    assert _prep_rules(a, "to Mary") == ["prep:none"]
 
 
 def test_select_preposition_other_types(qa2d_parses):
-    a = analyze(qa2d_parses["f01"])
-    assert select_preposition(QuestionType.WHO, a, "Liz") is None
+    a = analyze(qa2d_parses["f01"])  # subject question: the answer goes in bare
+    assert _prep_rules(a, "Liz") == []
+    a = analyze(qa2d_parses["f49"])  # "Who did Liz call?"
+    assert _prep_rules(a, "Taylor") == ["prep:none"]
+
+
+def test_subject_question_never_repeats_a_candidate():
+    # "When is it?" has no subject but the wh word; "Monday" has two When
+    # table options (on, in), neither of which a subject answer takes.
+    sent = DepSentence(
+        tokens=(
+            DepToken(id=1, form="When", lemma="when", upos="ADV", xpos=None, head=0, deprel="root"),
+            DepToken(id=2, form="is", lemma="be", upos="AUX", xpos=None, head=1, deprel="cop"),
+            DepToken(id=3, form="it", lemma="it", upos="PRON", xpos=None, head=1, deprel="expl"),
+            DepToken(id=4, form="?", lemma="?", upos="PUNCT", xpos=None, head=1, deprel="punct"),
+        ),
+        text="When is it?",
+    )
+    a = analyze(sent)
+    assert a.subject_wh
+    assert PrepositionTable.bundled().when_options("Monday") == ["on", "in"]
+    cands = transform(a, "Monday", EngineConfig(emit_alternatives=3))
+    assert [(c.text, c.rank) for c in cands] == [("Monday is it.", 1)]
 
 
 # -- de-inversion ----------------------------------------------------------
