@@ -156,7 +156,7 @@ def _phrase_head(sentence: DepSentence, wh: DepToken) -> DepToken:
 def _phrase_span(sentence: DepSentence, head: DepToken, wh: DepToken) -> tuple[int, int]:
     members = set(sentence.subtree_ids(head.id))
     for child in sentence.children(head.id):
-        if _base(child.deprel) in _PHRASE_CUT_BASES or child.deprel in _PHRASE_CUT_BASES:
+        if _base(child.deprel) in _PHRASE_CUT_BASES:
             members -= sentence.subtree_ids(child.id)
     members.add(wh.id)
     start = end = wh.id
@@ -169,7 +169,7 @@ def _phrase_span(sentence: DepSentence, head: DepToken, wh: DepToken) -> tuple[i
 
 def _find_subject(sentence: DepSentence, root: DepToken) -> DepToken | None:
     for child in sentence.children(root.id):
-        if _base(child.deprel) in _SUBJECT_BASES or child.deprel in _SUBJECT_BASES:
+        if _base(child.deprel) in _SUBJECT_BASES:
             return child
     return None
 
@@ -180,7 +180,7 @@ def _find_aux(
     auxes = [
         c
         for c in sentence.children(root.id)
-        if _base(c.deprel) in _AUX_BASES or c.deprel in _AUX_BASES
+        if _base(c.deprel) in _AUX_BASES
     ]
     if not auxes:
         return None

@@ -82,11 +82,11 @@ def pmi(
     word asc), top_n kept.
 
     Raises:
-        ValueError: fewer than two distinct labels, no items, k < 0,
-            or top_n < 1.
+        ValueError: fewer than two distinct labels, no items, k < 0 or
+            not finite, or top_n < 1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not (k >= 0 and math.isfinite(k)):  # also rejects NaN
+        raise ValueError(f"k must be >= 0 and finite, got {k}")
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     class_sizes: Counter = Counter()

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from typing import Iterator, Sequence, TextIO
@@ -63,6 +64,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _smoothing(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (value >= 0 and math.isfinite(value)):  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -249,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="probe an NLI corpus for label giveaways")
     an.add_argument("--pairs", required=True, help="NLI JSONL (convert output)")
-    an.add_argument("--smoothing", type=float, default=100.0, help="PMI smoothing k")
+    an.add_argument("--smoothing", type=_smoothing, default=100.0, help="PMI smoothing k")
     an.add_argument("--top", type=_positive_int, default=5, help="words per class")
     an.add_argument("--format", default="text", choices=("text", "csv"))
     an.add_argument("--output", default="-", help="output file (default stdout)")

@@ -458,9 +458,7 @@ class QuestionPlan:
 
     def _prepositions(self, answer: str, table: PrepositionTable) -> list[str]:
         """This answer's preposition options, in rank order."""
-        if self.link is None:
-            return []
-        kind, word = self.link
+        kind, word = self.link or ("none", "")
         if kind == "pied":
             return [] if table.starts_suppressed(answer, self.analysis.qtype) else [word]
         if kind == "when":

@@ -8,8 +8,9 @@ implies 100" true for short sentences. Both are reported on a 0-100 scale.
 
 Both scores are functions of per-sentence counts (lengths plus clipped and
 total n-grams), and corpus BLEU is the score of their sum. So each candidate
-is counted once, and the whole-file, per-breakdown-row and top-k corpus
-BLEU of `evaluate` are sums of those counts, not re-scored text.
+is counted once, each item's references are counted once for all its
+candidates, and the whole-file, per-breakdown-row and top-k corpus BLEU of
+`evaluate` are sums of those counts, not re-scored text.
 """
 
 from __future__ import annotations
@@ -60,20 +61,16 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _bleu_counts(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> tuple:
+def _bleu_counts(hyp: Sequence[str], ref_lens: Sequence[int], maxima: Sequence[Counter]) -> tuple:
     """BLEU counts: hypothesis length, closest reference length, then clipped
-    and total n-grams for n = 1..4. Ties go to the shorter reference; with no
-    references that length is infinite, so any score summing these counts is 0."""
+    and total n-grams for n = 1..4, clipped by maxima[n - 1]. Ties go to the
+    shorter reference; with no references that length is infinite, so any
+    score summing these counts is 0."""
     hyp_len = len(hyp)
-    ref_len = min(
-        (len(r) for r in refs), key=lambda rl: (abs(rl - hyp_len), rl), default=math.inf
-    )
+    ref_len = min(ref_lens, key=lambda rl: (abs(rl - hyp_len), rl), default=math.inf)
     counts = [hyp_len, ref_len]
-    for n in range(1, 5):
+    for n, best in enumerate(maxima, start=1):
         grams = _ngrams(hyp, n)
-        best: Counter = Counter()
-        for ref in refs:
-            best |= _ngrams(ref, n)
         counts += (sum(min(c, best[gram]) for gram, c in grams.items()), sum(grams.values()))
     return tuple(counts)
 
@@ -110,10 +107,7 @@ def bleu_corpus(hypotheses: Sequence[str], references: Sequence[Sequence[str]]) 
         raise ValueError("hypothesis and reference counts differ")
     if not hypotheses:
         return 0.0
-    return _bleu(_summed(
-        _bleu_counts(_tokens(h), [_tokens(r) for r in refs])
-        for h, refs in zip(hypotheses, references)
-    ))
+    return _bleu(_summed(_scored([h], refs)[0][1] for h, refs in zip(hypotheses, references)))
 
 
 def sentence_bleu(hypothesis: str, references: Sequence[str]) -> float:
@@ -122,13 +116,20 @@ def sentence_bleu(hypothesis: str, references: Sequence[str]) -> float:
     The maximum n-gram order is min(4, hypothesis length), so an exact
     match always scores 100 no matter how short the sentence is.
     """
-    return _bleu(_bleu_counts(_tokens(hypothesis), [_tokens(r) for r in references]), smooth=True)
+    return _bleu(_scored([hypothesis], references)[0][1], smooth=True)
 
 
 def _scored(candidates: Sequence[str], references: Sequence[str]) -> list[tuple[bool, tuple]]:
-    """(exact match, BLEU counts) of each candidate; references are tokenized once."""
+    """(exact match, BLEU counts) of each candidate. The references are
+    tokenized and counted once for all candidates: their lengths, and the
+    max count of each n-gram over them for n = 1..4."""
     refs = [_tokens(r) for r in references]
-    return [(hyp in refs, _bleu_counts(hyp, refs)) for hyp in map(_tokens, candidates)]
+    maxima = [Counter() for _ in range(4)]
+    for ref in refs:
+        for n, best in enumerate(maxima, start=1):
+            best |= _ngrams(ref, n)
+    ref_lens = [len(r) for r in refs]
+    return [(hyp in refs, _bleu_counts(hyp, ref_lens, maxima)) for hyp in map(_tokens, candidates)]
 
 
 def _best(scored: Sequence[tuple[bool, tuple]]) -> tuple[bool, tuple]:

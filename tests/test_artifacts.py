@@ -86,6 +86,9 @@ def test_pmi_only_ranks_words_present_in_class():
 def test_pmi_validation():
     with pytest.raises(ValueError, match="k must be >= 0"):
         pmi(ITEMS, k=-1)
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="k must be >= 0 and finite"):
+            pmi(ITEMS, k=k)
     with pytest.raises(ValueError, match="top_n must be >= 1"):
         pmi(ITEMS, top_n=0)
     with pytest.raises(ValueError, match="no items"):

@@ -391,6 +391,16 @@ def test_flag_below_one_fails_before_reading_input(argv, capsys):
     assert "no-such" not in err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_smoothing_fails_before_reading_input(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--pairs", "no-such.jsonl", "--smoothing", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --smoothing: must be finite and >= 0, got {value}" in err
+    assert "no-such" not in err
+
+
 @pytest.mark.parametrize(
     ("argv", "summary"),
     [
