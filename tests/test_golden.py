@@ -141,7 +141,6 @@ def test_analyze_scoring_pairs_golden(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(REWRITES))
 def test_rewrite_golden(tmp_path, capsys, name):
-    capsys.readouterr()
     stdout = _run(tmp_path, name, REWRITES[name])
     stderr = capsys.readouterr().err
     _check(name, stdout)
