@@ -31,14 +31,18 @@ dangling preposition always beats the table, and subject and
 stranded-preposition questions take none. realize only asks the table
 which words fit the answer, so extra candidates are distinct preposition
 variants or a copular flip, never a repeat.
+
+The two word lists, the VerbLexicon that re-inflects do-support verbs and
+the PrepositionTable, come from EngineConfig alone: the bundled lists by
+default, EngineConfig(lexicon=..., table=...) to override them. A plan
+keeps its config, so it is realized with the table it was planned with.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .analysis import QuestionType, WhAnalysis
@@ -65,25 +69,6 @@ _SLASH_DATE_RE = re.compile(r"\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}")
 _CLOCK_RE = re.compile(r"\b\d{1,2}(:\d{2})?\s*([ap]\.?m\.?)(\W|$)")
 _DECADE_RE = re.compile(r"(\d{4}|\d{2})s")
 _YEAR_RE = re.compile(r"[12]\d{3}")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Knobs for the rewrite.
-
-    copy_wh_phrase keeps residual nouns of Which/How phrases after the
-    answer ("How many people ..." -> "50 people ..."). emit_alternatives
-    caps how many ranked candidates transform may return; extra candidates
-    vary the preposition in table order, or flip a copular identity
-    sentence when the answer starts with a capitalized phrase.
-    """
-
-    copy_wh_phrase: bool = False
-    emit_alternatives: int = 1
-
-    def __post_init__(self) -> None:
-        if self.emit_alternatives < 1:
-            raise ValueError("emit_alternatives must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,14 +141,19 @@ class PrepositionTable:
 
     @classmethod
     def bundled(cls) -> "PrepositionTable":
-        return _bundled_table()
+        return _load_bundled(cls, "prepositions.tsv")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     # -- rule blocks ------------------------------------------------------
 
     def starts_suppressed(self, answer: str, qtype: QuestionType) -> bool:
         """True when the answer already opens with a preposition, or with a
         standalone time/place adverb matching the question type."""
-        toks = _match_tokens(answer)
+        return self._suppressed(_match_tokens(answer), qtype)
+
+    def _suppressed(self, toks: list[str], qtype: QuestionType) -> bool:
         if not toks:
             return False
         first = toks[0]
@@ -182,7 +172,7 @@ class PrepositionTable:
         time -> at, then month/season/decade/year -> in, default -> in.
         """
         toks = _match_tokens(answer)
-        if not toks or self.starts_suppressed(answer, QuestionType.WHEN):
+        if not toks or self._suppressed(toks, QuestionType.WHEN):
             return []
         lower = answer.lower()
         options: list[str] = []
@@ -212,7 +202,7 @@ class PrepositionTable:
         everything else "in".
         """
         toks = _match_tokens(answer)
-        if not toks or self.starts_suppressed(answer, QuestionType.WHERE):
+        if not toks or self._suppressed(toks, QuestionType.WHERE):
             return []
         options: list[str] = []
         if attachment_lemma and attachment_lemma.lower() in self.motion_verbs:
@@ -237,9 +227,32 @@ def _dedupe(items: list[str]) -> list[str]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _bundled_table() -> PrepositionTable:
-    return _load_bundled(PrepositionTable, "prepositions.tsv")
+@dataclass(frozen=True)
+class EngineConfig:
+    """Knobs and word lists for the rewrite.
+
+    copy_wh_phrase keeps residual nouns of Which/How phrases after the
+    answer ("How many people ..." -> "50 people ..."). emit_alternatives
+    caps how many ranked candidates transform may return; extra candidates
+    vary the preposition in table order, or flip a copular identity
+    sentence when the answer starts with a capitalized phrase.
+
+    lexicon re-inflects do-support verbs and table decides prepositions
+    and articles; both default to the bundled lists, and passing others
+    here is the one way to override them. They take part in == but not in
+    hash or repr.
+    """
+
+    copy_wh_phrase: bool = False
+    emit_alternatives: int = 1
+    lexicon: VerbLexicon = field(default_factory=VerbLexicon.bundled, hash=False, repr=False)
+    table: PrepositionTable = field(
+        default_factory=PrepositionTable.bundled, hash=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.emit_alternatives < 1:
+            raise ValueError("emit_alternatives must be >= 1")
 
 
 def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:
@@ -261,7 +274,12 @@ def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:
 def _deinverted(
     analysis: WhAnalysis, lexicon: VerbLexicon
 ) -> tuple[list[int], dict[int, str], list[str]]:
-    """Token ids in declarative order, surface-form overrides, rule trail."""
+    """Token ids in declarative order, surface-form overrides, rule trail.
+
+    Raises:
+        TransformError: a do-support auxiliary other than do/does/did
+            ("What'd you buy?"), whose tense cannot be told.
+    """
     sent = analysis.question
     seq = [t.id for t in sent.tokens if t.form != "?"]
     forms: dict[int, str] = {}
@@ -274,11 +292,14 @@ def _deinverted(
     target = sent.token(target_id)
 
     if analysis.aux is not None and (target.lemma or target.form.lower()) == "do":
+        aux = target.form.lower()
+        if aux.strip() not in ("do", "does", "did"):
+            raise TransformError(f"unsupported do-support form {target.form!r}")
         root_tok = sent.token(analysis.root)
         seq.remove(target_id)
-        inflected = reinflect(root_tok.lemma or root_tok.form, target.form, lexicon)
+        inflected = reinflect(root_tok.lemma or root_tok.form, aux, lexicon)
         forms[root_tok.id] = inflected
-        rules.append(f"do_support:{target.form.lower()}->{inflected}")
+        rules.append(f"do_support:{aux}->{inflected}")
         return seq, forms, rules
 
     if analysis.subject is None:
@@ -295,14 +316,18 @@ def _deinverted(
     return seq, forms, rules
 
 
-def undo_inversion(analysis: WhAnalysis, lexicon: VerbLexicon | None = None) -> list[str]:
+def undo_inversion(analysis: WhAnalysis, config: EngineConfig | None = None) -> list[str]:
     """Surface forms of the question in declarative order.
 
-    Do-support auxiliaries disappear into the re-inflected verb; other
-    auxiliaries and copulas move behind the full subject phrase. The wh
-    phrase is still present; deleting it is the next pipeline step.
+    Do-support auxiliaries disappear into the verb, re-inflected with
+    config.lexicon; other auxiliaries and copulas move behind the full
+    subject phrase. The wh phrase is still present; deleting it is the next
+    pipeline step.
+
+    Raises:
+        TransformError: an unsupported do-support form.
     """
-    seq, forms, _ = _deinverted(analysis, lexicon or VerbLexicon.bundled())
+    seq, forms, _ = _deinverted(analysis, (config or EngineConfig()).lexicon)
     sent = analysis.question
     return [forms.get(tid, sent.token(tid).form) for tid in seq]
 
@@ -386,15 +411,14 @@ def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
 
 def _candidate(tokens: list[str], rules: tuple[str, ...], rank: int) -> DeclarativeCandidate:
     try:
-        text = realize(tokens)
-    except ValueError as exc:
+        return DeclarativeCandidate(
+            text=realize(tokens),
+            tokens=tuple(t for t in tokens if t and t != "?"),
+            applied_rules=(*rules, "realize"),
+            rank=rank,
+        )
+    except ValueError as exc:  # nothing left, or a '?' inside the answer
         raise TransformError(str(exc)) from exc
-    return DeclarativeCandidate(
-        text=text,
-        tokens=tuple(t for t in tokens if t and t != "?"),
-        applied_rules=(*rules, "realize"),
-        rank=rank,
-    )
 
 
 @dataclass(frozen=True)
@@ -419,15 +443,16 @@ class QuestionPlan:
     link: tuple[str, str] | None
     flip_body: tuple[str, ...] | None  # copula + subject for "Answer is X's Y."
 
-    def realize(
-        self, answer: str, *, table: PrepositionTable | None = None
-    ) -> list[DeclarativeCandidate]:
+    def realize(self, answer: str) -> list[DeclarativeCandidate]:
         """Ranked declaratives for one answer, exactly as transform gives them.
 
+        Prepositions and articles come from the plan's config.table.
+
         Raises:
-            TransformError: empty answer, or nothing realizable remained.
+            TransformError: empty answer, an answer with a '?' inside it, or
+                nothing realizable remained.
         """
-        table = table or PrepositionTable.bundled()
+        table = self.config.table
         answer_clean = _clean_answer(answer)
         if not answer_clean:
             raise TransformError("answer is empty after trimming")
@@ -481,20 +506,18 @@ class QuestionPlan:
         )
 
 
-def plan_question(
-    analysis: WhAnalysis,
-    config: EngineConfig | None = None,
-    *,
-    lexicon: VerbLexicon | None = None,
-) -> QuestionPlan:
+def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> QuestionPlan:
     """Do the part of transform that does not depend on the answer.
 
     plan_question(analysis, config).realize(answer) equals
     transform(analysis, answer, config) for every answer.
+
+    Raises:
+        TransformError: an unsupported do-support form.
     """
     config = config or EngineConfig()
     sent = analysis.question
-    seq, forms, inv_rules = _deinverted(analysis, lexicon or VerbLexicon.bundled())
+    seq, forms, inv_rules = _deinverted(analysis, config.lexicon)
     start, end = analysis.wh_phrase
     rules = [f"qtype:{analysis.qtype}", *inv_rules]
 
@@ -569,9 +592,6 @@ def transform(
     analysis: WhAnalysis,
     answer: str,
     config: EngineConfig | None = None,
-    *,
-    lexicon: VerbLexicon | None = None,
-    table: PrepositionTable | None = None,
 ) -> list[DeclarativeCandidate]:
     """Rewrite an analyzed question plus answer into ranked declaratives.
 
@@ -581,6 +601,7 @@ def transform(
     realize per answer instead.
 
     Raises:
-        TransformError: empty answer, or nothing realizable remained.
+        TransformError: empty answer, an answer with a '?' inside it, an
+            unsupported do-support form, or nothing realizable remained.
     """
-    return plan_question(analysis, config, lexicon=lexicon).realize(answer, table=table)
+    return plan_question(analysis, config).realize(answer)

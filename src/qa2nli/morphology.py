@@ -66,7 +66,7 @@ class VerbLexicon:
 
     @classmethod
     def bundled(cls) -> "VerbLexicon":
-        return _bundled_lexicon()
+        return _load_bundled(cls, "irregular_verbs.tsv")
 
     def past(self, lemma: str) -> str:
         lemma = lemma.lower()
@@ -91,15 +91,12 @@ def _key_value_lines(lines: Iterable[str], source: str) -> Iterator[tuple[int, s
         yield line_no, parts[0], parts[1]
 
 
+@lru_cache(maxsize=None)
 def _load_bundled(cls, name: str):
-    """cls built from a word list shipped in the package's data directory."""
+    """cls built from a word list shipped in the package's data directory,
+    loaded once per (cls, name)."""
     text = resources.files("qa2nli").joinpath(f"data/{name}").read_text(encoding="utf-8")
     return cls._from_lines(text.splitlines(), name)
-
-
-@lru_cache(maxsize=1)
-def _bundled_lexicon() -> VerbLexicon:
-    return _load_bundled(VerbLexicon, "irregular_verbs.tsv")
 
 
 def reinflect(lemma: str, aux_form: str, lexicon: VerbLexicon | None = None) -> str:

@@ -18,14 +18,13 @@ from typing import Iterable, Iterator, Mapping
 
 from .analysis import WhAnalysis, analyze
 from .conllu import DepSentence
-from .engine import EngineConfig, PrepositionTable, plan_question
+from .engine import EngineConfig, plan_question
 from .errors import (
     AnalysisError,
     DatasetError,
     NotWhQuestionError,
     TransformError,
 )
-from .morphology import VerbLexicon
 
 __all__ = [
     "AnswerOption",
@@ -248,8 +247,6 @@ def build_pairs(
     *,
     negatives: str = "all",
     seed: int = 0,
-    lexicon: VerbLexicon | None = None,
-    table: PrepositionTable | None = None,
 ) -> BuildResult:
     """Convert QA examples into labeled NLI pairs.
 
@@ -257,13 +254,12 @@ def build_pairs(
     single one per example, deterministically from the seed and example id
     (stable under re-ordering or subsetting of the input).
 
-    Pair ids are "<example id>:<n>" with the entailed pair first.
+    Pair ids are "<example id>:<n>" with the entailed pair first. The
+    rewrite's word lists come from config.
     """
     if negatives not in NEGATIVE_POLICIES:
         raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
     config = config or EngineConfig()
-    lexicon = lexicon or VerbLexicon.bundled()
-    table = table or PrepositionTable.bundled()
 
     pairs: list[NliPair] = []
     skips: list[SkipRecord] = []
@@ -273,7 +269,6 @@ def build_pairs(
         if isinstance(analysis, SkipRecord):
             skips.append(analysis)
             continue
-        plan = plan_question(analysis, config, lexicon=lexicon)
 
         if example.answerable:
             correct = example.correct_options
@@ -293,11 +288,16 @@ def build_pairs(
                 )
                 continue
             todo = [(example.options[0], Label.NOT_ENTAILED, Provenance.UNANSWERABLE)]
+        try:
+            plan = plan_question(analysis, config)
+        except TransformError as exc:  # the question itself cannot be rewritten
+            skips.append(SkipRecord(example.id, "transform", str(exc)))
+            continue
 
         n = 0
         for option, label, provenance in todo:
             try:
-                hypothesis = plan.realize(option.text, table=table)[0].text
+                hypothesis = plan.realize(option.text)[0].text
             except TransformError as exc:
                 skips.append(
                     SkipRecord(example.id, "transform", str(exc), option=option.text)

@@ -135,6 +135,74 @@ def test_qa2d_and_convert_classify_skips_alike(tmp_path, capsys, item_id, stage)
     assert (skips["qa2d"]["id"], skips["qa2d"]["stage"]) == (item_id, stage)
 
 
+_WHO_CALLED = """# sent_id = ok
+# text = Who called Taylor?
+1\tWho\twho\tPRON\tWP\t_\t2\tnsubj\t_\t_
+2\tcalled\tcall\tVERB\tVBD\t_\t0\troot\t_\t_
+3\tTaylor\tTaylor\tPROPN\tNNP\t_\t2\tobj\t_\t_
+4\t?\t?\tPUNCT\t.\t_\t2\tpunct\t_\t_
+"""
+
+_WHO_HELPED = """# sent_id = bad
+# text = Who helped Ann?
+1\tWho\twho\tPRON\tWP\t_\t2\tnsubj\t_\t_
+2\thelped\thelp\tVERB\tVBD\t_\t0\troot\t_\t_
+3\tAnn\tAnn\tPROPN\tNNP\t_\t2\tobj\t_\t_
+4\t?\t?\tPUNCT\t.\t_\t2\tpunct\t_\t_
+"""
+
+# "'d" has lemma "do" but tells no tense: did? does? would?
+_WHAT_D = """# sent_id = bad
+# text = What'd you buy?
+1\tWhat\twhat\tPRON\tWP\t_\t4\tobj\t_\t_
+2\t'd\tdo\tAUX\tVBD\t_\t4\taux\t_\t_
+3\tyou\tyou\tPRON\tPRP\t_\t4\tnsubj\t_\t_
+4\tbuy\tbuy\tVERB\tVB\t_\t0\troot\t_\t_
+5\t?\t?\tPUNCT\t.\t_\t4\tpunct\t_\t_
+"""
+
+
+@pytest.mark.parametrize(
+    ("question", "answer", "parse", "reason", "per_option"),
+    [
+        # the answer's "?" survives into the sentence, which a declarative may not hold
+        ("Who helped Ann?", "Sam? No, Tom", _WHO_HELPED,
+         "candidate text may not contain '?'", True),
+        # the question fails before any answer is tried, so the skip names no option
+        ("What'd you buy?", "milk", _WHAT_D, "unsupported do-support form \"'d\"", False),
+    ],
+    ids=["question-mark-in-answer", "contracted-do"],
+)
+@pytest.mark.parametrize("command", ["qa2d", "convert"])
+def test_unrewritable_item_is_a_transform_skip(
+    tmp_path, capsys, command, question, answer, parse, reason, per_option
+):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        "".join(
+            json.dumps({"id": i, "question": q, "passage": "p", "answer": a}) + "\n"
+            for i, q, a in (("bad", question, answer), ("ok", "Who called Taylor?", "Liz"))
+        ),
+        encoding="utf-8",
+    )
+    parses = tmp_path / "parses.conllu"
+    parses.write_text(parse + "\n" + _WHO_CALLED, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    argv = ["qa2d"] if command == "qa2d" else ["convert", "--schema", "span"]
+    assert main([*argv, "--qa", str(qa), "--parses", str(parses), "--output", str(out)]) == 0
+    skip = {"id": "bad", "stage": "transform", "reason": reason}
+    if command == "convert" and per_option:
+        skip["option"] = answer
+    summary = (
+        "1 declaratives written" if command == "qa2d" else "1 pairs written (correct_answer=1)"
+    )
+    assert capsys.readouterr().err == (
+        json.dumps(skip, ensure_ascii=False) + f"\nqa2nli: {summary}, 1 skipped\n"
+    )
+    (row,) = _rows(out)
+    assert row.get("declarative", row.get("hypothesis")) == "Liz called Taylor."
+
+
 # -- convert ----------------------------------------------------------------
 
 
@@ -361,13 +429,107 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
     dup = tmp_path / "dup.conllu"
     sentences = Path(PARSES).read_text(encoding="utf-8").rstrip() + "\n\n"
     dup.write_text(sentences * 2, encoding="utf-8")  # every sent_id twice
-    for argv, message in (
-        (["--qa", str(qa), "--parses", PARSES], f"{qa}: line 2: missing key 'question'"),
-        (["--qa", QA, "--parses", str(parses)], f"{parses}: line 2: expected 10 tab-separated"),
-        (["--qa", QA, "--parses", str(dup)], f"{dup}: duplicate sent_id 'f01'"),
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text(json.dumps({"id": "f01", "declarative": "x.", "rank": 1}) + "\n",
+                    encoding="utf-8")
+    refs = {}
+    for name, ref in (
+        ("empty_refs", {"id": "f01", "references": []}),
+        ("non_string_ref", {"id": "f01", "references": ["Liz called Taylor.", 3]}),
+        ("qtype", {"id": "f01", "references": ["x."], "qtype": 5}),
+        ("qa_length_str", {"id": "f01", "references": ["x."], "qa_length": "4"}),
+        ("qa_length_bool", {"id": "f01", "references": ["x."], "qa_length": True}),
     ):
-        assert main(["convert", "--schema", "span", *argv]) == 2
+        refs[name] = tmp_path / f"{name}.jsonl"
+        refs[name].write_text(json.dumps(ref) + "\n", encoding="utf-8")
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n\n", encoding="utf-8")
+    convert = ["convert", "--schema", "span"]
+    non_empty = "'references' must be a non-empty list of strings"
+    for argv, message in (
+        ([*convert, "--qa", str(qa), "--parses", PARSES], f"{qa}: line 2: missing key 'question'"),
+        ([*convert, "--qa", QA, "--parses", str(parses)],
+         f"{parses}: line 2: expected 10 tab-separated"),
+        ([*convert, "--qa", QA, "--parses", str(dup)], f"{dup}: duplicate sent_id 'f01'"),
+        *(
+            (["eval", "--hypotheses", str(hyps), "--references", str(refs[name])],
+             f"{refs[name]}: line 1: {text}")
+            for name, text in (
+                ("empty_refs", non_empty),
+                ("non_string_ref", non_empty),
+                ("qtype", "'qtype' must be a string"),
+                ("qa_length_str", "'qa_length' must be an int"),
+                ("qa_length_bool", "'qa_length' must be an int"),
+            )
+        ),
+        (["analyze", "--pairs", str(blank)], f"{blank}: no pairs\n"),
+    ):
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"qa2nli: error: {message}")
+
+
+def _conllu_row(tid, form, head):
+    return "\t".join((str(tid), form, form.lower(), "X", "_", "_", str(head), "dep", "_", "_"))
+
+
+def _conllu(*rows):
+    """One sentence, sent_id q1, from (id, form, head) rows; its first row is line 3."""
+    return "# sent_id = q1\n# text = x\n" + "\n".join(_conllu_row(*r) for r in rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (_conllu((1, "a", 0), (2, "b", 1), (4, "c", 2)),
+         "sentence 'q1': token ids are not exactly 1..3: [1, 2, 4]"),
+        (_conllu((2, "a", 0), (1, "b", 2)),
+         "sentence 'q1': token ids are not exactly 1..2: [2, 1]"),
+        (_conllu((1, "a", 0), (2, "b", 0)),
+         "sentence 'q1': expected exactly one root, found heads of 0 at [1, 2]"),
+        (_conllu((1, "a", 2), (2, "b", 1)),
+         "sentence 'q1': expected exactly one root, found heads of 0 at []"),
+        (_conllu((1, "a", 0), (2, "b", 5)),
+         "sentence 'q1': token 2 has head 5 beyond last id 2"),
+        (_conllu((1, "a", 0), (2, "b", 3), (3, "c", 2), (4, "d", 5), (5, "e", 4)),
+         "sentence 'q1': cycle through token 2"),
+        (_conllu((1, "a", 0), (2, "b", 0), (3, "c", 9)),  # the root count is reported first
+         "sentence 'q1': expected exactly one root, found heads of 0 at [1, 2]"),
+        (_conllu((1, "a", 0), ("x", "b", 1)), "line 4: bad token id 'x'"),
+        (_conllu((1, "a", 0), ("²", "b", 1)), "line 4: bad token id '²'"),
+        (_conllu(("1-x", "ab", 0), (1, "a", 0), (2, "b", 1)), "line 3: bad token id '1-x'"),
+        # DepToken's own checks, reached through the parser
+        (_conllu((0, "a", 1), (1, "b", 0)), "line 3: token id must be >= 1, got 0"),
+        (_conllu((1, "a", 0), (2, "b", -1)), "line 4: token head must be >= 0, got -1"),
+        (_conllu((1, "a", 0), (2, "b", 2)), "line 4: token 2 has itself as head"),
+        (_conllu((1, "a", 0), (2, "", 1)), "line 4: token 2 has an empty form"),
+        # multiword ranges and empty nodes are skipped, not errors
+        (_conllu(("1-2", "ab", "_"), (1, "a", 0), (2, "b", 1), ("2.1", "c", "_")), None),
+    ],
+    ids=[
+        "id-gap", "ids-out-of-order", "two-roots", "no-root", "head-beyond-n", "two-cycles",
+        "head-beyond-n-after-two-roots", "non-digit-id", "unicode-digit-id", "bad-range-id",
+        "id-zero", "head-minus-one", "own-head", "empty-form", "valid-range-and-empty-node",
+    ],
+)
+def test_conllu_error_messages(tmp_path, capsys, text, message):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        json.dumps({"id": "q1", "question": "Who called Taylor?", "passage": "p", "answer": "Liz"})
+        + "\n",
+        encoding="utf-8",
+    )
+    parses = tmp_path / "parses.conllu"
+    parses.write_text(text, encoding="utf-8")
+    for command in (["qa2d"], ["convert", "--schema", "span"]):
+        code = main([*command, "--qa", str(qa), "--parses", str(parses)])
+        captured = capsys.readouterr()
+        if message is None:  # the item is read, then skipped: "a" is no wh word
+            assert code == 0
+            assert captured.err.startswith('{"id": "q1", "stage": "analysis"')
+        else:
+            assert code == 2
+            assert captured.err == f"qa2nli: error: {parses}: {message}\n"
+            assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Declarative rewrite engine: realization, prepositions, articles, transform."""
 
+import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
+from qa2nli import engine
 from qa2nli.analysis import QuestionType, analyze
 from qa2nli.conllu import DepSentence, DepToken
 from qa2nli.engine import (
@@ -18,6 +21,8 @@ from qa2nli.engine import (
 )
 from qa2nli.errors import TransformError
 from qa2nli.metrics import normalize
+from qa2nli.morphology import VerbLexicon
+from qa2nli.nli import AnswerOption, QAExample, build_pairs
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +103,21 @@ def test_table_from_file(tmp_path):
 
 def test_bundled_table_is_cached():
     assert PrepositionTable.bundled() is PrepositionTable.bundled()
+
+
+def test_when_and_where_options_tokenize_the_answer_once(monkeypatch, table):
+    calls = []
+    match_tokens = engine._match_tokens
+
+    def counting(text):
+        calls.append(text)
+        return match_tokens(text)
+
+    monkeypatch.setattr(engine, "_match_tokens", counting)
+    assert table.when_options("August 16, 1958") == ["on", "in"]
+    assert table.where_options("the store", "go") == ["to", "at", "in"]
+    assert table.where_options("in Paris", "go") == []  # suppressed: still one call
+    assert calls == ["August 16, 1958", "the store", "in Paris"]
 
 
 def test_starts_suppressed(table):
@@ -218,6 +238,25 @@ def test_undo_inversion_aux_moves_after_subject(qa2d_parses):
 def test_undo_inversion_copula(qa2d_parses):
     a = analyze(qa2d_parses["f10"])  # "What is her dog's name?"
     assert undo_inversion(a) == ["What", "her", "dog", "'s", "name", "is"]
+
+
+def test_unsupported_do_support_form_is_a_transform_error():
+    # "'d" has lemma "do" but names no tense: did? does? would?
+    a = analyze(DepSentence(
+        tokens=(
+            DepToken(id=1, form="What", lemma="what", upos="PRON", xpos=None, head=4, deprel="obj"),
+            DepToken(id=2, form="'d", lemma="do", upos="AUX", xpos=None, head=4, deprel="aux"),
+            DepToken(id=3, form="you", lemma="you", upos="PRON", xpos=None, head=4, deprel="nsubj"),
+            DepToken(id=4, form="buy", lemma="buy", upos="VERB", xpos=None, head=0, deprel="root"),
+            DepToken(id=5, form="?", lemma="?", upos="PUNCT", xpos=None, head=4, deprel="punct"),
+        ),
+        text="What'd you buy?",
+    ))
+    assert a.aux == 2
+    for rewrite in (lambda: undo_inversion(a), lambda: plan_question(a),
+                    lambda: transform(a, "milk")):
+        with pytest.raises(TransformError, match="unsupported do-support form \"'d\""):
+            rewrite()
 
 
 def test_undo_inversion_subject_wh_untouched(qa2d_parses):
@@ -428,6 +467,54 @@ def test_plan_realize_matches_recorded_transform(fixtures_dir, qa2d_parses, mult
 def test_engine_config_validation():
     with pytest.raises(ValueError, match="emit_alternatives"):
         EngineConfig(emit_alternatives=0)
+
+
+def test_engine_config_value_semantics(tmp_path):
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "copy_wh_phrase", "emit_alternatives", "lexicon", "table",
+    ]
+    default = EngineConfig()
+    assert default.lexicon is VerbLexicon.bundled()
+    assert default.table is PrepositionTable.bundled()
+    assert default == EngineConfig()
+    assert hash(default) == hash(EngineConfig())  # the word lists are left out
+    assert repr(default) == "EngineConfig(copy_wh_phrase=False, emit_alternatives=1)"
+    # == compares the word lists by value
+    path = tmp_path / "prep.tsv"
+    path.write_text("month\tSmarch\n", encoding="utf-8")
+    custom = EngineConfig(table=PrepositionTable.from_file(path))
+    assert custom == EngineConfig(table=PrepositionTable.from_file(path))
+    assert custom != default and hash(custom) == hash(default)
+    assert EngineConfig(lexicon=VerbLexicon()) != default
+
+
+def test_word_lists_override_through_config(tmp_path, qa2d_parses):
+    lexicon = tmp_path / "verbs.tsv"
+    lexicon.write_text("past:buy\tbuyed\n", encoding="utf-8")
+    bundled = resources.files("qa2nli").joinpath("data/prepositions.tsv").read_text("utf-8")
+    table = tmp_path / "prepositions.tsv"
+    table.write_text(bundled.replace("article_org\tUN\n", ""), encoding="utf-8")
+    config = EngineConfig(
+        lexicon=VerbLexicon.from_file(lexicon), table=PrepositionTable.from_file(table)
+    )
+    buy = analyze(qa2d_parses["f02"])  # "What did Liz buy at the store?"
+    work = analyze(qa2d_parses["f30"])  # "Where does Sam work?"
+    assert transform(buy, "milk")[0].text == "Liz bought milk at the store."
+    assert transform(work, "UN")[0].text == "Sam works at the UN."
+    assert undo_inversion(buy, config)[2] == "buyed"
+    expected = {"f02": "Liz buyed milk at the store.", "f30": "Sam works at UN."}
+    answers = {"f02": "milk", "f30": "UN"}
+    for fid, analysis in (("f02", buy), ("f30", work)):
+        assert transform(analysis, answers[fid], config)[0].text == expected[fid]
+        assert plan_question(analysis, config).realize(answers[fid])[0].text == expected[fid]
+    examples = [
+        QAExample(id=fid, question="", passage="p", options=(AnswerOption(answer, True),),
+                  parse=qa2d_parses[fid])
+        for fid, answer in answers.items()
+    ]
+    assert {p.id: p.hypothesis for p in build_pairs(examples, config).pairs} == {
+        f"{fid}:0": text for fid, text in expected.items()
+    }
 
 
 def test_candidate_validation():

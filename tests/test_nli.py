@@ -295,8 +295,13 @@ def test_build_pairs_plans_each_question_once(monkeypatch, multichoice_examples)
     monkeypatch.setattr(nli, "plan_question", counting_plan)
     no_parse = QAExample(id="x1", question="Who called Taylor?", passage="p",
                          options=(AnswerOption("Liz", True),))
-    result = build_pairs([*multichoice_examples, no_parse], negatives="all")
+    # analyzed, then skipped at stage "options": there is no answer to plan for
+    no_correct = QAExample(id="x2", question="Who called Taylor?", passage="p",
+                           options=(AnswerOption("Liz", False),),
+                           parse=_who_parse("x2", "called", "Taylor"))
+    result = build_pairs([*multichoice_examples, no_parse, no_correct], negatives="all")
     assert len(result.pairs) == 80
+    assert [s.stage for s in result.skips] == ["parse", "options"]
     assert planned == [ex.id for ex in multichoice_examples]
 
 
