@@ -153,11 +153,18 @@ def _phrase_head(sentence: DepSentence, wh: DepToken) -> DepToken:
     return cur
 
 
-def _phrase_span(sentence: DepSentence, head: DepToken, wh: DepToken) -> tuple[int, int]:
-    members = set(sentence.subtree_ids(head.id))
-    for child in sentence.children(head.id):
-        if _base(child.deprel) in _PHRASE_CUT_BASES:
+def _cut_subtree(sentence: DepSentence, token_id: int, bases: set[str]) -> set[int]:
+    """Ids of a token's subtree minus the subtrees of its children whose base
+    relation is in bases."""
+    members = set(sentence.subtree_ids(token_id))
+    for child in sentence.children(token_id):
+        if _base(child.deprel) in bases:
             members -= sentence.subtree_ids(child.id)
+    return members
+
+
+def _phrase_span(sentence: DepSentence, head: DepToken, wh: DepToken) -> tuple[int, int]:
+    members = _cut_subtree(sentence, head.id, _PHRASE_CUT_BASES)
     members.add(wh.id)
     start = end = wh.id
     while start - 1 in members:
@@ -192,16 +199,14 @@ def _find_aux(
     return auxes[0]
 
 
-def _find_copula(sentence: DepSentence, root: DepToken) -> DepToken | None:
+def _find_copula(
+    sentence: DepSentence, root: DepToken, subject: DepToken | None
+) -> DepToken | None:
     for child in sentence.children(root.id):
         if _base(child.deprel) == "cop":
             return child
     # Parses that keep "be" as the clause head: the root doubles as copula.
-    if (
-        root.lemma == "be"
-        and root.upos in ("AUX", "VERB")
-        and _find_subject(sentence, root) is not None
-    ):
+    if root.lemma == "be" and root.upos in ("AUX", "VERB") and subject is not None:
         return root
     return None
 
@@ -247,7 +252,7 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
     span = _phrase_span(sentence, head, wh)
     subject = _find_subject(sentence, root)
     aux = _find_aux(sentence, root, subject)
-    copula = _find_copula(sentence, root)
+    copula = _find_copula(sentence, root, subject)
     if aux is not None and copula is not None:
         # One reorderable slot per predicate; the auxiliary is the one that
         # inverted, so it wins.

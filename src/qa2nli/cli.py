@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from typing import Iterator, Sequence, TextIO
 
 from .artifacts import length_histogram, pmi, word_overlap
@@ -138,9 +139,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     with _open_out(args.output) as out:
         for pair in result.pairs:
             out.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
-    by_provenance: dict[str, int] = {}
-    for pair in result.pairs:
-        by_provenance[pair.provenance.value] = by_provenance.get(pair.provenance.value, 0) + 1
+    by_provenance = Counter(pair.provenance.value for pair in result.pairs)
     breakdown = " ".join(f"{k}={v}" for k, v in sorted(by_provenance.items()))
     _report_skips(result.skips, f"{len(result.pairs)} pairs written ({breakdown or 'none'})")
     return 0
@@ -149,10 +148,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(load_eval_records(args.hypotheses, args.references), k=args.k)
     with _open_out(args.output) as out:
-        if args.format == "json":
-            out.write(report.to_json() + "\n")
-        else:
-            out.write(report.to_text() + "\n")
+        out.write((report.to_json() if args.format == "json" else report.to_text()) + "\n")
     return 0
 
 
@@ -212,58 +208,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    qa2d = sub.add_parser("qa2d", help="rewrite question+answer pairs into declaratives")
-    qa2d.add_argument("--qa", required=True, help="JSONL with id/question/passage/answer")
-    qa2d.add_argument("--parses", required=True, help="CoNLL-U file, sent_id matching example ids")
-    qa2d.add_argument("--alternatives", type=_positive_int, default=1, help="candidates per item")
-    qa2d.add_argument(
+    # Flags shared between subcommands, each declared once. --qa and --parses
+    # come first so "the following arguments are required" lists them first.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default="-", help="output file (default stdout)")
+    rewrite = argparse.ArgumentParser(add_help=False)
+    rewrite.add_argument(
+        "--qa", required=True, help="JSONL dataset (qa2d: id/question/passage/answer)"
+    )
+    rewrite.add_argument("--parses", required=True, help="CoNLL-U file, sent_id matching example ids")
+    rewrite.add_argument(
         "--copy-wh-phrase",
         action="store_true",
         help="keep residual nouns of Which/How phrases next to the answer",
     )
-    qa2d.add_argument(
+    rewrite.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
         help="ignored; accepted so existing command lines keep working",
     )
-    qa2d.add_argument("--output", default="-", help="output file (default stdout)")
+
+    qa2d = sub.add_parser(
+        "qa2d", parents=[rewrite, output], help="rewrite question+answer pairs into declaratives"
+    )
+    qa2d.add_argument("--alternatives", type=_positive_int, default=1, help="candidates per item")
     qa2d.set_defaults(fn=_cmd_qa2d)
 
-    convert = sub.add_parser("convert", help="build an NLI corpus from a QA dataset")
-    convert.add_argument("--qa", required=True, help="JSONL dataset")
-    convert.add_argument("--parses", required=True, help="CoNLL-U file, sent_id matching example ids")
+    convert = sub.add_parser(
+        "convert", parents=[rewrite, output], help="build an NLI corpus from a QA dataset"
+    )
     convert.add_argument("--schema", required=True, choices=SCHEMAS)
     convert.add_argument("--negatives", default="all", choices=NEGATIVE_POLICIES)
     convert.add_argument("--seed", type=int, default=0, help="seed for one-random sampling")
-    convert.add_argument(
-        "--copy-wh-phrase",
-        action="store_true",
-        help="keep residual nouns of Which/How phrases next to the answer",
-    )
-    convert.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="ignored; accepted so existing command lines keep working",
-    )
-    convert.add_argument("--output", default="-", help="output file (default stdout)")
     convert.set_defaults(fn=_cmd_convert)
 
-    ev = sub.add_parser("eval", help="score declaratives against references")
+    ev = sub.add_parser("eval", parents=[output], help="score declaratives against references")
     ev.add_argument("--hypotheses", required=True, help="qa2d output JSONL")
     ev.add_argument("--references", required=True, help="JSONL with id/references[/qtype/qa_length]")
     ev.add_argument("--k", type=_positive_int, default=None, help="candidate depth for top-k scores")
     ev.add_argument("--format", default="text", choices=("text", "json"))
-    ev.add_argument("--output", default="-", help="output file (default stdout)")
     ev.set_defaults(fn=_cmd_eval)
 
-    an = sub.add_parser("analyze", help="probe an NLI corpus for label giveaways")
+    an = sub.add_parser("analyze", parents=[output], help="probe an NLI corpus for label giveaways")
     an.add_argument("--pairs", required=True, help="NLI JSONL (convert output)")
     an.add_argument("--smoothing", type=_smoothing, default=100.0, help="PMI smoothing k")
     an.add_argument("--top", type=_positive_int, default=5, help="words per class")
     an.add_argument("--format", default="text", choices=("text", "csv"))
-    an.add_argument("--output", default="-", help="output file (default stdout)")
     an.set_defaults(fn=_cmd_analyze)
 
     return parser

@@ -103,11 +103,7 @@ class DepSentence:
 
     def children(self, token_id: int) -> tuple[DepToken, ...]:
         """Direct dependents of a token, in surface order."""
-        if not 1 <= token_id <= len(self.tokens):
-            raise ValueError(
-                f"token id {token_id} out of range 1..{len(self.tokens)}"
-            )
-        return self._children[token_id]
+        return self._children[self.token(token_id).id]
 
     def subtree_ids(self, token_id: int) -> frozenset[int]:
         """Ids of the token and all its descendants."""

@@ -45,7 +45,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .analysis import QuestionType, WhAnalysis
+from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
 from .conllu import DepSentence
 from .errors import TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
@@ -193,7 +193,7 @@ class PrepositionTable:
         if any(_DECADE_RE.fullmatch(t) or _YEAR_RE.fullmatch(t) for t in toks):
             options.append("in")
         options.append("in")
-        return _dedupe(options)
+        return list(dict.fromkeys(options))
 
     def where_options(self, answer: str, attachment_lemma: str | None) -> list[str]:
         """Ordered candidate prepositions for a place answer.
@@ -210,21 +210,11 @@ class PrepositionTable:
         if any(t in self.at_locations for t in toks):
             options.append("at")
         options.append("in")
-        return _dedupe(options)
+        return list(dict.fromkeys(options))
 
 
 def _match_tokens(text: str) -> list[str]:
     return [t for t in (tok.strip(string.punctuation).lower() for tok in text.split()) if t]
-
-
-def _dedupe(items: list[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
 
 
 @dataclass(frozen=True)
@@ -392,7 +382,7 @@ def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
     sent = analysis.question
     attach_id = analysis.wh_attachment
     head_tok = sent.token(_span_head_id(sent, analysis.wh_phrase))
-    if head_tok.deprel.split(":", 1)[0] in _ARG_BASES and attach_id in seq:
+    if _base(head_tok.deprel) in _ARG_BASES and attach_id in seq:
         index = seq.index(attach_id) + 1
         while index < len(seq):
             nxt = sent.token(seq[index])
@@ -401,10 +391,7 @@ def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
             else:
                 break
         return index, "insert:after_predicate"
-    members = set(sent.subtree_ids(attach_id))
-    for child in sent.children(attach_id):
-        if child.deprel.split(":", 1)[0] in _CLAUSE_SKIP_BASES:
-            members -= sent.subtree_ids(child.id)
+    members = _cut_subtree(sent, attach_id, _CLAUSE_SKIP_BASES)
     positions = [i for i, tid in enumerate(seq) if tid in members]
     return (positions[-1] + 1 if positions else len(seq)), "insert:attachment_end"
 

@@ -228,18 +228,15 @@ class EvalReport:
             f"top-{self.k} match      {self.topk_exact:.2f}%",
             f"top-{self.k} BLEU       {self.topk_bleu:.2f}",
         ]
-        if self.by_qtype:
-            lines.append("by question type:")
-            for qtype, row in self.by_qtype.items():
+        for title, table in (
+            ("by question type:", self.by_qtype),
+            ("by question+answer length:", self.by_length),
+        ):
+            if table:
+                lines.append(title)
+            for key, row in table.items():
                 lines.append(
-                    f"  {qtype:<6} n={row['n']:<4} exact={row['exact_match']:.2f}% "
-                    f"bleu={row['bleu']:.2f}"
-                )
-        if self.by_length:
-            lines.append("by question+answer length:")
-            for bucket, row in self.by_length.items():
-                lines.append(
-                    f"  {bucket:<6} n={row['n']:<4} exact={row['exact_match']:.2f}% "
+                    f"  {key:<6} n={row['n']:<4} exact={row['exact_match']:.2f}% "
                     f"bleu={row['bleu']:.2f}"
                 )
         return "\n".join(lines)

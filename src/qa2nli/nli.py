@@ -182,11 +182,10 @@ def load_qa_jsonl(path: str, schema: str) -> list[QAExample]:
         seen.add(ex_id)
         question = require_key(obj, "question", str, line_no, path)
         passage = require_key(obj, "passage", str, line_no, path)
-        if schema == "span":
-            answer = require_key(obj, "answer", str, line_no, path)
-            options = (AnswerOption(answer, correct=True),)
-            answerable = True
-        elif schema == "multichoice":
+        answerable = True
+        if schema == "unanswerable":
+            answerable = require_key(obj, "answerable", bool, line_no, path)
+        if schema == "multichoice":
             raw = require_key(obj, "options", list, line_no, path)
             if not raw or not all(isinstance(o, str) for o in raw):
                 raise DatasetError("'options' must be a non-empty list of strings", line_no, path)
@@ -196,17 +195,14 @@ def load_qa_jsonl(path: str, schema: str) -> list[QAExample]:
             options = tuple(
                 AnswerOption(text, correct=(i == correct)) for i, text in enumerate(raw)
             )
-            answerable = True
-        else:  # unanswerable
-            answerable = require_key(obj, "answerable", bool, line_no, path)
-            if answerable:
-                answer = require_key(obj, "answer", str, line_no, path)
-                options = (AnswerOption(answer, correct=True),)
-            else:
-                plausible = obj.get("plausible_answer")
-                if plausible is not None and not isinstance(plausible, str):
-                    raise DatasetError("'plausible_answer' must be a string", line_no, path)
-                options = (AnswerOption(plausible, correct=False),) if plausible else ()
+        elif answerable:  # span, or an answerable unanswerable-schema item
+            answer = require_key(obj, "answer", str, line_no, path)
+            options = (AnswerOption(answer, correct=True),)
+        else:
+            plausible = obj.get("plausible_answer")
+            if plausible is not None and not isinstance(plausible, str):
+                raise DatasetError("'plausible_answer' must be a string", line_no, path)
+            options = (AnswerOption(plausible, correct=False),) if plausible else ()
         examples.append(
             QAExample(
                 id=ex_id,
