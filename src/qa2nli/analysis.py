@@ -1,9 +1,10 @@
 """Wh-question analysis over dependency parses.
 
 Finds the wh word, works out the extent of the fronted wh phrase, and pulls
-out the pieces the declarative rewrite needs: main predicate, inverted
-auxiliary or copula, subject, the predicate the wh phrase attaches to, and
-any dangling (stranded or pied-piped) prepositions.
+out the pieces the declarative rewrite needs: main predicate, auxiliary and
+copula (a question may have both, as in "Who has been the mayor?"),
+subject, the predicate the wh phrase attaches to, and any dangling
+(stranded or pied-piped) prepositions.
 
 Conventions assumed of the parses are UD-flavored: auxiliaries hang off the
 main predicate with deprel aux/aux:pass, copulas with cop (predicate
@@ -105,7 +106,9 @@ class WhAnalysis:
     prepositions fall outside it by construction and surface in
     dangling_preps instead. subject_wh means the wh phrase itself is the
     subject, in which case subject is its head (or absent for copular
-    existentials like "What is in the box?").
+    existentials like "What is in the box?"). aux and copula are recorded
+    independently; a question may have both ("What will be the result?"),
+    and the rewrite moves each one that precedes the subject.
     """
 
     question: DepSentence
@@ -253,10 +256,6 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
     subject = _find_subject(sentence, root)
     aux = _find_aux(sentence, root, subject)
     copula = _find_copula(sentence, root, subject)
-    if aux is not None and copula is not None:
-        # One reorderable slot per predicate; the auxiliary is the one that
-        # inverted, so it wins.
-        copula = None
 
     subject_wh = bool(subject is not None and subject.id == head.id)
     if (

@@ -229,15 +229,34 @@ def parse_conllu(text: str) -> list[DepSentence]:
 def load_conllu(path: str) -> list[DepSentence]:
     """Parse a CoNLL-U file from disk (UTF-8).
 
-    Errors are those of parse_conllu, their messages prefixed by the path.
+    Errors are those of parse_conllu, or a ConlluFormatError for a line
+    that is not valid UTF-8, their messages prefixed by the path.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise ConlluFormatError("not valid UTF-8", _bad_utf8_line(path)) from None
         return parse_conllu(text)
     except (ConlluFormatError, ConlluStructureError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def _bad_utf8_line(path: str) -> int:
+    """Number of the first line of a file that is not valid UTF-8.
+
+    Called after a text-mode read failed: the decode error's offset is into
+    the reader's buffer, not the file. Lines split as in text mode.
+    """
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    raise ValueError(f"{path} is valid UTF-8")
 
 
 def index_by_sent_id(sentences: list[DepSentence]) -> dict[str, DepSentence]:

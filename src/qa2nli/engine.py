@@ -128,7 +128,9 @@ class PrepositionTable:
     @classmethod
     def _from_lines(cls, lines: Iterable[str], source: str) -> "PrepositionTable":
         lists: dict[str, set[str]] = {}
-        for _, key, value in _key_value_lines(lines, source):
+        for line_no, key, value in _key_value_lines(lines, source):
+            if key not in cls._LIST_KEYS:
+                raise ValueError(f"{source}: line {line_no}: unknown preposition-table key {key!r}")
             if key != "article_org":
                 value = value.lower()
             lists.setdefault(key, set()).add(value)
@@ -274,19 +276,17 @@ def _deinverted(
     seq = [t.id for t in sent.tokens if t.form != "?"]
     forms: dict[int, str] = {}
     rules: list[str] = []
-    if analysis.subject_wh:
-        return seq, forms, rules  # subject questions are not inverted
-    target_id = analysis.aux if analysis.aux is not None else analysis.copula
-    if target_id is None:
-        return seq, forms, rules
-    target = sent.token(target_id)
+    inverted = [tid for tid in (analysis.aux, analysis.copula) if tid is not None]
+    if analysis.subject_wh or not inverted:
+        return seq, forms, rules  # subject and in-situ questions are not inverted
+    target = sent.token(inverted[0])
 
     if analysis.aux is not None and (target.lemma or target.form.lower()) == "do":
         aux = target.form.lower()
         if aux.strip() not in ("do", "does", "did"):
             raise TransformError(f"unsupported do-support form {target.form!r}")
         root_tok = sent.token(analysis.root)
-        seq.remove(target_id)
+        seq.remove(target.id)
         inflected = reinflect(root_tok.lemma or root_tok.form, aux, lexicon)
         forms[root_tok.id] = inflected
         rules.append(f"do_support:{aux}->{inflected}")
@@ -298,11 +298,17 @@ def _deinverted(
         rules.append("inversion_fallback:no_subject")
         return seq, forms, rules
 
+    # Auxiliary and copula words before the subject move, in order, behind
+    # its last word; a '?' is not a word and is already out of seq.
     subj_span = sent.subtree_ids(analysis.subject)
-    if target_id < min(subj_span):
-        seq.remove(target_id)
-        seq.insert(seq.index(max(subj_span)) + 1, target_id)
-        rules.append(f"deinvert:{target.form.lower()}_after_subject")
+    fronted = [tid for tid in inverted if tid < min(subj_span) and tid in seq]
+    if fronted:
+        seq = [tid for tid in seq if tid not in fronted]
+        words = [i for i, tid in enumerate(seq) if tid in subj_span]
+        if not words:
+            raise TransformError("the subject has no words")
+        seq[words[-1] + 1 : words[-1] + 1] = fronted
+        rules.extend(f"deinvert:{sent.token(tid).form.lower()}_after_subject" for tid in fronted)
     return seq, forms, rules
 
 
@@ -536,7 +542,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     if analysis.subject_wh:
         insert_index = sum(1 for tid in seq if tid < start)
         insert_rules: tuple[str, ...] = ("insert:subject_position",)
-    elif prep_id is not None and not pied:
+    elif prep_id in seq:  # stranded: a pied-piped one left with the wh phrase
         insert_index = seq.index(prep_id) + 1
         insert_rules = (
             f"prep:{sent.token(prep_id).form}(stranded)",
@@ -561,7 +567,9 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     body = tuple(forms.get(tid, sent.token(tid).form) for tid in seq)
     flip_body = None
     if copular_identity and seq and seq[-1] == analysis.copula:
-        flip_body = (sent.token(analysis.copula).form, *body[:-1])
+        # the flip puts the copula, and an auxiliary right before it, first
+        cut = len(seq) - 2 if len(seq) > 1 and seq[-2] == analysis.aux else len(seq) - 1
+        flip_body = (*body[cut:], *body[:cut])
     return QuestionPlan(
         analysis=analysis,
         config=config,

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 from .analysis import WhAnalysis, analyze
-from .conllu import DepSentence
+from .conllu import DepSentence, _bad_utf8_line
 from .engine import EngineConfig, plan_question
 from .errors import (
     AnalysisError,
@@ -132,19 +132,23 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
     Raises:
-        DatasetError: a line is not valid JSON or not a JSON object.
+        DatasetError: a line is not valid UTF-8, not valid JSON or not a
+            JSON object.
     """
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON ({exc.msg})", line_no, path) from exc
-            if not isinstance(obj, dict):
-                raise DatasetError("expected a JSON object", line_no, path)
-            yield line_no, obj
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"invalid JSON ({exc.msg})", line_no, path) from exc
+                if not isinstance(obj, dict):
+                    raise DatasetError("expected a JSON object", line_no, path)
+                yield line_no, obj
+        except UnicodeDecodeError:
+            raise DatasetError("not valid UTF-8", _bad_utf8_line(path), path) from None
 
 
 def require_key(obj: dict, key: str, kind: type, line_no: int, path: str):

@@ -203,6 +203,40 @@ def test_unrewritable_item_is_a_transform_skip(
     assert row.get("declarative", row.get("hypothesis")) == "Liz called Taylor."
 
 
+# "?" hangs off "baby", so it is the subject's last token
+_BABY = """# sent_id = baby
+# text = Where was the baby found?
+1\tWhere\twhere\tADV\tWRB\t_\t5\tadvmod\t_\t_
+2\twas\tbe\tAUX\tVBD\t_\t5\taux:pass\t_\t_
+3\tthe\tthe\tDET\tDT\t_\t4\tdet\t_\t_
+4\tbaby\tbaby\tNOUN\tNN\t_\t5\tnsubj:pass\t_\t_
+5\tfound\tfind\tVERB\tVBN\t_\t0\troot\t_\t_
+6\t?\t?\tPUNCT\t.\t_\t4\tpunct\t_\t_
+"""
+
+
+@pytest.mark.parametrize("command", ["qa2d", "convert"])
+def test_question_mark_ending_the_subject_is_rewritten(tmp_path, capsys, command):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        "".join(
+            json.dumps({"id": i, "question": q, "passage": "p", "answer": a}) + "\n"
+            for i, q, a in (("baby", "Where was the baby found?", "in the park"),
+                            ("ok", "Who called Taylor?", "Liz"))
+        ),
+        encoding="utf-8",
+    )
+    parses = tmp_path / "parses.conllu"
+    parses.write_text(_BABY + "\n" + _WHO_CALLED, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    argv = ["qa2d"] if command == "qa2d" else ["convert", "--schema", "span"]
+    assert main([*argv, "--qa", str(qa), "--parses", str(parses), "--output", str(out)]) == 0
+    assert capsys.readouterr().err.endswith(" 0 skipped\n")
+    assert [row.get("declarative", row.get("hypothesis")) for row in _rows(out)] == [
+        "The baby was found in the park.", "Liz called Taylor.",
+    ]
+
+
 # -- convert ----------------------------------------------------------------
 
 
@@ -444,6 +478,13 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
         refs[name].write_text(json.dumps(ref) + "\n", encoding="utf-8")
     blank = tmp_path / "blank.jsonl"
     blank.write_text("\n  \n\n", encoding="utf-8")
+    # the bad byte sits past the reader's first buffer, on line 3
+    latin = tmp_path / "latin.jsonl"
+    latin.write_bytes(b"\n" + b" " * 9000 + b"\n" + '{"id": "caf\u00e9"}\n'.encode("latin-1"))
+    latin_parses = tmp_path / "latin.conllu"
+    latin_parses.write_bytes(Path(PARSES).read_bytes() + "# caf\u00e9\n".encode("latin-1"))
+    n_parse_lines = len(Path(PARSES).read_bytes().splitlines())
+    utf8 = "line 3: not valid UTF-8"
     convert = ["convert", "--schema", "span"]
     non_empty = "'references' must be a non-empty list of strings"
     for argv, message in (
@@ -463,9 +504,19 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
             )
         ),
         (["analyze", "--pairs", str(blank)], f"{blank}: no pairs\n"),
+        ([*convert, "--qa", str(latin), "--parses", PARSES], f"{latin}: {utf8}\n"),
+        (["qa2d", "--qa", QA, "--parses", str(latin_parses)],
+         f"{latin_parses}: line {n_parse_lines + 1}: not valid UTF-8\n"),
+        (["analyze", "--pairs", str(latin)], f"{latin}: {utf8}\n"),
+        (["eval", "--hypotheses", str(latin), "--references",
+          str(_FIXTURES / "qa2d_references.jsonl")],
+         f"{latin}: {utf8}\n"),
+        (["eval", "--hypotheses", str(hyps), "--references", str(latin)], f"{latin}: {utf8}\n"),
     ):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"qa2nli: error: {message}")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"qa2nli: error: {message}")
+        assert captured.out == ""
 
 
 def _conllu_row(tid, form, head):
@@ -550,6 +601,25 @@ def test_flag_below_one_fails_before_reading_input(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be >= 1, got {argv[-1]}" in err
+    assert "no-such" not in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["qa2d", "--qa", "no-such.jsonl", "--parses", "no-such.conllu", "--alternatives", "x"],
+         "argument --alternatives: invalid int value: 'x'"),
+        (["analyze", "--pairs", "no-such.jsonl", "--smoothing", "x"],
+         "argument --smoothing: invalid float value: 'x'"),
+    ],
+    ids=["alternatives", "smoothing"],
+)
+def test_non_numeric_flag_fails_before_reading_input(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "no-such" not in err
 
 

@@ -5,10 +5,12 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qa2nli import engine
 from qa2nli.analysis import QuestionType, analyze
-from qa2nli.conllu import DepSentence, DepToken
+from qa2nli.conllu import DepSentence, DepToken, parse_conllu
 from qa2nli.engine import (
     DeclarativeCandidate,
     EngineConfig,
@@ -19,7 +21,7 @@ from qa2nli.engine import (
     transform,
     undo_inversion,
 )
-from qa2nli.errors import TransformError
+from qa2nli.errors import AnalysisError, NotWhQuestionError, TransformError
 from qa2nli.metrics import normalize
 from qa2nli.morphology import VerbLexicon
 from qa2nli.nli import AnswerOption, QAExample, build_pairs
@@ -83,9 +85,14 @@ def test_insert_article_custom_exceptions():
     assert insert_article("UN", exceptions={"Guild"}) == "UN"
 
 
-def test_table_rejects_unknown_keys():
+def test_table_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match="unknown preposition-table keys"):
         PrepositionTable({"tuesdays": frozenset({"x"})})
+    path = tmp_path / "prep.tsv"
+    path.write_text("month\tMay\ntuesdays\tx\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        PrepositionTable.from_file(path)
+    assert str(err.value) == f"{path}: line 2: unknown preposition-table key 'tuesdays'"
 
 
 def test_table_from_file(tmp_path):
@@ -126,6 +133,7 @@ def test_starts_suppressed(table):
     assert table.starts_suppressed("yesterday", QuestionType.WHEN)
     assert not table.starts_suppressed("yesterday", QuestionType.WHERE)
     assert not table.starts_suppressed("Paris", QuestionType.WHERE)
+    assert table.starts_suppressed("abroad", QuestionType.WHERE)
     assert not table.starts_suppressed("", QuestionType.WHEN)
 
 
@@ -264,6 +272,42 @@ def test_undo_inversion_subject_wh_untouched(qa2d_parses):
     assert undo_inversion(a) == ["How", "many", "people", "attended", "the", "meeting"]
 
 
+def _ud(*rows):
+    """One sentence from "form lemma upos head deprel" rows, read as CoNLL-U."""
+    return parse_conllu("".join(
+        "\t".join((str(i), form, lemma, upos, "_", "_", head, deprel, "_", "_")) + "\n"
+        for i, (form, lemma, upos, head, deprel) in enumerate(map(str.split, rows), 1)
+    ))[0]
+
+
+_RESULT = _ud(  # What will be the result?
+    "What what PRON 0 root", "will will AUX 1 aux", "be be AUX 1 cop",
+    "the the DET 5 det", "result result NOUN 1 nsubj", "? ? PUNCT 1 punct",
+)
+_MAYOR = _ud(  # Who has been the mayor?
+    "Who who PRON 0 root", "has have AUX 1 aux", "been be AUX 1 cop",
+    "the the DET 5 det", "mayor mayor NOUN 1 nsubj", "? ? PUNCT 1 punct",
+)
+_GAME = _ud(  # Where will the game be?
+    "Where where ADV 0 root", "will will AUX 1 aux", "the the DET 4 det",
+    "game game NOUN 1 nsubj", "be be AUX 1 cop", "? ? PUNCT 1 punct",
+)
+
+
+def test_auxiliary_and_copula_both_move_behind_the_subject():
+    a = analyze(_RESULT)
+    assert (a.aux, a.copula) == (2, 3)
+    assert transform(a, "a draw")[0].text == "The result will be a draw."
+    cands = transform(analyze(_MAYOR), "Ann", EngineConfig(emit_alternatives=3))
+    assert [(c.text, c.rank) for c in cands] == [
+        ("The mayor has been Ann.", 1), ("Ann has been the mayor.", 2),
+    ]
+    assert "insert:copular_flip" in cands[1].applied_rules
+    # only the auxiliary precedes the subject here; the copula stays put
+    assert undo_inversion(analyze(_GAME)) == ["Where", "the", "game", "will", "be"]
+    assert transform(analyze(_GAME), "in Boston")[0].text == "The game will be in Boston."
+
+
 # -- transform -------------------------------------------------------------
 
 
@@ -307,6 +351,33 @@ def test_transform_who_subject_with_clausal_answer(qa2d_parses):
     assert got.text == (
         "Tyler asks the Narrator to hit him asks who to hit them outside of the bar."
     )
+
+
+@pytest.mark.parametrize(
+    "rows, answer, expected",
+    [
+        # "be" heads its own clause and doubles as the copula
+        (("Where where ADV 2 advmod", "is be AUX 0 root", "the the DET 4 det",
+          "station station NOUN 2 nsubj", "? ? PUNCT 2 punct"),
+         "in Paris", "The station is in Paris."),
+        # in situ: nothing is inverted
+        (("Sam Sam PROPN 2 nsubj", "bought buy VERB 0 root", "what what PRON 2 obj",
+          "? ? PUNCT 2 punct"),
+         "milk", "Sam bought milk."),
+        # the answer goes after the predicate's particle
+        (("What what PRON 6 obj", "did do AUX 4 aux", "Sam Sam PROPN 4 nsubj",
+          "want want VERB 0 root", "to to PART 6 mark", "pick pick VERB 4 xcomp",
+          "up up ADP 6 compound:prt", "? ? PUNCT 4 punct"),
+         "the box", "Sam wanted to pick up the box."),
+        # a '?' inside the subject: the auxiliary goes after its last word
+        (("Where where ADV 5 advmod", "was be AUX 5 aux:pass", "the the DET 4 det",
+          "baby baby NOUN 5 nsubj:pass", "found find VERB 0 root", "? ? PUNCT 4 punct"),
+         "in the park", "The baby was found in the park."),
+    ],
+    ids=["be-root", "in-situ", "particle", "question-mark-in-subject"],
+)
+def test_transform_hand_parsed(rows, answer, expected):
+    assert transform(analyze(_ud(*rows)), answer)[0].text == expected
 
 
 def test_transform_do_with_plural_subject_keeps_bare_verb(qa2d_parses):
@@ -524,3 +595,57 @@ def test_candidate_validation():
         DeclarativeCandidate(text="Ok?.", tokens=("Ok",), applied_rules=(), rank=1)
     with pytest.raises(ValueError, match="end with"):
         DeclarativeCandidate(text="Ok", tokens=("Ok",), applied_rules=(), rank=1)
+
+
+# -- generated questions -----------------------------------------------------
+
+_FORMS = (
+    "What", "who", "Where", "when", "which", "how", "whose", "why", "whom",
+    "do", "does", "did", "is", "was", "be", "been", "are", "will", "has",
+    "?", "?", "Sam", "the", "store", "in", "to", "up", "'d",
+)
+_LEMMAS = {"do": "do", "does": "do", "did": "do", "is": "be", "was": "be", "be": "be",
+           "been": "be", "are": "be", "'d": "do"}
+# every relation and tag analysis and engine read, some with subtypes
+_DEPRELS = (
+    "det", "amod", "advmod", "nummod", "compound", "nmod:poss", "poss", "nsubj",
+    "nsubj:pass", "csubj", "nsubjpass", "cop", "aux", "aux:pass", "auxpass", "punct",
+    "advcl", "ccomp", "xcomp", "parataxis", "obj", "iobj", "dobj", "obl", "attr", "mark",
+    "dep", "case", "prep", "prt", "compound:prt", "acomp", "oprd", "expl",
+)
+_UPOS = ("VERB", "AUX", "PUNCT", "ADP", "PART", "ADV", "NOUN", "PROPN", "PRON", "DET")
+
+
+@st.composite
+def questions(draw, max_size=9):
+    """A valid tree, heads drawn like test_conllu's trees, with question-like words."""
+    n = draw(st.integers(1, max_size))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: 0}
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))]
+    tokens = []
+    for tid in range(1, n + 1):
+        form = draw(st.sampled_from(_FORMS))
+        tokens.append(DepToken(
+            id=tid, form=form, lemma=_LEMMAS.get(form, form.lower()),
+            upos=draw(st.sampled_from(_UPOS)), xpos=None, head=heads[tid],
+            deprel="root" if heads[tid] == 0 else draw(st.sampled_from(_DEPRELS)),
+        ))
+    return DepSentence(tokens=tuple(tokens))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(questions(), st.sampled_from(["Paris", "in 1945", "Monday", "UN", "a draw", "?"]))
+def test_rewrite_fails_only_with_its_own_errors(sent, answer):
+    try:
+        a = analyze(sent)
+    except (NotWhQuestionError, AnalysisError):
+        return
+    for config in (EngineConfig(), EngineConfig(copy_wh_phrase=True, emit_alternatives=3)):
+        try:
+            cands = plan_question(a, config).realize(answer)
+        except TransformError:
+            continue
+        assert 1 <= len(cands) <= config.emit_alternatives
+        assert [c.rank for c in cands] == list(range(1, len(cands) + 1))
