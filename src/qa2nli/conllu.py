@@ -256,7 +256,6 @@ def _bad_utf8_line(path: str) -> int:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
                 return line_no
-    raise ValueError(f"{path} is valid UTF-8")
 
 
 def index_by_sent_id(sentences: list[DepSentence]) -> dict[str, DepSentence]:
