@@ -567,8 +567,8 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     body = tuple(forms.get(tid, sent.token(tid).form) for tid in seq)
     flip_body = None
     if copular_identity and seq and seq[-1] == analysis.copula:
-        # the flip puts the copula, and an auxiliary right before it, first
-        cut = len(seq) - 2 if len(seq) > 1 and seq[-2] == analysis.aux else len(seq) - 1
+        # the flip fronts the copula, with an auxiliary right before it
+        cut = len(seq) - (2 if seq[-2:] == [analysis.aux, analysis.copula] else 1)
         flip_body = (*body[cut:], *body[:cut])
     return QuestionPlan(
         analysis=analysis,
