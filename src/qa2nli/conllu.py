@@ -1,4 +1,5 @@
-"""CoNLL-U ingestion for dependency-parsed sentences.
+"""CoNLL-U ingestion for dependency-parsed sentences, and the one line
+reader through which every input file of the package is read.
 
 Reads the 10-column tab-separated format: '#' lines are comments (sent_id and
 text comments are captured), blank lines separate sentences. Multiword token
@@ -15,10 +16,13 @@ children, so a DepSentence answers `children` and `root` in O(1) and
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable, Iterator
 
-from .errors import ConlluFormatError, ConlluStructureError
+from .errors import ConlluFormatError, ConlluStructureError, DatasetError
 
 _COLUMNS = 10
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(.+?)\s*$")
@@ -185,30 +189,30 @@ def _parse_token_line(line: str, line_no: int) -> DepToken | None:
 
 
 def parse_conllu(text: str) -> list[DepSentence]:
-    """Parse CoNLL-U text into validated sentences.
+    r"""Parse CoNLL-U text into validated sentences.
+
+    Lines split only at "\n", "\r\n" and "\r", as in a file read by
+    load_conllu, so a form may hold any other Unicode line separator.
 
     Raises:
         ConlluFormatError: a malformed line, with its line number.
         ConlluStructureError: token ids/heads of a sentence are not a tree.
     """
+    return _parse_lines(enumerate(io.StringIO(text, newline=None), start=1))
+
+
+def _parse_lines(lines: Iterable[tuple[int, str]]) -> list[DepSentence]:
+    r"""Sentences from (line number, line) pairs; a line may keep its "\n"."""
     sentences: list[DepSentence] = []
     tokens: list[DepToken] = []
     sent_id: str | None = None
     sent_text: str | None = None
-
-    def flush() -> None:
-        nonlocal tokens, sent_id, sent_text
-        if tokens:
-            sentences.append(
-                DepSentence(tokens=tuple(tokens), text=sent_text, sent_id=sent_id)
-            )
-        tokens = []
-        sent_id = None
-        sent_text = None
-
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # A blank line after the last one ends the last sentence.
+    for line_no, line in chain(lines, [(0, "")]):
         if not line.strip():
-            flush()
+            if tokens:
+                sentences.append(DepSentence(tokens=tuple(tokens), text=sent_text, sent_id=sent_id))
+            tokens, sent_id, sent_text = [], None, None
             continue
         if line.startswith("#"):
             m = _SENT_ID_RE.match(line)
@@ -219,43 +223,46 @@ def parse_conllu(text: str) -> list[DepSentence]:
             if m:
                 sent_text = m.group(1)
             continue
+        # The newline stays on the last (MISC) column, which is never read.
         tok = _parse_token_line(line, line_no)
         if tok is not None:
             tokens.append(tok)
-    flush()
     return sentences
 
 
 def load_conllu(path: str) -> list[DepSentence]:
-    """Parse a CoNLL-U file from disk (UTF-8).
+    """Parse a CoNLL-U file from disk (UTF-8), one line at a time.
 
-    Errors are those of parse_conllu, or a ConlluFormatError for a line
-    that is not valid UTF-8, their messages prefixed by the path.
+    Lines split as in parse_conllu. Errors are those of parse_conllu, their
+    messages prefixed by the path, or a DatasetError for a line that is not
+    valid UTF-8 ("<path>: line N: not valid UTF-8").
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError:
-                raise ConlluFormatError("not valid UTF-8", _bad_utf8_line(path)) from None
-        return parse_conllu(text)
+        return _parse_lines(_read_lines(path))
     except (ConlluFormatError, ConlluStructureError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
 
-def _bad_utf8_line(path: str) -> int:
-    """Number of the first line of a file that is not valid UTF-8.
+def _read_lines(path: str) -> Iterator[tuple[int, str]]:
+    r"""Yield (line number, line) for each line of a UTF-8 text file.
 
-    Called after a text-mode read failed: the decode error's offset is into
-    the reader's buffer, not the file. Lines split as in text mode.
+    Every input file of the package is read here. Lines split only at
+    "\n", "\r\n" and "\r", as in text-mode reading, and each line but
+    perhaps the last ends in "\n".
+
+    Raises:
+        DatasetError: a line is not valid UTF-8, with the path and line.
     """
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
+    # A bad byte decodes to a lone surrogate, which does not encode back.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DatasetError("not valid UTF-8", line_no, path) from None
+            yield line_no, line
 
 
 def index_by_sent_id(sentences: list[DepSentence]) -> dict[str, DepSentence]:

@@ -126,20 +126,15 @@ class PrepositionTable:
         self.article_orgs = lists.get("article_org", frozenset())
 
     @classmethod
-    def _from_lines(cls, lines: Iterable[str], source: str) -> "PrepositionTable":
+    def from_file(cls, path: str) -> "PrepositionTable":
         lists: dict[str, set[str]] = {}
-        for line_no, key, value in _key_value_lines(lines, source):
+        for line_no, key, value in _key_value_lines(path):
             if key not in cls._LIST_KEYS:
-                raise ValueError(f"{source}: line {line_no}: unknown preposition-table key {key!r}")
+                raise ValueError(f"{path}: line {line_no}: unknown preposition-table key {key!r}")
             if key != "article_org":
                 value = value.lower()
             lists.setdefault(key, set()).add(value)
         return cls({k: frozenset(v) for k, v in lists.items()})
-
-    @classmethod
-    def from_file(cls, path: str) -> "PrepositionTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls._from_lines(fh, path)
 
     @classmethod
     def bundled(cls) -> "PrepositionTable":

@@ -40,7 +40,8 @@ class TransformError(PipelineError):
 
 
 class DatasetError(PipelineError):
-    """A JSONL dataset line is malformed or violates its schema.
+    """A JSONL dataset line is malformed or violates its schema, or a line
+    of any input file is not valid UTF-8.
 
     Carries the 1-based line number when the failure is tied to a line.
     The message starts with the file path and line when given

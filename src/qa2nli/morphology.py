@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
+
+from .conllu import _read_lines
 
 _VOWELS = "aeiou"
 _SIBILANT_ENDINGS = ("s", "z", "x", "sh", "ch")
@@ -48,20 +50,15 @@ class VerbLexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "VerbLexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls._from_lines(fh, path)
-
-    @classmethod
-    def _from_lines(cls, lines: Iterable[str], source: str) -> "VerbLexicon":
         past: dict[str, str] = {}
         third: dict[str, str] = {}
-        for line_no, key, value in _key_value_lines(lines, source):
+        for line_no, key, value in _key_value_lines(path):
             if key.startswith("past:"):
                 past[key[len("past:"):]] = value
             elif key.startswith("3sg:"):
                 third[key[len("3sg:"):]] = value
             else:
-                raise ValueError(f"{source}: line {line_no}: unknown key prefix {key!r}")
+                raise ValueError(f"{path}: line {line_no}: unknown key prefix {key!r}")
         return cls(irregular_past=past, irregular_third_singular=third)
 
     @classmethod
@@ -79,15 +76,16 @@ class VerbLexicon:
         ) or _regular_third_singular(lemma)
 
 
-def _key_value_lines(lines: Iterable[str], source: str) -> Iterator[tuple[int, str, str]]:
-    """(line number, key, value) per key<TAB>value line; blank and '#' lines are skipped."""
-    for line_no, line in enumerate(lines, start=1):
+def _key_value_lines(path: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) per key<TAB>value line of a word-list file;
+    blank and '#' lines are skipped."""
+    for line_no, line in _read_lines(path):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{source}: line {line_no}: expected key<TAB>value")
+            raise ValueError(f"{path}: line {line_no}: expected key<TAB>value")
         yield line_no, parts[0], parts[1]
 
 
@@ -95,8 +93,8 @@ def _key_value_lines(lines: Iterable[str], source: str) -> Iterator[tuple[int, s
 def _load_bundled(cls, name: str):
     """cls built from a word list shipped in the package's data directory,
     loaded once per (cls, name)."""
-    text = resources.files("qa2nli").joinpath(f"data/{name}").read_text(encoding="utf-8")
-    return cls._from_lines(text.splitlines(), name)
+    with resources.as_file(resources.files("qa2nli") / "data" / name) as path:
+        return cls.from_file(str(path))
 
 
 def reinflect(lemma: str, aux_form: str, lexicon: VerbLexicon | None = None) -> str:
