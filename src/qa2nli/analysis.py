@@ -106,9 +106,11 @@ class WhAnalysis:
     prepositions fall outside it by construction and surface in
     dangling_preps instead. subject_wh means the wh phrase itself is the
     subject, in which case subject is its head (or absent for copular
-    existentials like "What is in the box?"). aux and copula are recorded
-    independently; a question may have both ("What will be the result?"),
-    and the rewrite moves each one that precedes the subject.
+    existentials like "What is in the box?"). aux is the main predicate's
+    first auxiliary and copula its copula; a question may have both ("What
+    will be the result?") and further auxiliaries ("What will have been the
+    result?"). The rewrite moves every auxiliary and copula that precedes
+    the subject, keeping their order.
     """
 
     question: DepSentence
@@ -184,22 +186,9 @@ def _find_subject(sentence: DepSentence, root: DepToken) -> DepToken | None:
     return None
 
 
-def _find_aux(
-    sentence: DepSentence, root: DepToken, subject: DepToken | None
-) -> DepToken | None:
-    auxes = [
-        c
-        for c in sentence.children(root.id)
-        if _base(c.deprel) in _AUX_BASES
-    ]
-    if not auxes:
-        return None
-    if subject is not None:
-        subj_start = min(sentence.subtree_ids(subject.id))
-        fronted = [a for a in auxes if a.id < subj_start]
-        if fronted:
-            return fronted[0]
-    return auxes[0]
+def _find_aux(sentence: DepSentence, root: DepToken) -> DepToken | None:
+    """The main predicate's first auxiliary: an inverted one when there is one."""
+    return next((c for c in sentence.children(root.id) if _base(c.deprel) in _AUX_BASES), None)
 
 
 def _find_copula(
@@ -254,7 +243,7 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
     head = _phrase_head(sentence, wh)
     span = _phrase_span(sentence, head, wh)
     subject = _find_subject(sentence, root)
-    aux = _find_aux(sentence, root, subject)
+    aux = _find_aux(sentence, root)
     copula = _find_copula(sentence, root, subject)
 
     subject_wh = bool(subject is not None and subject.id == head.id)

@@ -45,7 +45,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
+from .analysis import _AUX_BASES, QuestionType, WhAnalysis, _base, _cut_subtree
 from .conllu import DepSentence
 from .errors import TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
@@ -258,6 +258,13 @@ def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:
 # -- sequencing --------------------------------------------------------------
 
 
+def _verb_words(analysis: WhAnalysis) -> list[int]:
+    """Ids of the main predicate's auxiliaries and copula, in surface order."""
+    sent = analysis.question
+    ids = {c.id for c in sent.children(analysis.root) if _base(c.deprel) in _AUX_BASES}
+    return sorted(ids | ({analysis.copula} - {None}))
+
+
 def _deinverted(
     analysis: WhAnalysis, lexicon: VerbLexicon
 ) -> tuple[list[int], dict[int, str], list[str]]:
@@ -271,7 +278,7 @@ def _deinverted(
     seq = [t.id for t in sent.tokens if t.form != "?"]
     forms: dict[int, str] = {}
     rules: list[str] = []
-    inverted = [tid for tid in (analysis.aux, analysis.copula) if tid is not None]
+    inverted = _verb_words(analysis)
     if analysis.subject_wh or not inverted:
         return seq, forms, rules  # subject and in-situ questions are not inverted
     target = sent.token(inverted[0])
@@ -562,8 +569,10 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     body = tuple(forms.get(tid, sent.token(tid).form) for tid in seq)
     flip_body = None
     if copular_identity and seq and seq[-1] == analysis.copula:
-        # the flip fronts the copula, with an auxiliary right before it
-        cut = len(seq) - (2 if seq[-2:] == [analysis.aux, analysis.copula] else 1)
+        # the flip fronts the copula with the auxiliaries right before it
+        verbs, cut = _verb_words(analysis), len(seq) - 1
+        while cut and seq[cut - 1] in verbs:
+            cut -= 1
         flip_body = (*body[cut:], *body[:cut])
     return QuestionPlan(
         analysis=analysis,

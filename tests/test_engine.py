@@ -308,6 +308,29 @@ def test_auxiliary_and_copula_both_move_behind_the_subject():
     assert transform(analyze(_GAME), "in Boston")[0].text == "The game will be in Boston."
 
 
+def test_every_fronted_auxiliary_moves_behind_the_subject():
+    result = _ud(  # What will have been the result?
+        "What what PRON 0 root", "will will AUX 1 aux", "have have AUX 1 aux",
+        "been be AUX 1 cop", "the the DET 6 det", "result result NOUN 1 nsubj",
+        "? ? PUNCT 1 punct",
+    )
+    assert analyze(result).aux == 2
+    assert [c.text for c in transform(analyze(result), "a draw")] == [
+        "The result will have been a draw.",
+    ]
+    mayor = _ud(  # Who will have been the mayor?
+        "Who who PRON 0 root", "will will AUX 1 aux", "have have AUX 1 aux",
+        "been be AUX 1 cop", "the the DET 6 det", "mayor mayor NOUN 1 nsubj",
+        "? ? PUNCT 1 punct",
+    )
+    cands = transform(analyze(mayor), "Ann", EngineConfig(emit_alternatives=3))
+    # the copular flip fronts the same three words, in the same order
+    assert [(c.text, c.rank) for c in cands] == [
+        ("The mayor will have been Ann.", 1), ("Ann will have been the mayor.", 2),
+    ]
+    assert "deinvert:have_after_subject" in cands[0].applied_rules
+
+
 # -- transform -------------------------------------------------------------
 
 
