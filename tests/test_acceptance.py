@@ -262,7 +262,7 @@ def test_criterion_8_end_to_end_pipeline(tmp_path, qa2d_rows, child_env):
     def run(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "qa2nli", *argv], capture_output=True, text=True,
-            env=child_env,
+            encoding="utf-8", env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

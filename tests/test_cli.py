@@ -555,11 +555,15 @@ def _conllu(*rows):
         (_conllu((1, "a", 0), (2, "", 1)), "line 4: token 2 has an empty form"),
         # multiword ranges and empty nodes are skipped, not errors
         (_conllu(("1-2", "ab", "_"), (1, "a", 0), (2, "b", 1), ("2.1", "c", "_")), None),
+        # str.splitlines() also breaks lines at these; CoNLL-U lines end at newlines only
+        *((_conllu((1, f"a{sep}b", 0), (2, "c", 1), ("x", "d", 1)), "line 5: bad token id 'x'")
+          for sep in ("\x85", "\u2028", "\x0c")),
     ],
     ids=[
         "id-gap", "ids-out-of-order", "two-roots", "no-root", "head-beyond-n", "two-cycles",
         "head-beyond-n-after-two-roots", "non-digit-id", "unicode-digit-id", "bad-range-id",
         "id-zero", "head-minus-one", "own-head", "empty-form", "valid-range-and-empty-node",
+        "next-line-in-form", "line-separator-in-form", "form-feed-in-form",
     ],
 )
 def test_conllu_error_messages(tmp_path, capsys, text, message):
@@ -658,7 +662,8 @@ def test_closed_stdout_stops_quietly(command, child_env):
     else:
         argv += ["--qa", MC_QA, "--parses", MC_PARSES, "--schema", "multichoice"]
     proc = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, encoding="utf-8",
+        env=child_env,
     )
     proc.stdout.close()  # the reader is gone before the first line is written
     try:
@@ -675,6 +680,7 @@ def test_module_entry_point(tmp_path, child_env):
          "--output", str(tmp_path / "out.jsonl")],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=child_env,
     )
     assert result.returncode == 0

@@ -88,6 +88,31 @@ def test_wrong_column_count_reports_line_number():
     assert "10" in str(err.value)
 
 
+# str.splitlines() also breaks lines at these; CoNLL-U lines end at newlines only.
+UNICODE_BREAKS = pytest.mark.parametrize(
+    "sep", ["\x85", "\u2028", "\x0c"], ids=["next-line", "line-separator", "form-feed"]
+)
+
+
+@UNICODE_BREAKS
+def test_only_newlines_end_a_line(tmp_path, sep):
+    form = f"Tay{sep}lor"
+    text = GOOD.replace("3\tTaylor\tTaylor", f"3\t{form}\t{form}")
+    (sent,) = parse_conllu(text)
+    assert sent.token(3).form == form
+    path = tmp_path / "sep.conllu"
+    path.write_text(text, encoding="utf-8")
+    assert load_conllu(path) == [sent]
+    # lines after the separator keep their numbers: the bad id is on line 8
+    path.write_text(text + "\n" + _row("x", "Hi", "hi", "INTJ", 0, "root") + "\n", encoding="utf-8")
+    with pytest.raises(ConlluFormatError) as err:
+        parse_conllu(path.read_text(encoding="utf-8"))
+    assert str(err.value) == "line 8: bad token id 'x'"
+    with pytest.raises(ConlluFormatError) as err:
+        load_conllu(path)
+    assert str(err.value) == f"{path}: line 8: bad token id 'x'"
+
+
 def test_bad_token_id():
     # "²" and "٣" pass str.isdigit(); only ASCII digits make an id.
     for raw_id in ("x", "²", "٣"):

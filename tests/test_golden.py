@@ -145,3 +145,18 @@ def test_rewrite_golden(tmp_path, capsys, name):
     stderr = capsys.readouterr().err
     _check(name, stdout)
     assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("name", ["qa2d_fixtures.jsonl", "convert_span.jsonl"])
+def test_line_endings_leave_output_unchanged(tmp_path, capsys, name, ending):
+    """CRLF and lone-CR copies of the inputs give the bytes of the LF originals."""
+    copies = []
+    for flag, fixture in (("--qa", "qa2d_fixtures.jsonl"), ("--parses", "qa2d_fixtures.conllu")):
+        copy = tmp_path / fixture
+        copy.write_bytes((FIXTURES / fixture).read_bytes().replace(b"\n", ending))
+        copies += [flag, str(copy)]
+    command, rest = REWRITES[name][0], REWRITES[name][1 + len(QA2D_FIXTURES):]
+    stdout = _run(tmp_path, name, [command, *copies, *rest])
+    _check(name, stdout)
+    assert capsys.readouterr().err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qa2nli.errors import DatasetError
 from qa2nli.morphology import VerbLexicon, reinflect
 
 
@@ -94,6 +95,11 @@ def test_from_file_errors(tmp_path):
     bad.write_text("future:zap\tzapped\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown key prefix"):
         VerbLexicon.from_file(bad)
+    bad.write_bytes("past:zap\tzapped\npast:caf\u00e9\tcaf\u00e9d\n".encode("latin-1"))
+    with pytest.raises(DatasetError) as err:
+        VerbLexicon.from_file(bad)
+    assert str(err.value) == f"{bad}: line 2: not valid UTF-8"
+
 
 
 def test_regular_rules_on_random_lemmas(lexicon):
