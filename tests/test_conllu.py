@@ -89,12 +89,9 @@ def test_wrong_column_count_reports_line_number():
 
 
 # str.splitlines() also breaks lines at these; CoNLL-U lines end at newlines only.
-UNICODE_BREAKS = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "sep", ["\x85", "\u2028", "\x0c"], ids=["next-line", "line-separator", "form-feed"]
 )
-
-
-@UNICODE_BREAKS
 def test_only_newlines_end_a_line(tmp_path, sep):
     form = f"Tay{sep}lor"
     text = GOOD.replace("3\tTaylor\tTaylor", f"3\t{form}\t{form}")
@@ -104,10 +101,11 @@ def test_only_newlines_end_a_line(tmp_path, sep):
     path.write_text(text, encoding="utf-8")
     assert load_conllu(path) == [sent]
     # lines after the separator keep their numbers: the bad id is on line 8
-    path.write_text(text + "\n" + _row("x", "Hi", "hi", "INTJ", 0, "root") + "\n", encoding="utf-8")
+    bad = text + "\n" + _row("x", "Hi", "hi", "INTJ", 0, "root") + "\n"
     with pytest.raises(ConlluFormatError) as err:
-        parse_conllu(path.read_text(encoding="utf-8"))
+        parse_conllu(bad)
     assert str(err.value) == "line 8: bad token id 'x'"
+    path.write_text(bad, encoding="utf-8")
     with pytest.raises(ConlluFormatError) as err:
         load_conllu(path)
     assert str(err.value) == f"{path}: line 8: bad token id 'x'"

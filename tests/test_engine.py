@@ -112,7 +112,6 @@ def test_table_from_file(tmp_path):
     assert str(err.value) == f"{path}: line 2: not valid UTF-8"
 
 
-
 def test_bundled_table_is_cached():
     assert PrepositionTable.bundled() is PrepositionTable.bundled()
 
@@ -326,7 +325,6 @@ def test_auxiliary_and_copula_both_move_behind_the_subject():
     assert [(c.text, c.rank) for c in cands] == [
         ("The mayor will have been Ann.", 1), ("Ann will have been the mayor.", 2),
     ]
-
 
 
 # -- transform -------------------------------------------------------------
