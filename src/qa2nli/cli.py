@@ -30,14 +30,14 @@ from typing import Iterator, Sequence, TextIO
 
 from .artifacts import length_histogram, pmi, word_overlap
 from .conllu import index_by_sent_id, load_conllu
-from .engine import EngineConfig, transform
-from .errors import DatasetError, PipelineError, TransformError
+from .engine import EngineConfig
+from .errors import DatasetError, PipelineError
 from .metrics import evaluate, load_eval_records
 from .nli import (
     NEGATIVE_POLICIES,
     SCHEMAS,
     SkipRecord,
-    analyze_example,
+    _rewrites,
     attach_parses,
     build_pairs,
     load_qa_jsonl,
@@ -104,20 +104,14 @@ def _load_examples(args: argparse.Namespace, schema: str):
 
 def _cmd_qa2d(args: argparse.Namespace) -> int:
     examples = _load_examples(args, "span")
-    config = _engine_config(args)
     skips: list[SkipRecord] = []
     written = 0
     with _open_out(args.output) as out:
-        for example in examples:
-            analysis = analyze_example(example)
-            if isinstance(analysis, SkipRecord):
-                skips.append(analysis)
+        for item in _rewrites(examples, _engine_config(args)):
+            if isinstance(item, SkipRecord):
+                skips.append(item)
                 continue
-            try:
-                candidates = transform(analysis, example.options[0].text, config)
-            except TransformError as exc:
-                skips.append(SkipRecord(example.id, "transform", str(exc)))
-                continue
+            _, example, _, candidates = item
             for cand in candidates:
                 row = {
                     "id": example.id,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
-from .analysis import WhAnalysis, analyze
+from .analysis import analyze
 from .conllu import DepSentence, _read_lines
-from .engine import EngineConfig, plan_question
+from .engine import DeclarativeCandidate, EngineConfig, plan_question
 from .errors import (
     AnalysisError,
     DatasetError,
@@ -229,15 +229,61 @@ def attach_parses(
     return [replace(ex, parse=sentences.get(ex.id)) for ex in examples]
 
 
-def analyze_example(example: QAExample) -> WhAnalysis | SkipRecord:
-    """The wh analysis of an example's question, or the skip saying why
-    there is none (stage "parse" or "analysis")."""
-    if example.parse is None:
-        return SkipRecord(example.id, "parse", "no dependency parse for this id")
-    try:
-        return analyze(example.parse)
-    except (NotWhQuestionError, AnalysisError) as exc:
-        return SkipRecord(example.id, "analysis", str(exc))
+def _rewrites(
+    examples: Iterable[QAExample],
+    config: EngineConfig,
+    negatives: str = "all",
+    seed: int = 0,
+) -> Iterator[tuple[str, QAExample, Provenance, list[DeclarativeCandidate]] | SkipRecord]:
+    """The one per-example rewrite loop, shared by qa2d and convert.
+
+    For each answer rewritten it yields (pair id, example, provenance,
+    ranked candidates); for an example or answer with no rewrite, the
+    SkipRecord saying why. Each example's question is planned once and
+    realized per answer: the correct one first, then the incorrect options
+    (all, or one sampled as build_pairs describes), or the plausible answer
+    of an unanswerable question.
+    """
+    for example in examples:
+        if example.parse is None:
+            yield SkipRecord(example.id, "parse", "no dependency parse for this id")
+            continue
+        try:
+            analysis = analyze(example.parse)
+        except (NotWhQuestionError, AnalysisError) as exc:
+            yield SkipRecord(example.id, "analysis", str(exc))
+            continue
+
+        if example.answerable:
+            correct = example.correct_options
+            if not correct:
+                yield SkipRecord(example.id, "options", "no correct answer")
+                continue
+            wrong = example.incorrect_options
+            if wrong and negatives == "one-random":
+                wrong = (random.Random(f"{seed}:{example.id}").choice(wrong),)
+            todo = [(correct[0], Provenance.CORRECT_ANSWER)]
+            todo += [(o, Provenance.INCORRECT_OPTION) for o in wrong]
+        elif example.options:
+            todo = [(example.options[0], Provenance.UNANSWERABLE)]
+        else:
+            yield SkipRecord(example.id, "options", "unanswerable without a plausible answer")
+            continue
+        try:
+            plan = plan_question(analysis, config)
+        except TransformError as exc:  # the question itself cannot be rewritten
+            yield SkipRecord(example.id, "transform", str(exc))
+            continue
+
+        n = 0
+        for option, provenance in todo:
+            try:
+                candidates = plan.realize(option.text)
+            except TransformError as exc:
+                yield SkipRecord(example.id, "transform", str(exc), option=option.text)
+                continue
+            yield f"{example.id}:{n}", example, provenance, candidates
+            n += 1
 
 
 def build_pairs(
@@ -254,65 +300,21 @@ def build_pairs(
     (stable under re-ordering or subsetting of the input).
 
     Pair ids are "<example id>:<n>" with the entailed pair first. The
-    rewrite's word lists come from config.
+    rewrite's word lists come from config; each hypothesis is the rank-1
+    candidate, and only a correct answer's pair is entailed.
     """
     if negatives not in NEGATIVE_POLICIES:
         raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
-    config = config or EngineConfig()
-
     pairs: list[NliPair] = []
     skips: list[SkipRecord] = []
-
-    for example in examples:
-        analysis = analyze_example(example)
-        if isinstance(analysis, SkipRecord):
-            skips.append(analysis)
+    for item in _rewrites(examples, config or EngineConfig(), negatives, seed):
+        if isinstance(item, SkipRecord):
+            skips.append(item)
             continue
-
-        if example.answerable:
-            correct = example.correct_options
-            if not correct:
-                skips.append(SkipRecord(example.id, "options", "no correct answer"))
-                continue
-            wrong = example.incorrect_options
-            if wrong and negatives == "one-random":
-                rng = random.Random(f"{seed}:{example.id}")
-                wrong = (rng.choice(wrong),)
-            todo = [(correct[0], Label.ENTAILED, Provenance.CORRECT_ANSWER)]
-            todo += [(o, Label.NOT_ENTAILED, Provenance.INCORRECT_OPTION) for o in wrong]
-        else:
-            if not example.options:
-                skips.append(
-                    SkipRecord(example.id, "options", "unanswerable without a plausible answer")
-                )
-                continue
-            todo = [(example.options[0], Label.NOT_ENTAILED, Provenance.UNANSWERABLE)]
-        try:
-            plan = plan_question(analysis, config)
-        except TransformError as exc:  # the question itself cannot be rewritten
-            skips.append(SkipRecord(example.id, "transform", str(exc)))
-            continue
-
-        n = 0
-        for option, label, provenance in todo:
-            try:
-                hypothesis = plan.realize(option.text)[0].text
-            except TransformError as exc:
-                skips.append(
-                    SkipRecord(example.id, "transform", str(exc), option=option.text)
-                )
-                continue
-            pairs.append(
-                NliPair(
-                    id=f"{example.id}:{n}",
-                    premise=example.passage,
-                    hypothesis=hypothesis,
-                    label=label,
-                    provenance=provenance,
-                )
-            )
-            n += 1
-
+        pair_id, example, provenance, candidates = item
+        entailed = provenance is Provenance.CORRECT_ANSWER
+        label = Label.ENTAILED if entailed else Label.NOT_ENTAILED
+        pairs.append(NliPair(pair_id, example.passage, candidates[0].text, label, provenance))
     return BuildResult(pairs=tuple(pairs), skips=tuple(skips))
 
 

@@ -111,30 +111,6 @@ _NON_WH_PARSE = """# sent_id = nw
 """
 
 
-@pytest.mark.parametrize(
-    "item_id, stage", [("nw", "analysis"), ("zz", "parse")], ids=["non-wh", "missing-parse"]
-)
-def test_qa2d_and_convert_classify_skips_alike(tmp_path, capsys, item_id, stage):
-    qa = tmp_path / "qa.jsonl"
-    qa.write_text(
-        json.dumps({"id": item_id, "question": "Did Liz win?", "passage": "p", "answer": "yes"})
-        + "\n",
-        encoding="utf-8",
-    )
-    parses = tmp_path / "parses.conllu"
-    parses.write_text(_NON_WH_PARSE, encoding="utf-8")
-    common = ["--qa", str(qa), "--parses", str(parses), "--output", str(tmp_path / "out")]
-    skips = {}
-    for command in (["qa2d"], ["convert", "--schema", "span"]):
-        assert main([*command, *common]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and err[1].endswith(", 1 skipped")
-        skips[command[0]] = json.loads(err[0])
-    assert skips["qa2d"] == skips["convert"]
-    assert list(skips["qa2d"]) == ["id", "stage", "reason"]
-    assert (skips["qa2d"]["id"], skips["qa2d"]["stage"]) == (item_id, stage)
-
-
 _WHO_CALLED = """# sent_id = ok
 # text = Who called Taylor?
 1\tWho\twho\tPRON\tWP\t_\t2\tnsubj\t_\t_
@@ -162,6 +138,16 @@ _WHAT_D = """# sent_id = bad
 """
 
 
+# the subject is the "?", so no word is left to put the auxiliary behind
+_WHERE_WILL_GO = """# sent_id = bad
+# text = Where will go?
+1\tWhere\twhere\tADV\tWRB\t_\t3\tadvmod\t_\t_
+2\twill\twill\tAUX\tMD\t_\t3\taux\t_\t_
+3\tgo\tgo\tVERB\tVB\t_\t0\troot\t_\t_
+4\t?\t?\tPUNCT\t.\t_\t3\tnsubj\t_\t_
+"""
+
+
 @pytest.mark.parametrize(
     ("question", "answer", "parse", "reason", "per_option"),
     [
@@ -170,8 +156,9 @@ _WHAT_D = """# sent_id = bad
          "candidate text may not contain '?'", True),
         # the question fails before any answer is tried, so the skip names no option
         ("What'd you buy?", "milk", _WHAT_D, "unsupported do-support form \"'d\"", False),
+        ("Where will go?", "home", _WHERE_WILL_GO, "the subject has no words", False),
     ],
-    ids=["question-mark-in-answer", "contracted-do"],
+    ids=["question-mark-in-answer", "contracted-do", "subject-without-words"],
 )
 @pytest.mark.parametrize("command", ["qa2d", "convert"])
 def test_unrewritable_item_is_a_transform_skip(
@@ -191,7 +178,7 @@ def test_unrewritable_item_is_a_transform_skip(
     argv = ["qa2d"] if command == "qa2d" else ["convert", "--schema", "span"]
     assert main([*argv, "--qa", str(qa), "--parses", str(parses), "--output", str(out)]) == 0
     skip = {"id": "bad", "stage": "transform", "reason": reason}
-    if command == "convert" and per_option:
+    if per_option:
         skip["option"] = answer
     summary = (
         "1 declaratives written" if command == "qa2d" else "1 pairs written (correct_answer=1)"
@@ -201,6 +188,42 @@ def test_unrewritable_item_is_a_transform_skip(
     )
     (row,) = _rows(out)
     assert row.get("declarative", row.get("hypothesis")) == "Liz called Taylor."
+
+
+@pytest.mark.parametrize(
+    ("item_id", "answer", "parse", "stage", "per_option"),
+    [
+        ("nw", "yes", _NON_WH_PARSE, "analysis", False),
+        ("zz", "yes", _NON_WH_PARSE, "parse", False),
+        ("bad", "Sam? No, Tom", _WHO_HELPED, "transform", True),
+        ("bad", "milk", _WHAT_D, "transform", False),
+        ("bad", "home", _WHERE_WILL_GO, "transform", False),
+    ],
+    ids=[
+        "non-wh", "missing-parse",
+        "question-mark-in-answer", "contracted-do", "subject-without-words",
+    ],
+)
+def test_qa2d_and_convert_classify_skips_alike(
+    tmp_path, capsys, item_id, answer, parse, stage, per_option
+):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        json.dumps({"id": item_id, "question": "Q?", "passage": "p", "answer": answer}) + "\n",
+        encoding="utf-8",
+    )
+    parses = tmp_path / "parses.conllu"
+    parses.write_text(parse, encoding="utf-8")
+    common = ["--qa", str(qa), "--parses", str(parses), "--output", str(tmp_path / "out")]
+    skips = {}
+    for command in (["qa2d"], ["convert", "--schema", "span"]):
+        assert main([*command, *common]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[1].endswith(", 1 skipped")
+        skips[command[0]] = json.loads(err[0])
+    assert skips["qa2d"] == skips["convert"]
+    assert list(skips["qa2d"]) == ["id", "stage", "reason", *(["option"] if per_option else [])]
+    assert (skips["qa2d"]["id"], skips["qa2d"]["stage"]) == (item_id, stage)
 
 
 # "?" hangs off "baby", so it is the subject's last token
