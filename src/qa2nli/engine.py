@@ -64,6 +64,9 @@ __all__ = [
 
 _ARG_BASES = {"obj", "iobj", "ccomp", "attr", "dobj", "acomp", "oprd", "dep"}
 _CLAUSE_SKIP_BASES = {"advcl", "parataxis"}
+# Questions asking who or what something is, whose copular sentence can flip
+# ("Ann is the mayor."); a When or Where answer cannot be the subject.
+_IDENTITY_QTYPES = {QuestionType.WHO, QuestionType.WHAT, QuestionType.WHICH, QuestionType.WHOSE}
 _DAY_RE = re.compile(r"\d{1,2}(st|nd|rd|th)?")
 _SLASH_DATE_RE = re.compile(r"\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}")
 _CLOCK_RE = re.compile(r"\b\d{1,2}(:\d{2})?\s*([ap]\.?m\.?)(\W|$)")
@@ -221,8 +224,8 @@ class EngineConfig:
     copy_wh_phrase keeps residual nouns of Which/How phrases after the
     answer ("How many people ..." -> "50 people ..."). emit_alternatives
     caps how many ranked candidates transform may return; extra candidates
-    vary the preposition in table order, or flip a copular identity
-    sentence when the answer starts with a capitalized phrase.
+    vary the preposition in table order, or flip a copular Who/What/
+    Which/Whose sentence when the answer starts with a capitalized phrase.
 
     lexicon re-inflects do-support verbs and table decides prepositions
     and articles; both default to the bundled lists, and passing others
@@ -568,7 +571,8 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
 
     body = tuple(forms.get(tid, sent.token(tid).form) for tid in seq)
     flip_body = None
-    if copular_identity and seq and seq[-1] == analysis.copula:
+    identity = copular_identity and analysis.qtype in _IDENTITY_QTYPES
+    if identity and seq and seq[-1] == analysis.copula:
         # the flip fronts the copula with the auxiliaries right before it
         verbs, cut = _verb_words(analysis), len(seq) - 1
         while cut and seq[cut - 1] in verbs:

@@ -327,6 +327,18 @@ def test_auxiliary_and_copula_both_move_behind_the_subject():
     ]
 
 
+
+def test_when_and_where_questions_do_not_flip(qa2d_parses):
+    # a time or place answer cannot be the subject: not "Boston will be the game."
+    config = EngineConfig(emit_alternatives=3)
+    assert [c.text for c in transform(analyze(_GAME), "Boston", config)] == [
+        "The game will be in Boston.",
+    ]
+    assert [c.text for c in transform(analyze(qa2d_parses["f52"]), "Sunday", config)] == [
+        "The ceremony is on Sunday.", "The ceremony is in Sunday.",
+    ]
+
+
 # -- transform -------------------------------------------------------------
 
 

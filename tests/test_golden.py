@@ -35,7 +35,7 @@ PINNED = {
     "eval_qa2d_k3.text": "fddd11c238f9ad2254cd3cbea419825d99fa633f5e9a3df721bc5b2b5235f2d5",
     "analyze_scoring.text": "df86d7a6a88ef816ed2932cfe10f0f1d4f58aced11be4e759b3b63dfe8d5bb9c",
     "qa2d_fixtures.jsonl": "821fc2fe0f5caabd2808a4eba0ad2e2f215a2c57a1706d375e60e85b074ee7b3",
-    "qa2d_fixtures_alt3_copy.jsonl": "c74b55f6657daae2a9a2ae4956469f7d46da37ec57ab6a4f903d6e32b2094563",
+    "qa2d_fixtures_alt3_copy.jsonl": "e5b50f77c7f491c0afa0449b6b8d5557ea714dd771545c62cee6e7b3c07d6f99",
     "convert_multichoice_all.jsonl": "a37be38b0ca915ac13a32eee7c74f0021e4c6015a3be9bcd7d50f41621d02729",
     "convert_multichoice_one_random_seed3.jsonl": "baeb58d88fda871d8b91dd2b5b97f84fafe908d92ad6339c4265fb9a14b6d328",
     "convert_span.jsonl": "d4b152ad2abccce27d9b34e1cc659367ae0c5eeb1545c59469d65d4aada11a50",
