@@ -312,8 +312,7 @@ def build_pairs(
             skips.append(item)
             continue
         pair_id, example, provenance, candidates = item
-        entailed = provenance is Provenance.CORRECT_ANSWER
-        label = Label.ENTAILED if entailed else Label.NOT_ENTAILED
+        label = Label.ENTAILED if provenance is Provenance.CORRECT_ANSWER else Label.NOT_ENTAILED
         pairs.append(NliPair(pair_id, example.passage, candidates[0].text, label, provenance))
     return BuildResult(pairs=tuple(pairs), skips=tuple(skips))
 

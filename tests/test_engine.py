@@ -327,18 +327,6 @@ def test_auxiliary_and_copula_both_move_behind_the_subject():
     ]
 
 
-
-def test_when_and_where_questions_do_not_flip(qa2d_parses):
-    # a time or place answer cannot be the subject: not "Boston will be the game."
-    config = EngineConfig(emit_alternatives=3)
-    assert [c.text for c in transform(analyze(_GAME), "Boston", config)] == [
-        "The game will be in Boston.",
-    ]
-    assert [c.text for c in transform(analyze(qa2d_parses["f52"]), "Sunday", config)] == [
-        "The ceremony is on Sunday.", "The ceremony is in Sunday.",
-    ]
-
-
 # -- transform -------------------------------------------------------------
 
 
@@ -459,6 +447,14 @@ def test_transform_copular_flip(qa2d_parses):
     # lowercase answers do not flip
     low = transform(analyze(qa2d_parses["f19"]), "a heist", EngineConfig(emit_alternatives=3))
     assert all("copular_flip" not in " ".join(c.applied_rules) for c in low)
+    # nor do When and Where questions: a time or place is not what the subject is
+    config = EngineConfig(emit_alternatives=3)
+    assert [c.text for c in transform(analyze(_GAME), "Boston", config)] == [
+        "The game will be in Boston.",  # not "Boston will be the game."
+    ]
+    assert [c.text for c in transform(analyze(qa2d_parses["f52"]), "Sunday", config)] == [
+        "The ceremony is on Sunday.", "The ceremony is in Sunday.",
+    ]
 
 
 def test_transform_no_variants_for_stranded(qa2d_parses):
