@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .conllu import DepSentence, DepToken
+from .conllu import DepSentence
 from .errors import AnalysisError, NotWhQuestionError
 
 
@@ -136,23 +136,28 @@ def classify_question(sentence: DepSentence) -> QuestionType:
     Raises:
         NotWhQuestionError: no wh word anywhere in the sentence.
     """
-    return _WH_FORMS[_wh_token(sentence).form.lower()]
+    return _WH_FORMS[sentence.form[_wh_token(sentence) - 1].lower()]
 
 
-def _wh_token(sentence: DepSentence) -> DepToken:
-    for tok in sentence.tokens:
-        if tok.form.lower() in _WH_FORMS:
-            return tok
+# Helpers below take and return token ids and read the sentence's columns:
+# sentence.form[i - 1] is the form of token i.
+
+
+def _wh_token(sentence: DepSentence) -> int:
+    for i, form in enumerate(sentence.form, 1):
+        if form.lower() in _WH_FORMS:
+            return i
     raise NotWhQuestionError("no wh word")
 
 
-def _phrase_head(sentence: DepSentence, wh: DepToken) -> DepToken:
+def _phrase_head(sentence: DepSentence, wh: int) -> int:
+    heads, deprels, upos = sentence.head, sentence.deprel, sentence.upos
     cur = wh
-    while cur.head != 0:
-        if cur.deprel not in _CLIMB_RELS:
+    while heads[cur - 1] != 0:
+        if deprels[cur - 1] not in _CLIMB_RELS:
             break
-        parent = sentence.token(cur.head)
-        if parent.upos in ("VERB", "AUX"):
+        parent = heads[cur - 1]
+        if upos[parent - 1] in ("VERB", "AUX"):
             break
         cur = parent
     return cur
@@ -162,16 +167,17 @@ def _cut_subtree(sentence: DepSentence, token_id: int, bases: set[str]) -> set[i
     """Ids of a token's subtree minus the subtrees of its children whose base
     relation is in bases."""
     members = set(sentence.subtree_ids(token_id))
-    for child in sentence.children(token_id):
-        if _base(child.deprel) in bases:
-            members -= sentence.subtree_ids(child.id)
+    deprels = sentence.deprel
+    for child in sentence.child_ids(token_id):
+        if _base(deprels[child - 1]) in bases:
+            members -= sentence.subtree_ids(child)
     return members
 
 
-def _phrase_span(sentence: DepSentence, head: DepToken, wh: DepToken) -> tuple[int, int]:
-    members = _cut_subtree(sentence, head.id, _PHRASE_CUT_BASES)
-    members.add(wh.id)
-    start = end = wh.id
+def _phrase_span(sentence: DepSentence, head: int, wh: int) -> tuple[int, int]:
+    members = _cut_subtree(sentence, head, _PHRASE_CUT_BASES)
+    members.add(wh)
+    start = end = wh
     while start - 1 in members:
         start -= 1
     while end + 1 in members:
@@ -179,49 +185,46 @@ def _phrase_span(sentence: DepSentence, head: DepToken, wh: DepToken) -> tuple[i
     return (start, end)
 
 
-def _find_subject(sentence: DepSentence, root: DepToken) -> DepToken | None:
-    for child in sentence.children(root.id):
-        if _base(child.deprel) in _SUBJECT_BASES:
-            return child
-    return None
+def _first_child(sentence: DepSentence, token_id: int, bases: set[str]) -> int | None:
+    """The first dependent of a token whose base relation is in bases."""
+    deprels = sentence.deprel
+    return next(
+        (c for c in sentence.child_ids(token_id) if _base(deprels[c - 1]) in bases), None
+    )
 
 
-def _find_aux(sentence: DepSentence, root: DepToken) -> DepToken | None:
-    """The main predicate's first auxiliary: an inverted one when there is one."""
-    return next((c for c in sentence.children(root.id) if _base(c.deprel) in _AUX_BASES), None)
-
-
-def _find_copula(
-    sentence: DepSentence, root: DepToken, subject: DepToken | None
-) -> DepToken | None:
-    for child in sentence.children(root.id):
-        if _base(child.deprel) == "cop":
-            return child
+def _find_copula(sentence: DepSentence, root: int, subject: int | None) -> int | None:
+    copula = _first_child(sentence, root, {"cop"})
+    if copula is not None:
+        return copula
     # Parses that keep "be" as the clause head: the root doubles as copula.
-    if root.lemma == "be" and root.upos in ("AUX", "VERB") and subject is not None:
+    if (
+        sentence.lemma[root - 1] == "be"
+        and sentence.upos[root - 1] in ("AUX", "VERB")
+        and subject is not None
+    ):
         return root
     return None
 
 
-def _attachment(sentence: DepSentence, head: DepToken) -> DepToken:
-    if head.head == 0:
+def _attachment(sentence: DepSentence, head: int) -> int:
+    heads, upos = sentence.head, sentence.upos
+    if heads[head - 1] == 0:
         return head
-    gov = sentence.token(head.head)
+    gov = heads[head - 1]
     # Step over adposition nodes so prep-chain parses land on the predicate.
-    while gov.upos == "ADP" and gov.head != 0:
-        gov = sentence.token(gov.head)
+    while upos[gov - 1] == "ADP" and heads[gov - 1] != 0:
+        gov = heads[gov - 1]
     return gov
 
 
-def _dangling_preps(
-    sentence: DepSentence, wh: DepToken, head: DepToken, root: DepToken
-) -> tuple[int, ...]:
-    holders = {wh.id, head.id, root.id}
+def _dangling_preps(sentence: DepSentence, wh: int, head: int, root: int) -> tuple[int, ...]:
+    deprels, upos = sentence.deprel, sentence.upos
     found: set[int] = set()
-    for holder in holders:
-        for child in sentence.children(holder):
-            if child.deprel in _PREP_DEPRELS and child.upos in _PREP_UPOS:
-                found.add(child.id)
+    for holder in {wh, head, root}:
+        for child in sentence.child_ids(holder):
+            if deprels[child - 1] in _PREP_DEPRELS and upos[child - 1] in _PREP_UPOS:
+                found.add(child)
     return tuple(sorted(found))
 
 
@@ -233,39 +236,33 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
         AnalysisError: a wh word exists but the parse is degenerate.
     """
     wh = _wh_token(sentence)
-    qtype = _WH_FORMS[wh.form.lower()]
-    root = sentence.root
-    if root.upos == "PUNCT":
+    qtype = _WH_FORMS[sentence.form[wh - 1].lower()]
+    root = sentence.root_id
+    if sentence.upos[root - 1] == "PUNCT":
         raise AnalysisError(
             f"degenerate parse: root of {sentence.sent_id or 'sentence'} is punctuation"
         )
 
     head = _phrase_head(sentence, wh)
     span = _phrase_span(sentence, head, wh)
-    subject = _find_subject(sentence, root)
-    aux = _find_aux(sentence, root)
+    subject = _first_child(sentence, root, _SUBJECT_BASES)
+    # The main predicate's first auxiliary: an inverted one when there is one.
+    aux = _first_child(sentence, root, _AUX_BASES)
     copula = _find_copula(sentence, root, subject)
 
-    subject_wh = bool(subject is not None and subject.id == head.id)
-    if (
-        not subject_wh
-        and subject is None
-        and copula is not None
-        and head.id == root.id
-    ):
-        # Copular clause with no other subject: the wh phrase is it.
-        subject_wh = True
+    # A copular clause with no other subject has the wh phrase as subject.
+    subject_wh = subject == head or (subject is None and copula is not None and head == root)
 
     return WhAnalysis(
         question=sentence,
-        wh_token=wh.id,
+        wh_token=wh,
         wh_phrase=span,
         qtype=qtype,
-        root=root.id,
-        aux=aux.id if aux is not None else None,
-        copula=copula.id if copula is not None else None,
-        subject=subject.id if subject is not None else None,
-        wh_attachment=_attachment(sentence, head).id,
+        root=root,
+        aux=aux,
+        copula=copula,
+        subject=subject,
+        wh_attachment=_attachment(sentence, head),
         dangling_preps=_dangling_preps(sentence, wh, head, root),
         subject_wh=subject_wh,
     )

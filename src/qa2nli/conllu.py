@@ -9,7 +9,15 @@ ids form a single tree: every head in range, exactly one head of 0, no
 cycles. Anything else is rejected outright; downstream modules can therefore
 assume tree shape.
 
-Validation is one linear pass over the tokens that also indexes each token's
+A DepSentence stores its tokens by column: one tuple each of forms, lemmas,
+upos and xpos tags, heads and deprels, indexed by token id - 1, plus the
+ids of each token's children. Every string that one parse_conllu or
+load_conllu call reads goes through one pool, so equal strings of a corpus
+are one object, and the pool is freed with the corpus. A DepToken is built
+only when one is read through tokens, token, children or root; code that
+reads many tokens reads the columns instead.
+
+Validation is one linear pass over the rows that also indexes each token's
 children, so a DepSentence answers `children` and `root` in O(1) and
 `subtree_ids` in time linear in the subtree.
 """
@@ -18,8 +26,11 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cache
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ConlluFormatError, ConlluStructureError, DatasetError
@@ -58,25 +69,101 @@ class DepToken:
             raise ValueError(f"token {self.id} has an empty form")
 
 
+class _Tokens(Sequence):
+    """The tokens of one sentence as columns, token i at index i - 1.
+
+    Reads like a tuple of DepTokens: it indexes, iterates, compares, hashes
+    and prints as one, and builds each DepToken when it is read. Immutable,
+    like the tuple it stands for.
+    """
+
+    __slots__ = ("form", "lemma", "upos", "xpos", "head", "deprel")
+    form: tuple[str, ...]
+    lemma: tuple[str | None, ...]
+    upos: tuple[str, ...]
+    xpos: tuple[str | None, ...]
+    head: tuple[int, ...]
+    deprel: tuple[str, ...]
+
+    def __init__(self, *columns: tuple) -> None:
+        for name, column in zip(self.__slots__, columns, strict=True):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _Tokens, self._columns()
+
+    def _columns(self) -> tuple[tuple, ...]:
+        return (self.form, self.lemma, self.upos, self.xpos, self.head, self.deprel)
+
+    def _token(self, token_id: int) -> DepToken:
+        i = token_id - 1
+        return DepToken(
+            token_id, self.form[i], self.lemma[i], self.upos[i], self.xpos[i], self.head[i],
+            self.deprel[i],
+        )
+
+    def __len__(self) -> int:
+        return len(self.form)
+
+    def __getitem__(self, index):
+        ids = range(1, len(self.form) + 1)[index]
+        return tuple(map(self._token, ids)) if isinstance(index, slice) else self._token(ids)
+
+    def __iter__(self) -> Iterator[DepToken]:
+        return map(self._token, range(1, len(self.form) + 1))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Tokens):
+            return self._columns() == other._columns()
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # A DepToken hashes as the tuple of its fields, and a tuple's hash
+        # depends only on its items' hashes: this is the hash of tuple(self).
+        return hash(tuple(zip(range(1, len(self.form) + 1), *self._columns())))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True, slots=True)
 class DepSentence:
     """A dependency tree over tokens with ids 1..n.
 
-    Tree shape (single root, acyclic, connected) is validated on
-    construction; an invalid token list raises ConlluStructureError.
+    tokens may be given as any sequence of DepTokens; it is stored as
+    columns (see the module docstring), which the form, lemma, upos, xpos,
+    head and deprel properties return. Tree shape (single root, acyclic,
+    connected) is validated on construction; an invalid token list raises
+    ConlluStructureError.
     """
 
-    tokens: tuple[DepToken, ...]
+    tokens: Sequence[DepToken]
     text: str | None = None
     sent_id: str | None = None
-    # _children[i]: dependents of token i in surface order; _children[0] holds
-    # the root. Derived from tokens, so it takes no part in ==, hash or repr.
-    _children: tuple[tuple[DepToken, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # _children[i]: ids of the dependents of token i in surface order;
+    # _children[0] holds the root. Derived from tokens, so it takes no part in
+    # ==, hash or repr.
+    _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        children = _index_tree(self.tokens)
+        if not isinstance(self.tokens, _Tokens):
+            tokens = tuple(self.tokens)
+            ids = [t.id for t in tokens]
+            if ids != list(range(1, len(ids) + 1)):
+                raise ConlluStructureError(
+                    f"{self._name()}: token ids are not exactly 1..{len(ids)}: {ids}"
+                )
+            columns = (tuple(getattr(t, name) for t in tokens) for name in _Tokens.__slots__)
+            object.__setattr__(self, "tokens", _Tokens(*columns))
+        children = _index_tree(self.tokens.head)
         if isinstance(children, str):
             raise ConlluStructureError(f"{self._name()}: {children}")
         object.__setattr__(self, "_children", children)
@@ -92,100 +179,124 @@ class DepSentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
+    # The columns, read-only: sent.form[i - 1] is the form of token i.
+    form = property(attrgetter("tokens.form"))
+    lemma = property(attrgetter("tokens.lemma"))
+    upos = property(attrgetter("tokens.upos"))
+    xpos = property(attrgetter("tokens.xpos"))
+    head = property(attrgetter("tokens.head"))
+    deprel = property(attrgetter("tokens.deprel"))
+
     def token(self, token_id: int) -> DepToken:
         """Return the token with the given 1-based id."""
-        if not 1 <= token_id <= len(self.tokens):
+        return self.tokens._token(self._check(token_id))
+
+    def _check(self, token_id: int) -> int:
+        if not 1 <= token_id < len(self._children):
             raise ValueError(
-                f"token id {token_id} out of range 1..{len(self.tokens)}"
+                f"token id {token_id} out of range 1..{len(self._children) - 1}"
             )
-        return self.tokens[token_id - 1]
+        return token_id
+
+    @property
+    def root_id(self) -> int:
+        """Id of the unique token whose head is 0."""
+        return self._children[0][0]
 
     @property
     def root(self) -> DepToken:
         """The unique token whose head is 0."""
-        return self._children[0][0]
+        return self.tokens._token(self._children[0][0])
+
+    def child_ids(self, token_id: int) -> tuple[int, ...]:
+        """Ids of the direct dependents of a token, in surface order."""
+        return self._children[self._check(token_id)]
 
     def children(self, token_id: int) -> tuple[DepToken, ...]:
         """Direct dependents of a token, in surface order."""
-        return self._children[self.token(token_id).id]
+        return tuple(map(self.tokens._token, self.child_ids(token_id)))
 
     def subtree_ids(self, token_id: int) -> frozenset[int]:
         """Ids of the token and all its descendants."""
-        members = [self.token(token_id)]
-        for t in members:
-            members.extend(self._children[t.id])
-        return frozenset(t.id for t in members)
+        members = [self._check(token_id)]
+        for tid in members:
+            members.extend(self._children[tid])
+        return frozenset(members)
 
 
-def _index_tree(
-    tokens: tuple[DepToken, ...],
-) -> tuple[tuple[DepToken, ...], ...] | str:
-    """Children table of a valid tree, or the first problem that makes it invalid.
+def _index_tree(heads: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | str:
+    """Children table of the tree over ids 1..n with these heads, or the first
+    problem that makes it invalid.
 
-    Problems are reported in a fixed order: ids not 1..n, then the root count,
-    then a head beyond n, then a cycle.
+    Problems are reported in a fixed order: no tokens, then the root count,
+    then a head beyond n, then a cycle. (Ids other than 1..n are reported
+    before all of them, where the ids are known.)
     """
-    if not tokens:
+    if not heads:
         return "no tokens"
-    n = len(tokens)
-    kids: list[list[DepToken]] = [[] for _ in range(n + 1)]
-    ids_ok = True
+    n = len(heads)
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
     beyond = None
-    for i, t in enumerate(tokens, 1):
-        if t.id != i:
-            ids_ok = False
-        if t.head <= n:
-            kids[t.head].append(t)
+    for tid, head in enumerate(heads, 1):
+        if head <= n:
+            kids[head].append(tid)
         elif beyond is None:
-            beyond = t
-    if not ids_ok:
-        return f"token ids are not exactly 1..{n}: {[t.id for t in tokens]}"
+            beyond = tid
     if len(kids[0]) != 1:
-        roots = [t.id for t in kids[0]]
-        return f"expected exactly one root, found heads of 0 at {roots}"
+        return f"expected exactly one root, found heads of 0 at {kids[0]}"
     if beyond is not None:
-        return f"token {beyond.id} has head {beyond.head} beyond last id {n}"
+        return f"token {beyond} has head {heads[beyond - 1]} beyond last id {n}"
     # With one root and one in-range head per token, a token's walk up its
     # heads loops exactly when the root cannot reach it: the first token the
     # search from the root misses is the first one whose walk would cycle.
     reached = list(kids[0])
-    for t in reached:
-        reached.extend(kids[t.id])
+    for tid in reached:
+        reached.extend(kids[tid])
     if len(reached) < n:
-        seen = {t.id for t in reached}
+        seen = set(reached)
         first = next(tid for tid in range(1, n + 1) if tid not in seen)
         return f"cycle through token {first}"
     return tuple(map(tuple, kids))
 
 
-def _parse_token_line(line: str, line_no: int) -> DepToken | None:
-    cols = line.split("\t")
+def _check_row(cols: list[str], line_no: int) -> tuple[int, int] | None:
+    """Id and head of a token row that the parser's quick check did not pass,
+    or None for a multiword range or empty node.
+
+    Raises:
+        ConlluFormatError: the row's first problem, in a fixed order: column
+            count, id, head, then DepToken's own checks.
+    """
     if len(cols) != _COLUMNS:
         raise ConlluFormatError(
-            f"expected {_COLUMNS} tab-separated columns, got {len(cols)}",
-            line_no,
+            f"expected {_COLUMNS} tab-separated columns, got {len(cols)}", line_no
         )
-    raw_id = cols[0]
+    raw_id, raw_head = cols[0], cols[6]
     # Ids and heads are ASCII digits: str.isdigit() alone also accepts
     # digits that int() rejects ("²").
     if not (raw_id.isascii() and raw_id.isdigit()):
         if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
             return None  # multiword range / empty node: not a syntactic word
         raise ConlluFormatError(f"bad token id {raw_id!r}", line_no)
-    if not (cols[6].isascii() and cols[6].removeprefix("-").isdigit()):
-        raise ConlluFormatError(f"bad head {cols[6]!r}", line_no)
+    if not (raw_head.isascii() and raw_head.removeprefix("-").isdigit()):
+        raise ConlluFormatError(f"bad head {raw_head!r}", line_no)
+    token_id, head = int(raw_id), int(raw_head)
     try:
-        return DepToken(
-            id=int(raw_id),
-            form=cols[1],
-            lemma=None if cols[2] == "_" else cols[2],
-            upos=cols[3],
-            xpos=None if cols[4] == "_" else cols[4],
-            head=int(cols[6]),
-            deprel=cols[7],
-        )
+        DepToken(token_id, cols[1], None, cols[3], None, head, cols[7])
     except ValueError as exc:
         raise ConlluFormatError(str(exc), line_no) from exc
+    return token_id, head
+
+
+@cache
+def _small_ints() -> dict[str, int]:
+    """Ids and heads as ordinary rows write them, with their values.
+
+    One lookup parses a row's id and head and checks them at once; anything
+    else (larger numbers, leading zeros, a minus sign, non-digits) takes
+    _check_row's full checks. Built on first use, not at import.
+    """
+    return {str(i): i for i in range(1000)}
 
 
 def parse_conllu(text: str) -> list[DepSentence]:
@@ -204,17 +315,33 @@ def parse_conllu(text: str) -> list[DepSentence]:
 def _parse_lines(lines: Iterable[tuple[int, str]]) -> list[DepSentence]:
     r"""Sentences from (line number, line) pairs; a line may keep its "\n"."""
     sentences: list[DepSentence] = []
-    tokens: list[DepToken] = []
+    pool: dict[str, str] = {}
+    intern = pool.setdefault
+    small_ints = _small_ints()
+    ids: list[int] = []
+    forms: list[str] = []
+    lemmas: list[str | None] = []
+    upos_tags: list[str] = []
+    xpos_tags: list[str | None] = []
+    heads: list[int] = []
+    deprels: list[str] = []
     sent_id: str | None = None
     sent_text: str | None = None
     # A blank line after the last one ends the last sentence.
     for line_no, line in chain(lines, [(0, "")]):
         if not line.strip():
-            if tokens:
-                sentences.append(DepSentence(tokens=tuple(tokens), text=sent_text, sent_id=sent_id))
-            tokens, sent_id, sent_text = [], None, None
+            if ids:
+                columns = (forms, lemmas, upos_tags, xpos_tags, heads, deprels)
+                if ids == list(range(1, len(ids) + 1)):
+                    tokens = _Tokens(*map(tuple, columns))
+                else:  # DepSentence reports the ids
+                    tokens = tuple(map(DepToken, ids, *columns))
+                sentences.append(DepSentence(tokens, sent_text, sent_id))
+                ids, forms, lemmas, upos_tags = [], [], [], []
+                xpos_tags, heads, deprels = [], [], []
+            sent_id = sent_text = None
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             m = _SENT_ID_RE.match(line)
             if m:
                 sent_id = m.group(1)
@@ -224,9 +351,26 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> list[DepSentence]:
                 sent_text = m.group(1)
             continue
         # The newline stays on the last (MISC) column, which is never read.
-        tok = _parse_token_line(line, line_no)
-        if tok is not None:
-            tokens.append(tok)
+        cols = line.split("\t")
+        # The quick check passes every ordinary row; _check_row sorts out the
+        # rest, in the order the checks are made.
+        try:
+            raw_id, form, lemma, upos, xpos, _, raw_head, deprel, _, _ = cols
+            token_id, head = small_ints[raw_id], small_ints[raw_head]
+            if token_id < 1 or head == token_id or not form:
+                raise ValueError
+        except (ValueError, KeyError):
+            checked = _check_row(cols, line_no)
+            if checked is None:
+                continue
+            token_id, head = checked
+        ids.append(token_id)
+        forms.append(intern(form, form))
+        lemmas.append(None if lemma == "_" else intern(lemma, lemma))
+        upos_tags.append(intern(upos, upos))
+        xpos_tags.append(None if xpos == "_" else intern(xpos, xpos))
+        heads.append(head)
+        deprels.append(intern(deprel, deprel))
     return sentences
 
 

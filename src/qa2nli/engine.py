@@ -264,7 +264,8 @@ def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:
 def _verb_words(analysis: WhAnalysis) -> list[int]:
     """Ids of the main predicate's auxiliaries and copula, in surface order."""
     sent = analysis.question
-    ids = {c.id for c in sent.children(analysis.root) if _base(c.deprel) in _AUX_BASES}
+    deprels = sent.deprel
+    ids = {c for c in sent.child_ids(analysis.root) if _base(deprels[c - 1]) in _AUX_BASES}
     return sorted(ids | ({analysis.copula} - {None}))
 
 
@@ -278,22 +279,23 @@ def _deinverted(
             ("What'd you buy?"), whose tense cannot be told.
     """
     sent = analysis.question
-    seq = [t.id for t in sent.tokens if t.form != "?"]
+    form, lemma = sent.form, sent.lemma
+    seq = [i for i, f in enumerate(form, 1) if f != "?"]
     forms: dict[int, str] = {}
     rules: list[str] = []
     inverted = _verb_words(analysis)
     if analysis.subject_wh or not inverted:
         return seq, forms, rules  # subject and in-situ questions are not inverted
-    target = sent.token(inverted[0])
+    target = inverted[0]
 
-    if analysis.aux is not None and (target.lemma or target.form.lower()) == "do":
-        aux = target.form.lower()
+    if analysis.aux is not None and (lemma[target - 1] or form[target - 1].lower()) == "do":
+        aux = form[target - 1].lower()
         if aux.strip() not in ("do", "does", "did"):
-            raise TransformError(f"unsupported do-support form {target.form!r}")
-        root_tok = sent.token(analysis.root)
-        seq.remove(target.id)
-        inflected = reinflect(root_tok.lemma or root_tok.form, aux, lexicon)
-        forms[root_tok.id] = inflected
+            raise TransformError(f"unsupported do-support form {form[target - 1]!r}")
+        root = analysis.root
+        seq.remove(target)
+        inflected = reinflect(lemma[root - 1] or form[root - 1], aux, lexicon)
+        forms[root] = inflected
         rules.append(f"do_support:{aux}->{inflected}")
         return seq, forms, rules
 
@@ -313,7 +315,7 @@ def _deinverted(
         if not words:
             raise TransformError("the subject has no words")
         seq[words[-1] + 1 : words[-1] + 1] = fronted
-        rules.extend(f"deinvert:{sent.token(tid).form.lower()}_after_subject" for tid in fronted)
+        rules.extend(f"deinvert:{form[tid - 1].lower()}_after_subject" for tid in fronted)
     return seq, forms, rules
 
 
@@ -329,13 +331,14 @@ def undo_inversion(analysis: WhAnalysis, config: EngineConfig | None = None) -> 
         TransformError: an unsupported do-support form.
     """
     seq, forms, _ = _deinverted(analysis, (config or EngineConfig()).lexicon)
-    sent = analysis.question
-    return [forms.get(tid, sent.token(tid).form) for tid in seq]
+    form = analysis.question.form
+    return [forms.get(tid, form[tid - 1]) for tid in seq]
 
 
 def _span_head_id(sent: DepSentence, span: tuple[int, int]) -> int:
     ids = set(range(span[0], span[1] + 1))
-    external = [tid for tid in ids if sent.token(tid).head not in ids]
+    heads = sent.head
+    external = [tid for tid in ids if heads[tid - 1] not in ids]
     if len(external) == 1:
         return external[0]
     # Several links leave the span: the head is the one covering most of it.
@@ -391,16 +394,17 @@ def realize(tokens: Sequence[str]) -> str:
 def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
     """Index in seq where an argument or adjunct answer goes, and its rule."""
     sent = analysis.question
+    heads, deprels = sent.head, sent.deprel
     attach_id = analysis.wh_attachment
-    head_tok = sent.token(_span_head_id(sent, analysis.wh_phrase))
-    if _base(head_tok.deprel) in _ARG_BASES and attach_id in seq:
+    phrase_head = _span_head_id(sent, analysis.wh_phrase)
+    if _base(deprels[phrase_head - 1]) in _ARG_BASES and attach_id in seq:
         index = seq.index(attach_id) + 1
-        while index < len(seq):
-            nxt = sent.token(seq[index])
-            if nxt.head == attach_id and nxt.deprel == "compound:prt":
-                index += 1
-            else:
-                break
+        while (
+            index < len(seq)
+            and heads[seq[index] - 1] == attach_id
+            and deprels[seq[index] - 1] == "compound:prt"
+        ):
+            index += 1
         return index, "insert:after_predicate"
     members = _cut_subtree(sent, attach_id, _CLAUSE_SKIP_BASES)
     positions = [i for i, tid in enumerate(seq) if tid in members]
@@ -515,6 +519,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     """
     config = config or EngineConfig()
     sent = analysis.question
+    form = sent.form
     seq, forms, inv_rules = _deinverted(analysis, config.lexicon)
     start, end = analysis.wh_phrase
     rules = [f"qtype:{analysis.qtype}", *inv_rules]
@@ -522,9 +527,9 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     residual: tuple[str, ...] = ()
     if config.copy_wh_phrase and analysis.qtype in (QuestionType.WHICH, QuestionType.HOW):
         residual = tuple(
-            sent.token(tid).form
+            form[tid - 1]
             for tid in range(start, end + 1)
-            if tid != analysis.wh_token and sent.token(tid).upos in ("NOUN", "PROPN")
+            if tid != analysis.wh_token and sent.upos[tid - 1] in ("NOUN", "PROPN")
         )
         if residual:
             rules.append("copy_wh_nouns:" + "_".join(residual))
@@ -550,7 +555,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     elif prep_id in seq:  # stranded: a pied-piped one left with the wh phrase
         insert_index = seq.index(prep_id) + 1
         insert_rules = (
-            f"prep:{sent.token(prep_id).form}(stranded)",
+            f"prep:{form[prep_id - 1]}(stranded)",
             "insert:after_stranded_prep",
         )
     else:
@@ -560,16 +565,16 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
             insert_index, rule = _insertion_site(analysis, seq)
         insert_rules = (rule,)
         if pied:
-            link = ("pied", sent.token(prep_id).form.lower())
+            link = ("pied", form[prep_id - 1].lower())
         elif analysis.qtype is QuestionType.WHEN:
             link = ("when", "")
         elif analysis.qtype is QuestionType.WHERE:
-            attachment = sent.token(analysis.wh_attachment)
-            link = ("where", attachment.lemma or attachment.form.lower())
+            attachment = analysis.wh_attachment
+            link = ("where", sent.lemma[attachment - 1] or form[attachment - 1].lower())
         else:
             link = ("none", "")
 
-    body = tuple(forms.get(tid, sent.token(tid).form) for tid in seq)
+    body = tuple(forms.get(tid, form[tid - 1]) for tid in seq)
     flip_body = None
     identity = copular_identity and analysis.qtype in _IDENTITY_QTYPES
     if identity and seq and seq[-1] == analysis.copula:

@@ -301,13 +301,15 @@ def build_pairs(
 
     Pair ids are "<example id>:<n>" with the entailed pair first. The
     rewrite's word lists come from config; each hypothesis is the rank-1
-    candidate, and only a correct answer's pair is entailed.
+    candidate, the only one realized whatever config.emit_alternatives
+    says, and only a correct answer's pair is entailed.
     """
     if negatives not in NEGATIVE_POLICIES:
         raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
+    config = replace(config or EngineConfig(), emit_alternatives=1)
     pairs: list[NliPair] = []
     skips: list[SkipRecord] = []
-    for item in _rewrites(examples, config or EngineConfig(), negatives, seed):
+    for item in _rewrites(examples, config, negatives, seed):
         if isinstance(item, SkipRecord):
             skips.append(item)
             continue

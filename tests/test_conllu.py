@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -302,3 +303,41 @@ def sentences(draw):
 def test_round_trip_generated(sent):
     (back,) = parse_conllu(to_conllu(sent))
     assert back == sent and hash(back) == hash(sent)
+
+
+# -- committed generated corpora ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["gen_qa2d_long_100.conllu", "gen_convert_mc_200.conllu"])
+def test_parsed_corpus_matches_full_scans_and_token_rebuild(fixtures_dir, name):
+    for sent in load_conllu(fixtures_dir / name):
+        tokens = tuple(sent.tokens)
+        assert sent.root.id == sent.root_id == oracles.oracle_root(tokens)
+        for tid in range(1, len(tokens) + 1):
+            assert [t.id for t in sent.children(tid)] == oracles.oracle_children(tokens, tid)
+            assert list(sent.child_ids(tid)) == oracles.oracle_children(tokens, tid)
+            assert sent.subtree_ids(tid) == oracles.oracle_subtree_ids(tokens, tid)
+        rebuilt = DepSentence(tokens=tokens, text=sent.text, sent_id=sent.sent_id)
+        assert rebuilt == sent and hash(rebuilt) == hash(sent) and repr(rebuilt) == repr(sent)
+        assert sent.tokens == tokens and hash(sent.tokens) == hash(tokens)
+        assert repr(sent.tokens) == repr(tokens)
+
+
+def test_load_retains_little_and_pools_equal_strings(fixtures_dir):
+    path = fixtures_dir / "gen_qa2d_long_100.conllu"
+    tracemalloc.start()
+    try:
+        sentences = load_conllu(path)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_tokens = sum(len(sent) for sent in sentences)
+    assert n_tokens == 5267
+    assert retained / n_tokens <= 175  # bytes per token, pool and index included
+    first = {}
+    for sent in sentences:
+        for column in (sent.form, sent.lemma, sent.upos, sent.deprel):
+            for value in column:
+                if value is not None:
+                    assert first.setdefault(value, value) is value
+    assert len(first) < n_tokens / 10

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from qa2nli import nli
-from qa2nli.conllu import DepSentence, DepToken
-from qa2nli.engine import plan_question
+from qa2nli.conllu import DepSentence, DepToken, index_by_sent_id, load_conllu
+from qa2nli.engine import EngineConfig, QuestionPlan, plan_question
 from qa2nli.errors import DatasetError
 from qa2nli.nli import (
     AnswerOption,
@@ -370,3 +370,70 @@ def test_label_and_provenance_render_as_plain_strings():
     assert str(Label.ENTAILED) == "entailed"
     assert str(Provenance.INCORRECT_OPTION) == "incorrect_option"
     assert f"{Label.NOT_ENTAILED}" == "not_entailed"
+
+
+def test_build_pairs_realizes_only_rank_1(monkeypatch, fixtures_dir, qa2d_parses):
+    examples = attach_parses(
+        load_qa_jsonl(fixtures_dir / "qa2d_fixtures.jsonl", "span"), qa2d_parses
+    )
+    realized = []
+    realize = QuestionPlan.realize
+
+    def counting_realize(plan, answer):
+        candidates = realize(plan, answer)
+        realized.append(len(candidates))
+        return candidates
+
+    monkeypatch.setattr(QuestionPlan, "realize", counting_realize)
+    assert build_pairs(examples, EngineConfig(emit_alternatives=3)) == build_pairs(examples)
+    assert len(realized) == 104 and set(realized) == {1}  # 52 answers, two builds
+
+
+# -- invariants on the committed generated corpora ----------------------------
+
+GENERATED = [("gen_qa2d_long_100", "span"), ("gen_convert_mc_200", "multichoice")]
+
+
+def _generated(fixtures_dir, stem, schema):
+    examples = load_qa_jsonl(fixtures_dir / f"{stem}.jsonl", schema)
+    parses = index_by_sent_id(load_conllu(fixtures_dir / f"{stem}.conllu"))
+    return attach_parses(examples, parses)
+
+
+@pytest.mark.parametrize(("stem", "schema"), GENERATED)
+@pytest.mark.parametrize("copy_wh_phrase", [False, True])
+def test_generated_candidate_texts_are_distinct(fixtures_dir, stem, schema, copy_wh_phrase):
+    config = EngineConfig(emit_alternatives=3, copy_wh_phrase=copy_wh_phrase)
+    answers = alternatives = 0
+    for item in nli._rewrites(_generated(fixtures_dir, stem, schema), config):
+        if isinstance(item, nli.SkipRecord):
+            continue
+        texts = [c.text for c in item[3]]
+        assert len(set(texts)) == len(texts), (item[0], texts)
+        assert [c.rank for c in item[3]] == list(range(1, len(texts) + 1))
+        answers += 1
+        alternatives += len(texts) > 1
+    assert answers and alternatives  # some answers do get alternatives
+
+
+@pytest.mark.parametrize(("stem", "schema"), GENERATED)
+def test_generated_labels_follow_provenance(fixtures_dir, stem, schema):
+    examples = _generated(fixtures_dir, stem, schema)
+    by_id = {ex.id: ex for ex in examples}
+    result = build_pairs(examples, negatives="all")
+    rewritten = set()
+    for pair in result.pairs:
+        example_id, n = pair.id.rsplit(":", 1)
+        example = by_id[example_id]
+        if pair.provenance is Provenance.CORRECT_ANSWER:
+            assert pair.label is Label.ENTAILED and n == "0"
+        else:
+            assert pair.provenance is Provenance.INCORRECT_OPTION
+            assert pair.label is Label.NOT_ENTAILED
+        assert pair.premise == example.passage
+        rewritten.add(example_id)
+    # every example is rewritten, or skipped whole, at analysis
+    skipped = {s.example_id for s in result.skips}
+    assert {s.stage for s in result.skips} == {"analysis"}
+    assert rewritten | skipped == set(by_id) and not rewritten & skipped
+    assert len(result.pairs) == sum(len(by_id[i].options) for i in rewritten)
