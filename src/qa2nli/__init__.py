@@ -6,119 +6,31 @@ their passages as labeled premise/hypothesis examples (nli), scored
 against references (metrics), and checked for annotation artifacts
 (artifacts). The conllu module reads and writes the dependency format
 everything else consumes.
+
+Each module's __all__ declares its public names, and the package exports
+all of them. The cli module is left out, so importing the package does not
+import argparse and csv.
 """
 
-from .analysis import QuestionType, WhAnalysis, analyze, classify_question
-from .artifacts import LengthStats, PmiEntry, PmiTable, length_histogram, pmi, word_overlap
-from .conllu import (
-    DepSentence,
-    DepToken,
-    index_by_sent_id,
-    load_conllu,
-    parse_conllu,
-    to_conllu,
-)
-from .engine import (
-    DeclarativeCandidate,
-    EngineConfig,
-    PrepositionTable,
-    QuestionPlan,
-    insert_article,
-    plan_question,
-    realize,
-    transform,
-    undo_inversion,
-)
-from .errors import (
-    AnalysisError,
-    ConlluFormatError,
-    ConlluStructureError,
-    DatasetError,
-    NotWhQuestionError,
-    PipelineError,
-    TransformError,
-)
-from .metrics import (
-    EvalRecord,
-    EvalReport,
-    bleu_corpus,
-    evaluate,
-    exact_match,
-    load_eval_records,
-    normalize,
-    sentence_bleu,
-    topk_match,
-)
-from .morphology import VerbLexicon, reinflect
-from .nli import (
-    AnswerOption,
-    BuildResult,
-    Label,
-    NliPair,
-    Provenance,
-    QAExample,
-    SkipRecord,
-    attach_parses,
-    build_pairs,
-    load_qa_jsonl,
-    write_nli_jsonl,
-)
+from . import analysis, artifacts, conllu, engine, errors, metrics, morphology, nli
+from .analysis import *  # noqa: F403
+from .artifacts import *  # noqa: F403
+from .conllu import *  # noqa: F403
+from .engine import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .morphology import *  # noqa: F403
+from .nli import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisError",
-    "AnswerOption",
-    "BuildResult",
-    "ConlluFormatError",
-    "ConlluStructureError",
-    "DatasetError",
-    "DeclarativeCandidate",
-    "DepSentence",
-    "DepToken",
-    "EngineConfig",
-    "EvalRecord",
-    "EvalReport",
-    "Label",
-    "LengthStats",
-    "NliPair",
-    "NotWhQuestionError",
-    "PipelineError",
-    "PmiEntry",
-    "PmiTable",
-    "PrepositionTable",
-    "Provenance",
-    "QAExample",
-    "QuestionPlan",
-    "QuestionType",
-    "SkipRecord",
-    "TransformError",
-    "VerbLexicon",
-    "WhAnalysis",
-    "analyze",
-    "attach_parses",
-    "bleu_corpus",
-    "build_pairs",
-    "classify_question",
-    "evaluate",
-    "exact_match",
-    "index_by_sent_id",
-    "insert_article",
-    "length_histogram",
-    "load_conllu",
-    "load_eval_records",
-    "load_qa_jsonl",
-    "normalize",
-    "parse_conllu",
-    "plan_question",
-    "pmi",
-    "realize",
-    "reinflect",
-    "sentence_bleu",
-    "to_conllu",
-    "topk_match",
-    "transform",
-    "undo_inversion",
-    "word_overlap",
-    "write_nli_jsonl",
+    *analysis.__all__,
+    *artifacts.__all__,
+    *conllu.__all__,
+    *engine.__all__,
+    *errors.__all__,
+    *metrics.__all__,
+    *morphology.__all__,
+    *nli.__all__,
 ]

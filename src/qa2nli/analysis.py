@@ -10,8 +10,12 @@ Conventions assumed of the parses are UD-flavored: auxiliaries hang off the
 main predicate with deprel aux/aux:pass, copulas with cop (predicate
 nominals head copular clauses, so "What is X?" has the wh word as root),
 adpositions attach to their complement with case, and stranded prepositions
-stay dependents of the extracted word. Stanford-basic-style labels
-(nsubjpass, auxpass, prep) are accepted where they differ only in spelling.
+stay dependents of the extracted word. Stanford-basic labels that only
+rename a UD relation (nsubjpass, auxpass, dobj, poss, ...) are read as
+their UD labels. A prep -> pobj phrase is not converted, because there the
+preposition heads its object: the preposition is taken for a stranded one,
+so such a question can be rewritten wrongly ("In which city did Liz
+live?" + "Paris" gives "In Paris Liz lived.").
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from dataclasses import dataclass
 
 from .conllu import DepSentence
 from .errors import AnalysisError, NotWhQuestionError
+
+__all__ = ["QuestionType", "WhAnalysis", "analyze", "classify_question"]
 
 
 class QuestionType(enum.Enum):

@@ -35,6 +35,15 @@ from typing import Iterable, Iterator
 
 from .errors import ConlluFormatError, ConlluStructureError, DatasetError
 
+__all__ = [
+    "DepSentence",
+    "DepToken",
+    "index_by_sent_id",
+    "load_conllu",
+    "parse_conllu",
+    "to_conllu",
+]
+
 _COLUMNS = 10
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(.+?)\s*$")
 _TEXT_RE = re.compile(r"^#\s*text\s*=\s*(.+?)\s*$")
@@ -42,6 +51,28 @@ _RANGE_ID_RE = re.compile(r"^\d+-\d+$", re.ASCII)
 _EMPTY_ID_RE = re.compile(r"^\d+\.\d+$", re.ASCII)
 
 
+def _refuse_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls: type) -> type:
+    """Make every attribute assignment and deletion on cls's instances raise
+    FrozenInstanceError.
+
+    The methods that dataclass(frozen=True, slots=True) generates refer to
+    the class as it was before slots=True rebuilt it, so for a name that is
+    not a field they raise TypeError instead.
+    """
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True)
 class DepToken:
     """One syntactic word of a parsed sentence.
@@ -89,11 +120,8 @@ class _Tokens(Sequence):
         for name, column in zip(self.__slots__, columns, strict=True):
             object.__setattr__(self, name, column)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_setattr
+    __delattr__ = _refuse_delattr
 
     def __reduce__(self):
         return _Tokens, self._columns()
@@ -134,6 +162,7 @@ class _Tokens(Sequence):
         return repr(tuple(self))
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class DepSentence:
     """A dependency tree over tokens with ids 1..n.
@@ -435,21 +464,10 @@ def to_conllu(sentence: DepSentence) -> str:
         lines.append(f"# sent_id = {sentence.sent_id}")
     if sentence.text is not None:
         lines.append(f"# text = {sentence.text}")
-    for t in sentence.tokens:
-        lines.append(
-            "\t".join(
-                (
-                    str(t.id),
-                    t.form,
-                    t.lemma if t.lemma is not None else "_",
-                    t.upos,
-                    t.xpos if t.xpos is not None else "_",
-                    "_",
-                    str(t.head),
-                    t.deprel,
-                    "_",
-                    "_",
-                )
-            )
-        )
+    columns = (sentence.form, sentence.lemma, sentence.upos, sentence.xpos, sentence.head,
+               sentence.deprel)
+    for token_id, (form, lemma, upos, xpos, head, deprel) in enumerate(zip(*columns), 1):
+        lemma = "_" if lemma is None else lemma
+        xpos = "_" if xpos is None else xpos
+        lines.append(f"{token_id}\t{form}\t{lemma}\t{upos}\t{xpos}\t_\t{head}\t{deprel}\t_\t_")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,16 @@ may want to catch and report per item.
 
 from __future__ import annotations
 
+__all__ = [
+    "AnalysisError",
+    "ConlluFormatError",
+    "ConlluStructureError",
+    "DatasetError",
+    "NotWhQuestionError",
+    "PipelineError",
+    "TransformError",
+]
+
 
 class PipelineError(Exception):
     """Base class for errors raised by this package."""

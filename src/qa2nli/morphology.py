@@ -15,6 +15,8 @@ from typing import Iterator, Mapping
 
 from .conllu import _read_lines
 
+__all__ = ["VerbLexicon", "reinflect"]
+
 _VOWELS = "aeiou"
 _SIBILANT_ENDINGS = ("s", "z", "x", "sh", "ch")
 

@@ -186,9 +186,15 @@ def test_load_conllu(tmp_path):
 
 def test_slots_and_index_leave_value_semantics_alone():
     sent = parse_conllu(GOOD)[0]
-    for obj, attr in ((sent, "sent_id"), (sent, "_children"), (sent.tokens[0], "form")):
+    cases = (
+        (sent, "sent_id"), (sent, "_children"), (sent.tokens[0], "form"),
+        (sent, "foo"), (sent, "form"), (sent.tokens[0], "foo"),
+    )
+    for obj, attr in cases:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, attr, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, attr)
     assert not hasattr(sent, "__dict__") and not hasattr(sent.tokens[0], "__dict__")
     twin = parse_conllu(GOOD)[0]
     assert twin is not sent and twin == sent and hash(twin) == hash(sent)

@@ -667,8 +667,49 @@ def test_rewrite_fails_only_with_its_own_errors(sent, answer):
         return
     for config in (EngineConfig(), EngineConfig(copy_wh_phrase=True, emit_alternatives=3)):
         try:
-            cands = plan_question(a, config).realize(answer)
+            plan = plan_question(a, config)
+            cands = plan.realize(answer)
         except TransformError:
             continue
         assert 1 <= len(cands) <= config.emit_alternatives
         assert [c.rank for c in cands] == list(range(1, len(cands) + 1))
+        assert all(c.text.endswith(".") and "?" not in c.text for c in cands)
+        assert plan.realize(answer) == cands
+        _assert_answer_spliced(plan, cands[0], answer)
+
+
+def _assert_answer_spliced(plan, cand, answer):
+    """The answer is one run of cand.tokens, and removing it, the preposition
+    its rules put before it, and the plan's residual nouns after it leaves
+    the plan's body. realize drops '?' tokens, so they are ignored."""
+
+    def spoken(words):
+        return [w for w in words if w != "?"]
+
+    body, residual = spoken(plan.body), spoken(plan.residual)
+    prep = spoken(
+        rule.split(":", 1)[1].split("(")[0]
+        for rule in cand.applied_rules
+        if rule.startswith("prep:") and rule.endswith(("(pied)", "(table)"))
+    )
+    run = insert_article(engine._clean_answer(answer), plan.config.table.article_orgs).split()
+    tokens = list(cand.tokens)
+    splices = [
+        tokens[i - len(prep) : i] == prep
+        and tokens[i + len(run) : i + len(run) + len(residual)] == residual
+        and tokens[: i - len(prep)] + tokens[i + len(run) + len(residual) :] == body
+        for i in range(len(prep), len(tokens) - len(run) + 1)
+        if tokens[i : i + len(run)] == run
+    ]
+    assert True in splices, (tokens, run, prep, plan.body, plan.residual)
+
+
+def test_fixture_rewrites_splice_the_answer(qa2d_parses):
+    # The fixtures hold the Which/How questions whose nouns copy_wh_phrase
+    # keeps as the plan's residual, which the generated trees seldom do.
+    answers = ("Paris", "in 1945", "Monday", "UN", "a draw", "August 16, 1958")
+    for config in (EngineConfig(), EngineConfig(copy_wh_phrase=True, emit_alternatives=3)):
+        for sent in qa2d_parses.values():
+            plan = plan_question(analyze(sent), config)
+            for answer in answers:
+                _assert_answer_spliced(plan, plan.realize(answer)[0], answer)
