@@ -13,8 +13,7 @@ hypothesis counts once. Text is normalized the same way as in metrics.
 from __future__ import annotations
 
 import math
-import statistics
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -90,16 +89,16 @@ def pmi(
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     class_sizes: Counter = Counter()
-    word_class: dict[str, Counter] = {}
+    word_class: defaultdict[str, Counter] = defaultdict(Counter)
     word_total: Counter = Counter()
     n_docs = 0
     for text, label in items:
         label = str(label)
         n_docs += 1
         class_sizes[label] += 1
-        for word in set(normalize(text).split()):
-            word_total[word] += 1
-            word_class.setdefault(label, Counter())[word] += 1
+        words = set(normalize(text).split())
+        word_total.update(words)
+        word_class[label].update(words)
     if n_docs == 0:
         raise ValueError("no items")
     if len(class_sizes) < 2:
@@ -109,7 +108,7 @@ def pmi(
     classes: dict = {}
     for label, size in class_sizes.items():
         scored = []
-        for word, count in word_class.get(label, Counter()).items():
+        for word, count in word_class[label].items():
             value = math.log(
                 ((count + k) * n_docs) / ((word_total[word] + k * n_classes) * size)
             )
@@ -141,10 +140,12 @@ def length_histogram(items: Iterable[tuple[str, str]]) -> dict:
         raise ValueError("no items")
     out: dict = {}
     for label, values in lengths.items():
+        values.sort()  # so counts come in increasing length
+        mid = len(values) // 2
         out[label] = LengthStats(
-            counts=dict(sorted(Counter(values).items())),
-            mean=statistics.fmean(values),
-            median=float(statistics.median(values)),
+            counts=dict(Counter(values)),
+            mean=sum(values) / len(values),
+            median=(values[mid] + values[~mid]) / 2,
         )
     return out
 

@@ -7,10 +7,14 @@ with the order capped at the hypothesis length, which keeps "exact match
 implies 100" true for short sentences. Both are reported on a 0-100 scale.
 
 Both scores are functions of per-sentence counts (lengths plus clipped and
-total n-grams), and corpus BLEU is the score of their sum. So each candidate
-is counted once, each item's references are counted once for all its
-candidates, and the whole-file, per-breakdown-row and top-k corpus BLEU of
-`evaluate` are sums of those counts, not re-scored text.
+total n-grams), and corpus BLEU is the score of their sum. So the
+whole-file, per-breakdown-row and top-k corpus BLEU of `evaluate` are sums
+of per-candidate counts, not re-scored text, and a candidate is counted only
+if a score reads it: rank 1 always, a later rank only while no earlier one
+is an exact match. An exact match's counts follow from its length, so only
+a candidate that matches no reference has its 1- to 4-grams counted (in one
+pass), and only then are its item's references counted, once for all its
+candidates.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -53,26 +58,30 @@ def exact_match(hypothesis: str, references: Sequence[str]) -> bool:
     return any(hyp == normalize(ref) for ref in references)
 
 
-def _tokens(text: str) -> list[str]:
-    return normalize(text).split()
+def _grams(tokens: Sequence[str]) -> Counter:
+    """Counts of the 1- to 4-grams of tokens, in one Counter: a gram's order is its length."""
+    return Counter(chain.from_iterable(zip(*[tokens[i:] for i in range(n)]) for n in range(1, 5)))
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _counts(hyp: Sequence[str], refs: Sequence[Sequence[str]], maxima: dict | None) -> tuple:
+    """BLEU counts: hypothesis length, closest reference length, clipped
+    n-grams for n = 1..4, then total n-grams for n = 1..4.
 
-
-def _bleu_counts(hyp: Sequence[str], ref_lens: Sequence[int], maxima: Sequence[Counter]) -> tuple:
-    """BLEU counts: hypothesis length, closest reference length, then clipped
-    and total n-grams for n = 1..4, clipped by maxima[n - 1]. Ties go to the
-    shorter reference; with no references that length is infinite, so any
-    score summing these counts is 0."""
+    maxima None means hyp is one of refs, so nothing is counted: a length-L
+    hypothesis has max(L - n + 1, 0) n-grams of order n, each clipped to
+    itself, and its closest reference length is L. Otherwise n-grams are
+    clipped by maxima, and reference length ties go to the shorter one; with
+    no references that length is infinite, so any score summing these counts
+    is 0."""
     hyp_len = len(hyp)
-    ref_len = min(ref_lens, key=lambda rl: (abs(rl - hyp_len), rl), default=math.inf)
-    counts = [hyp_len, ref_len]
-    for n, best in enumerate(maxima, start=1):
-        grams = _ngrams(hyp, n)
-        counts += (sum(min(c, best[gram]) for gram, c in grams.items()), sum(grams.values()))
-    return tuple(counts)
+    totals = [max(hyp_len - n, 0) for n in range(4)]
+    if maxima is None:
+        return (hyp_len, hyp_len, *totals, *totals)
+    ref_len = min(map(len, refs), key=lambda rl: (abs(rl - hyp_len), rl), default=math.inf)
+    clipped = [0, 0, 0, 0]
+    for gram, count in _grams(hyp).items():
+        clipped[len(gram) - 1] += min(count, maxima.get(gram, 0))
+    return (hyp_len, ref_len, *clipped, *totals)
 
 
 def _bleu(counts: Sequence[float], smooth: bool = False) -> float:
@@ -85,7 +94,7 @@ def _bleu(counts: Sequence[float], smooth: bool = False) -> float:
     add = 1 if smooth else 0
     log_precision = 0.0
     for n in range(n_max):
-        clipped, total = counts[2 + 2 * n] + add, counts[3 + 2 * n] + add
+        clipped, total = counts[2 + n] + add, counts[6 + n] + add
         if clipped == 0:
             return 0.0
         log_precision += math.log(clipped / total) / n_max
@@ -107,7 +116,7 @@ def bleu_corpus(hypotheses: Sequence[str], references: Sequence[Sequence[str]]) 
         raise ValueError("hypothesis and reference counts differ")
     if not hypotheses:
         return 0.0
-    return _bleu(_summed(_scored([h], refs)[0][1] for h, refs in zip(hypotheses, references)))
+    return _bleu(_summed(_picks([h], refs)[0][1] for h, refs in zip(hypotheses, references)))
 
 
 def sentence_bleu(hypothesis: str, references: Sequence[str]) -> float:
@@ -116,28 +125,28 @@ def sentence_bleu(hypothesis: str, references: Sequence[str]) -> float:
     The maximum n-gram order is min(4, hypothesis length), so an exact
     match always scores 100 no matter how short the sentence is.
     """
-    return _bleu(_scored([hypothesis], references)[0][1], smooth=True)
+    return _bleu(_picks([hypothesis], references)[0][1], smooth=True)
 
 
-def _scored(candidates: Sequence[str], references: Sequence[str]) -> list[tuple[bool, tuple]]:
-    """(exact match, BLEU counts) of each candidate. The references are
-    tokenized and counted once for all candidates: their lengths, and the
-    max count of each n-gram over them for n = 1..4."""
-    refs = [_tokens(r) for r in references]
-    maxima = [Counter() for _ in range(4)]
-    for ref in refs:
-        for n, best in enumerate(maxima, start=1):
-            best |= _ngrams(ref, n)
-    ref_lens = [len(r) for r in refs]
-    return [(hyp in refs, _bleu_counts(hyp, ref_lens, maxima)) for hyp in map(_tokens, candidates)]
-
-
-def _best(scored: Sequence[tuple[bool, tuple]]) -> tuple[bool, tuple]:
-    """The first exact match, else the highest sentence BLEU (ties keep the lower rank)."""
-    for item in scored:
-        if item[0]:
-            return item
-    return max(scored, key=lambda item: _bleu(item[1], smooth=True))
+def _picks(candidates: Sequence[str], references: Sequence[str]) -> tuple[tuple, tuple]:
+    """(exact match, BLEU counts) of the rank-1 candidate and of the best one:
+    the first exact match, else the highest sentence BLEU (ties keep the
+    lower rank). Only what a score reads is counted: no candidate after the
+    first exact match is tokenized, an exact match's counts follow from its
+    length, and the references' n-grams (the max count of each over them)
+    are counted once, and only if rank 1 is not an exact match."""
+    refs = [normalize(r).split() for r in references]
+    scored = []
+    for hyp in (normalize(c).split() for c in candidates):
+        if hyp in refs:
+            exact = (True, _counts(hyp, refs, None))
+            return (scored[0] if scored else exact), exact
+        if not scored:  # rank 1 is not an exact match
+            maxima = {}
+            for grams in map(_grams, refs):
+                maxima.update({gram: c for gram, c in grams.items() if c > maxima.get(gram, 0)})
+        scored.append((False, _counts(hyp, refs, maxima)))
+    return scored[0], max(scored, key=lambda item: _bleu(item[1], smooth=True))
 
 
 def _rates(scored: Sequence[tuple[bool, tuple]]) -> tuple[float, float]:
@@ -165,7 +174,7 @@ def topk_match(
     for cands, refs in zip(candidate_groups, references):
         if not cands:
             raise ValueError("empty candidate group")
-        best.append(_best(_scored(cands, refs)))
+        best.append(_picks(cands, refs)[1])
     return _rates(best)
 
 
@@ -253,7 +262,8 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
     Rank-1 candidates drive exact match and corpus BLEU; the top-k scores
     consider the first k candidates per item (all of them when k is None).
     Records missing qtype or qa_length are left out of the corresponding
-    breakdown. Each candidate is counted once; every row sums those counts.
+    breakdown. A candidate is counted only if a score reads it, at most
+    once; every row sums those counts.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
@@ -264,10 +274,9 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
             raise ValueError(f"record {record.id!r} has no candidates")
     depth = k if k is not None else max(len(r.candidates) for r in records)
 
-    scored = [_scored(r.candidates[:depth], r.references) for r in records]
-    rank1 = [s[0] for s in scored]
+    rank1, best = zip(*(_picks(r.candidates[:depth], r.references) for r in records))
     overall = _row(rank1)
-    topk_exact, topk_bleu = _rates([_best(s) for s in scored])
+    topk_exact, topk_bleu = _rates(best)
 
     by_qtype: dict = {}
     for qtype in sorted({r.qtype for r in records if r.qtype is not None}):

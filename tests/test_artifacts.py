@@ -1,6 +1,8 @@
 """PMI giveaway detection, length histograms, and overlap probes."""
 
 import math
+import random
+import statistics
 
 import pytest
 
@@ -117,6 +119,15 @@ def test_length_histogram():
     assert stats["n"].counts == {1: 1}
     with pytest.raises(ValueError, match="no items"):
         length_histogram([])
+    # mean and median equal the statistics module's, bit for bit, for odd and
+    # even counts of unsorted lengths; counts come in increasing length
+    rng = random.Random(113)
+    for _ in range(200):
+        lengths = [rng.randint(1, 40) for _ in range(rng.randint(1, 9))]
+        stats = length_histogram([(" ".join("w" * n), "e") for n in lengths])["e"]
+        assert stats.mean == statistics.fmean(lengths)
+        assert stats.median == float(statistics.median(lengths))
+        assert list(stats.counts) == sorted(set(lengths))
 
 
 def test_word_overlap():

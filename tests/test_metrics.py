@@ -99,9 +99,41 @@ def test_sentence_bleu_edge_cases():
 
 _WORDS = ["the", "cat", "dog", "sat", "ran", "on", "mat", "rug", "fast", "slow"]
 
+# (ranked candidates, references) that the counting shortcuts treat apart: an
+# exact match is not n-gram-counted, a candidate after the first exact match
+# is not read, and an item's references are counted only if rank 1 misses.
+# The oracle tests below score these along with their random inputs.
+_EDGE_GROUPS = [
+    # first exact match at rank 3, after two misses; rank 3 is also one
+    (["the cat", "a dog sat fast", "The cat sat.", "the cat sat"], ["the cat sat"]),
+    # first exact match at rank 2, to one of references of different lengths
+    (["the cat sat on a rug", "The cat sat on the mat!", "cat"],
+     ["the cat", "the cat sat on the mat", "a cat sat on the rug now"]),
+    # exact match at rank 1, to one of references of equal lengths
+    (["A dog ran fast.", "the cat"], ["the cat sat", "a dog ran", "a dog ran fast"]),
+    (["the cat sat", "the dog"], ["a dog ran", "the cat sat"]),
+    # repeated n-grams: clips of 2 and 3 against references that repeat them
+    (["the cat the cat the cat on", "the the the the"],
+     ["the cat the cat on the mat", "on the the the cat"]),
+    (["the cat the cat the cat", "the cat the cat"], ["the cat the cat the", "a cat"]),
+    # a hypothesis that normalizes to nothing, before and after a miss
+    (["...", "the cat"], ["the cat sat"]),
+    (["the cat", "!?"], ["the cat sat"]),
+    # a reference that normalizes to nothing; then both, an empty exact match
+    (["the cat", "sat"], ["!!!", "the cat sat"]),
+    (["...", "sat"], ["?", "the cat"]),
+    # length 1 to 3 exact matches, where sentence BLEU caps its order
+    (["Cat.", "cat sat"], ["cat", "the cat"]),
+    (["dog ran", "cat sat"], ["the cat", "cat sat"]),
+]
+
 
 def test_bleu_matches_oracle_on_random_corpora():
     rng = random.Random(411)
+    cases = []
+    for cands, refs in _EDGE_GROUPS:
+        cases.append((cands, [refs] * len(cands)))
+        cases += [([cand], [refs]) for cand in cands]
     for _ in range(50):
         n = rng.randint(1, 6)
         hyps = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 12))) for _ in range(n)]
@@ -110,6 +142,8 @@ def test_bleu_matches_oracle_on_random_corpora():
              for _ in range(rng.randint(1, 3))]
             for _ in range(n)
         ]
+        cases.append((hyps, refs))
+    for hyps, refs in cases:
         assert bleu_corpus(hyps, refs) == pytest.approx(
             oracles.oracle_corpus_bleu(hyps, refs), abs=1e-9
         )
@@ -162,6 +196,12 @@ def test_topk_rate_non_decreasing_in_k():
 
 def test_topk_matches_oracle_on_random_groups():
     rng = random.Random(523)
+    # every edge group under each cut: k = 1, 2, 3 and the whole list
+    cases = [
+        ([cands[:k] for cands, _ in _EDGE_GROUPS], [refs for _, refs in _EDGE_GROUPS])
+        for k in (1, 2, 3, None)
+    ]
+    cases += [([cands[:k]], [refs]) for cands, refs in _EDGE_GROUPS for k in (1, 2, 3, None)]
     for _ in range(50):
         n = rng.randint(1, 6)
         refs = [
@@ -176,6 +216,8 @@ def test_topk_matches_oracle_on_random_groups():
             if rng.random() < 0.4:
                 cands[rng.randrange(len(cands))] = rng.choice(item_refs).upper() + "."
             groups.append(cands)
+        cases.append((groups, refs))
+    for groups, refs in cases:
         rate, bleu = topk_match(groups, refs)
         want_rate, want_bleu = oracles.oracle_topk(groups, refs)
         assert rate == pytest.approx(want_rate, abs=1e-9)
@@ -276,6 +318,12 @@ def test_report_serialization():
 
 def test_evaluate_scores_match_oracle_on_random_records():
     rng = random.Random(617)
+    edge = [
+        EvalRecord(f"e{i}", tuple(cands), tuple(refs), qtype="Who" if i % 2 else "What",
+                   qa_length=5 * i)
+        for i, (cands, refs) in enumerate(_EDGE_GROUPS)
+    ]
+    batches = [(edge, k) for k in (None, 1, 2, 3)]
     for _ in range(30):
         records = []
         for i in range(rng.randint(1, 12)):
@@ -292,7 +340,8 @@ def test_evaluate_scores_match_oracle_on_random_records():
                 qtype=rng.choice(["Who", "What", "When", None]),
                 qa_length=rng.choice([None, rng.randint(1, 40)]),
             ))
-        k = rng.choice([None, 1, 2, 3])
+        batches.append((records, rng.choice([None, 1, 2, 3])))
+    for records, k in batches:
         report = evaluate(records, k=k)
 
         def oracle_row(group):
