@@ -84,6 +84,11 @@ def pmi(
         ValueError: fewer than two distinct labels, no items, k < 0 or
             not finite, or top_n < 1.
     """
+    return _pmi(((normalize(text).split(), label) for text, label in items), k, top_n)
+
+
+def _pmi(docs: Iterable[tuple[list[str], str]], k: float, top_n: int) -> PmiTable:
+    """pmi of (normalized words, label) pairs."""
     if not (k >= 0 and math.isfinite(k)):  # also rejects NaN
         raise ValueError(f"k must be >= 0 and finite, got {k}")
     if top_n < 1:
@@ -91,20 +96,18 @@ def pmi(
     class_sizes: Counter = Counter()
     word_class: defaultdict[str, Counter] = defaultdict(Counter)
     word_total: Counter = Counter()
-    n_docs = 0
-    for text, label in items:
+    for words, label in docs:
         label = str(label)
-        n_docs += 1
         class_sizes[label] += 1
-        words = set(normalize(text).split())
+        words = set(words)
         word_total.update(words)
         word_class[label].update(words)
-    if n_docs == 0:
+    if not class_sizes:
         raise ValueError("no items")
     if len(class_sizes) < 2:
         raise ValueError("need at least two distinct labels for PMI")
 
-    n_classes = len(class_sizes)
+    n_docs, n_classes = sum(class_sizes.values()), len(class_sizes)
     classes: dict = {}
     for label, size in class_sizes.items():
         scored = []
@@ -133,9 +136,14 @@ def length_histogram(items: Iterable[tuple[str, str]]) -> dict:
     Raises:
         ValueError: no items.
     """
+    return _length_histogram((normalize(text).split(), label) for text, label in items)
+
+
+def _length_histogram(docs: Iterable[tuple[list[str], str]]) -> dict:
+    """length_histogram of (normalized words, label) pairs."""
     lengths: dict[str, list[int]] = {}
-    for text, label in items:
-        lengths.setdefault(str(label), []).append(len(normalize(text).split()))
+    for words, label in docs:
+        lengths.setdefault(str(label), []).append(len(words))
     if not lengths:
         raise ValueError("no items")
     out: dict = {}
@@ -158,8 +166,12 @@ def word_overlap(question: str, passage: str) -> float:
     Raises:
         ValueError: the question has no words after normalization.
     """
-    q_types = set(normalize(question).split())
+    return _word_overlap(normalize(question).split(), set(normalize(passage).split()))
+
+
+def _word_overlap(words: list[str], p_types: set[str]) -> float:
+    """word_overlap of normalized question words and a passage's word set."""
+    q_types = set(words)
     if not q_types:
         raise ValueError("question has no content words")
-    p_types = set(normalize(passage).split())
     return 100.0 * len(q_types & p_types) / len(q_types)

@@ -21,23 +21,23 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import os
 import sys
-from collections import Counter
 from typing import Iterator, Sequence, TextIO
 
-from .artifacts import length_histogram, pmi, word_overlap
+from .artifacts import _length_histogram, _pmi, _word_overlap
 from .conllu import index_by_sent_id, load_conllu
-from .engine import EngineConfig
+from .engine import DeclarativeCandidate, EngineConfig
 from .errors import DatasetError, PipelineError
-from .metrics import evaluate, load_eval_records
+from .metrics import evaluate, load_eval_records, normalize
 from .nli import (
     NEGATIVE_POLICIES,
     SCHEMAS,
     SkipRecord,
     _rewrites,
+    _to_json,
+    _write_pairs,
     attach_parses,
     build_pairs,
     load_qa_jsonl,
@@ -81,7 +81,7 @@ def _smoothing(text: str) -> float:
 def _report_skips(skips: Sequence[SkipRecord], written: str) -> None:
     """One JSON line per skip on stderr, then "qa2nli: <written>, N skipped"."""
     for skip in skips:
-        print(json.dumps(skip.to_dict(), ensure_ascii=False), file=sys.stderr)
+        print(_to_json(skip.to_dict()), file=sys.stderr)
     print(f"qa2nli: {written}, {len(skips)} skipped", file=sys.stderr)
 
 
@@ -102,6 +102,19 @@ def _load_examples(args: argparse.Namespace, schema: str):
     return attach_parses(examples, parses)
 
 
+def _write_declaratives(out: TextIO, example_id: str, cands: Sequence[DeclarativeCandidate]) -> int:
+    """Write one qa2d row per candidate in cands, each the line json.dumps(row,
+    ensure_ascii=False) gives for {id, declarative, rank, applied_rules}.
+
+    The id is encoded once for all the candidates.
+    """
+    head = f'{{"id": {_to_json(example_id)}, "declarative": '
+    for cand in cands:
+        rules = _to_json(cand.applied_rules)
+        out.write(f'{head}{_to_json(cand.text)}, "rank": {cand.rank}, "applied_rules": {rules}}}\n')
+    return len(cands)
+
+
 def _cmd_qa2d(args: argparse.Namespace) -> int:
     examples = _load_examples(args, "span")
     skips: list[SkipRecord] = []
@@ -110,17 +123,8 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
         for item in _rewrites(examples, _engine_config(args)):
             if isinstance(item, SkipRecord):
                 skips.append(item)
-                continue
-            _, example, _, candidates = item
-            for cand in candidates:
-                row = {
-                    "id": example.id,
-                    "declarative": cand.text,
-                    "rank": cand.rank,
-                    "applied_rules": list(cand.applied_rules),
-                }
-                out.write(json.dumps(row, ensure_ascii=False) + "\n")
-                written += 1
+            else:  # (pair id, example, provenance, ranked candidates)
+                written += _write_declaratives(out, item[1].id, item[3])
     _report_skips(skips, f"{written} declaratives written")
     return 0
 
@@ -131,10 +135,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         examples, _engine_config(args), negatives=args.negatives, seed=args.seed
     )
     with _open_out(args.output) as out:
-        for pair in result.pairs:
-            out.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
-    by_provenance = Counter(pair.provenance.value for pair in result.pairs)
-    breakdown = " ".join(f"{k}={v}" for k, v in sorted(by_provenance.items()))
+        by_provenance = _write_pairs(result.pairs, out)
+    breakdown = " ".join(f"{k.value}={v}" for k, v in sorted(by_provenance.items()))
     _report_skips(result.skips, f"{len(result.pairs)} pairs written ({breakdown or 'none'})")
     return 0
 
@@ -147,33 +149,30 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    rows: list[dict] = []
+    # Each hypothesis is split into normalized words once, and each distinct
+    # premise once: convert writes a passage as the premise of every pair of
+    # its question.
+    docs: list[tuple[list[str], str]] = []
+    rows: list[tuple[int, str]] = []
     for line_no, obj in read_jsonl(args.pairs):
-        rows.append(
-            {
-                "line_no": line_no,
-                "premise": require_key(obj, "premise", str, line_no, args.pairs),
-                "hypothesis": require_key(obj, "hypothesis", str, line_no, args.pairs),
-                "label": require_key(obj, "label", str, line_no, args.pairs),
-            }
-        )
-    if not rows:
+        rows.append((line_no, require_key(obj, "premise", str, line_no, args.pairs)))
+        words = normalize(require_key(obj, "hypothesis", str, line_no, args.pairs)).split()
+        docs.append((words, require_key(obj, "label", str, line_no, args.pairs)))
+    if not docs:
         raise ValueError(f"{args.pairs}: no pairs")
-    items = [(row["hypothesis"], row["label"]) for row in rows]
-    table = pmi(items, k=args.smoothing, top_n=args.top)
+    table = _pmi(docs, args.smoothing, args.top)
     # Everything the text report needs is computed before the output is
     # opened, so a bad line leaves nothing written.
     overlaps: dict[str, list[float]] = {}
     if args.format == "text":
-        lengths = sorted(length_histogram(items).items())
-        for row in rows:
+        lengths = sorted(_length_histogram(docs).items())
+        premise_types = {p: set(normalize(p).split()) for p in {p for _, p in rows}}
+        for (words, label), (line_no, premise) in zip(docs, rows):
             try:
-                overlap = word_overlap(row["hypothesis"], row["premise"])
+                overlap = _word_overlap(words, premise_types[premise])
             except ValueError as exc:
-                raise DatasetError(
-                    "hypothesis has no words", row["line_no"], args.pairs
-                ) from exc
-            overlaps.setdefault(row["label"], []).append(overlap)
+                raise DatasetError("hypothesis has no words", line_no, args.pairs) from exc
+            overlaps.setdefault(label, []).append(overlap)
 
     with _open_out(args.output) as out:
         if args.format == "csv":

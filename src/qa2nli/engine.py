@@ -11,6 +11,14 @@ plan_question does everything else once per question and returns a
 QuestionPlan; its realize method then rewrites one answer at a time.
 transform does both steps for a single answer.
 
+A plan also pre-joins its sentence around the answer slot, with realize's
+spacing: the words before the slot, and the words after it but the first.
+That spacing depends only on a token and the character before it, so a
+plan's realize joins just the preposition, answer and residual nouns onto
+the words before, then the first word after (the second seam), appends the
+rest as it is, and capitalizes and ends the sentence as realize does. The
+cost per answer follows the answer's length, not the question's.
+
 Where the answer lands depends on what the wh phrase was doing:
 
 * subject questions splice the answer in place of the phrase;
@@ -43,7 +51,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import _AUX_BASES, QuestionType, WhAnalysis, _base, _cut_subtree
 from .conllu import DepSentence
@@ -359,6 +367,35 @@ def _clean_answer(answer: str) -> str:
     return a
 
 
+_CLOSING = frozenset({",", ".", ";", ":", "!", "%", ")", "]", "}", "n't"})
+
+
+def _spoken(tokens: Iterable[str]) -> tuple[str, ...]:
+    """The tokens a sentence keeps: empty tokens and '?' go."""
+    return tuple(t for t in tokens if t and t != "?")
+
+
+def _join(tokens: Iterable[str], text: str = "") -> str:
+    """text with tokens appended, each after one space, except none at the
+    start, before closing punctuation or a clitic, or after an opening bracket."""
+    for tok in tokens:
+        if text and not (tok in _CLOSING or tok.startswith("'") or text[-1] in "([{"):
+            text += " "
+        text += tok
+    return text
+
+
+def _sentence(text: str) -> str:
+    """text with its first letter uppercased, ending with "."."""
+    if not text:
+        raise ValueError("nothing to realize")
+    for i, ch in enumerate(text):
+        if ch.isalpha():
+            text = text[:i] + ch.upper() + text[i + 1 :]
+            break
+    return text if text.endswith(".") else text + "."
+
+
 def realize(tokens: Sequence[str]) -> str:
     """Join tokens into a sentence.
 
@@ -370,25 +407,38 @@ def realize(tokens: Sequence[str]) -> str:
     Raises:
         ValueError: no tokens left to realize.
     """
-    toks = [t for t in tokens if t and t != "?"]
-    if not toks:
-        raise ValueError("nothing to realize")
-    pieces = [toks[0]]
-    for tok in toks[1:]:
-        glue = " "
-        if tok in {",", ".", ";", ":", "!", "%", ")", "]", "}"} or tok.startswith("'") or tok == "n't":
-            glue = ""
-        elif pieces[-1] and pieces[-1][-1] in "([{":
-            glue = ""
-        pieces.append(glue + tok)
-    text = "".join(pieces)
-    for i, ch in enumerate(text):
-        if ch.isalpha():
-            text = text[:i] + ch.upper() + text[i + 1 :]
-            break
-    if not text.endswith("."):
-        text += "."
-    return text
+    return _sentence(_join(_spoken(tokens)))
+
+
+class _Frame(NamedTuple):
+    """The words around an answer slot, joined once as realize joins them.
+
+    A token's space depends only on the token and the character before it,
+    so fill joins the slot's tokens and the tail's first token onto head,
+    then appends the rest of the tail as it is.
+    """
+
+    head: str
+    head_tokens: tuple[str, ...]
+    tail_tokens: tuple[str, ...]
+    rest: str  # the joined tail after its first token
+
+    def fill(self, middle: Iterable[str], rules: tuple[str, ...], rank: int) -> DeclarativeCandidate:
+        """The candidate with middle's tokens in the slot."""
+        middle = _spoken(middle)
+        text = _join((*middle, *self.tail_tokens[:1]), self.head) + self.rest
+        tokens = self.head_tokens + middle + self.tail_tokens
+        try:
+            return DeclarativeCandidate(_sentence(text), tokens, (*rules, "realize"), rank)
+        except ValueError as exc:  # nothing left, or a '?' inside an answer token
+            raise TransformError(str(exc)) from exc
+
+
+def _frame(words: Sequence[str], cut: int) -> _Frame:
+    """The frame of an answer slot before words[cut]."""
+    head_tokens, tail_tokens = _spoken(words[:cut]), _spoken(words[cut:])
+    rest = _join(tail_tokens)[len(tail_tokens[0]) :] if tail_tokens else ""
+    return _Frame(_join(head_tokens), head_tokens, tail_tokens, rest)
 
 
 def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
@@ -411,25 +461,14 @@ def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
     return (positions[-1] + 1 if positions else len(seq)), "insert:attachment_end"
 
 
-def _candidate(tokens: list[str], rules: tuple[str, ...], rank: int) -> DeclarativeCandidate:
-    try:
-        return DeclarativeCandidate(
-            text=realize(tokens),
-            tokens=tuple(t for t in tokens if t and t != "?"),
-            applied_rules=(*rules, "realize"),
-            rank=rank,
-        )
-    except ValueError as exc:  # nothing left, or a '?' inside the answer
-        raise TransformError(str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class QuestionPlan:
     """The answer-independent half of a rewrite, built by plan_question.
 
     A plan is built once per question and realized once per answer, so a
-    multichoice item pays for de-inversion, wh-phrase deletion and the
-    insertion-site search once rather than once per option.
+    multichoice item pays for de-inversion, wh-phrase deletion, the
+    insertion-site search and joining the body around the answer slot once
+    rather than once per option.
     """
 
     analysis: WhAnalysis
@@ -444,6 +483,12 @@ class QuestionPlan:
     # prep), ("when", ""), ("where", attachment lemma) or ("none", "").
     link: tuple[str, str] | None
     flip_body: tuple[str, ...] | None  # copula + subject for "Answer is X's Y."
+    # body pre-joined around the answer slot; derived, so it takes no part
+    # in == or repr.
+    _slot: _Frame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_slot", _frame(self.body, self.insert_index))
 
     def realize(self, answer: str) -> list[DeclarativeCandidate]:
         """Ranked declaratives for one answer, exactly as transform gives them.
@@ -463,24 +508,13 @@ class QuestionPlan:
         answer_tokens = articled.split()
         options = self._prepositions(answer_clean, table)
 
-        tokens, extra = self._splice(answer_tokens, options[0] if options else None)
-        if self.link is not None and not options:
-            extra = (*extra, "prep:none")
-        candidates = [_candidate(tokens, rules + extra, 1)]
-        if self.config.emit_alternatives > 1:
-            if self.flip_body is not None and answer_tokens[0][:1].isupper():
-                candidates.append(
-                    _candidate(
-                        [*answer_tokens, *self.flip_body],
-                        rules + ("insert:copular_flip",),
-                        len(candidates) + 1,
-                    )
-                )
-            for prep in options[1:]:
-                if len(candidates) >= self.config.emit_alternatives:
-                    break
-                tokens, extra = self._splice(answer_tokens, prep)
-                candidates.append(_candidate(tokens, rules + extra, len(candidates) + 1))
+        candidates = [self._placed(answer_tokens, options[0] if options else None, rules, 1)]
+        cap = self.config.emit_alternatives
+        if cap > 1 and self.flip_body is not None and answer_tokens[0][:1].isupper():
+            flip = _frame(self.flip_body, 0)
+            candidates.append(flip.fill(answer_tokens, (*rules, "insert:copular_flip"), 2))
+        for prep in options[1 : cap - len(candidates) + 1]:  # up to cap candidates
+            candidates.append(self._placed(answer_tokens, prep, rules, len(candidates) + 1))
         return candidates
 
     def _prepositions(self, answer: str, table: PrepositionTable) -> list[str]:
@@ -494,18 +528,14 @@ class QuestionPlan:
             return table.where_options(answer, word)
         return []
 
-    def _splice(
-        self, answer_tokens: list[str], prep: str | None
-    ) -> tuple[list[str], tuple[str, ...]]:
-        """The body with the answer inserted, and the rules that placed it."""
-        head, tail = self.body[: self.insert_index], self.body[self.insert_index :]
+    def _placed(self, answer_tokens: list[str], prep: str | None, rules: tuple, rank: int):
+        """The candidate with the answer in the slot, after prep if there is one."""
         if prep is None:
-            return [*head, *answer_tokens, *self.residual, *tail], self.insert_rules
+            none = ("prep:none",) if self.link is not None else ()
+            return self._slot.fill((*answer_tokens, *self.residual), rules + self.insert_rules + none, rank)
         source = "pied" if self.link[0] == "pied" else "table"
-        return (
-            [*head, prep, *answer_tokens, *self.residual, *tail],
-            (f"prep:{prep}({source})", *self.insert_rules),
-        )
+        rules += (f"prep:{prep}({source})", *self.insert_rules)
+        return self._slot.fill((prep, *answer_tokens, *self.residual), rules, rank)
 
 
 def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> QuestionPlan:

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .analysis import analyze
 from .conllu import DepSentence, _read_lines
@@ -59,6 +59,14 @@ class Provenance(str, Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# One value as json.dumps(value, ensure_ascii=False) writes it.
+_to_json = json.JSONEncoder(ensure_ascii=False).encode
+_PAIR_ENDS = {  # a pair's JSON line after its hypothesis, by label and provenance
+    (lab, prov): ", " + _to_json({"label": lab.value, "provenance": prov.value})[1:] + "\n"
+    for lab in Label for prov in Provenance
+}
 
 
 @dataclass(frozen=True)
@@ -226,7 +234,10 @@ def attach_parses(
     Examples without a parse keep parse=None; build_pairs reports them
     as skips.
     """
-    return [replace(ex, parse=sentences.get(ex.id)) for ex in examples]
+    return [
+        QAExample(ex.id, ex.question, ex.passage, ex.options, ex.answerable, sentences.get(ex.id))
+        for ex in examples
+    ]
 
 
 def _rewrites(
@@ -319,15 +330,28 @@ def build_pairs(
     return BuildResult(pairs=tuple(pairs), skips=tuple(skips))
 
 
+def _write_pairs(pairs: Iterable[NliPair], out: TextIO) -> dict[Provenance, int]:
+    """Write each pair as the line json.dumps(pair.to_dict(), ensure_ascii=False)
+    gives; returns the number of pairs of each Provenance.
+
+    A premise is encoded once per run of pairs that share it.
+    """
+    counts: dict[Provenance, int] = {}
+    premise = middle = None
+    for pair in pairs:
+        if pair.premise != premise:
+            premise, middle = pair.premise, f', "premise": {_to_json(pair.premise)}, "hypothesis": '
+        end = _PAIR_ENDS[pair.label, pair.provenance]
+        out.write(f'{{"id": {_to_json(pair.id)}{middle}{_to_json(pair.hypothesis)}{end}')
+        counts[pair.provenance] = counts.get(pair.provenance, 0) + 1
+    return counts
+
+
 def write_nli_jsonl(pairs: Iterable[NliPair], path: str) -> int:
     """Write pairs as JSON lines, one object per pair, fixed key order.
 
     Returns the number of pairs written. Output is byte-stable for the
     same pairs.
     """
-    count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+        return sum(_write_pairs(pairs, fh).values())

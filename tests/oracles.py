@@ -2,8 +2,10 @@
 
 Deliberately written the slow, obvious way (list scans, no Counter, no
 shared helpers with the package) so that agreement with the package is
-meaningful. Run as a script to print the constants frozen in the metric
-tests:
+meaningful. The one exception is oracle_plan_realize, which takes the
+answer cleanup and preposition choice from the package and redoes only
+the splicing and joining, token by token. Run as a script to print the
+constants frozen in the metric tests:
 
     python3 tests/oracles.py
 """
@@ -181,6 +183,88 @@ def oracle_subtree_ids(tokens, token_id):
 def oracle_root(tokens):
     """Id of the one token whose head is 0."""
     return [t.id for t in tokens if t.head == 0][0]
+
+
+def oracle_realize(tokens):
+    """The package's realize before plans pre-joined their body, kept verbatim:
+    the whole token list joined one token at a time."""
+    toks = [t for t in tokens if t and t != "?"]
+    if not toks:
+        raise ValueError("nothing to realize")
+    pieces = [toks[0]]
+    for tok in toks[1:]:
+        glue = " "
+        if tok in {",", ".", ";", ":", "!", "%", ")", "]", "}"} or tok.startswith("'") or tok == "n't":
+            glue = ""
+        elif pieces[-1] and pieces[-1][-1] in "([{":
+            glue = ""
+        pieces.append(glue + tok)
+    text = "".join(pieces)
+    for i, ch in enumerate(text):
+        if ch.isalpha():
+            text = text[:i] + ch.upper() + text[i + 1 :]
+            break
+    if not text.endswith("."):
+        text += "."
+    return text
+
+
+def oracle_plan_realize(plan, answer):
+    """plan.realize(answer) as it was before plans pre-joined their body: each
+    candidate splices the answer into the plan's whole body and realizes the
+    result with oracle_realize. Returns (text, tokens, applied_rules, rank)
+    per candidate, or raises TransformError with the package's message.
+    """
+    from qa2nli import engine
+    from qa2nli.errors import TransformError
+
+    def candidate(tokens, rules, rank):  # DeclarativeCandidate's checks
+        try:
+            text = oracle_realize(tokens)
+        except ValueError as exc:
+            raise TransformError(str(exc)) from exc
+        if "?" in text:
+            raise TransformError("candidate text may not contain '?'")
+        return text, tuple(t for t in tokens if t and t != "?"), (*rules, "realize"), rank
+
+    def splice(answer_tokens, prep):
+        head, tail = plan.body[: plan.insert_index], plan.body[plan.insert_index :]
+        if prep is None:
+            return [*head, *answer_tokens, *plan.residual, *tail], plan.insert_rules
+        source = "pied" if plan.link[0] == "pied" else "table"
+        return (
+            [*head, prep, *answer_tokens, *plan.residual, *tail],
+            (f"prep:{prep}({source})", *plan.insert_rules),
+        )
+
+    table = plan.config.table
+    answer_clean = engine._clean_answer(answer)
+    if not answer_clean:
+        raise TransformError("answer is empty after trimming")
+    articled = engine.insert_article(answer_clean, table.article_orgs)
+    rules = plan.rules + ("article:the",) if articled != answer_clean else plan.rules
+    answer_tokens = articled.split()
+    options = plan._prepositions(answer_clean, table)
+
+    tokens, extra = splice(answer_tokens, options[0] if options else None)
+    if plan.link is not None and not options:
+        extra = (*extra, "prep:none")
+    candidates = [candidate(tokens, rules + extra, 1)]
+    if plan.config.emit_alternatives > 1:
+        if plan.flip_body is not None and answer_tokens[0][:1].isupper():
+            candidates.append(
+                candidate(
+                    [*answer_tokens, *plan.flip_body],
+                    rules + ("insert:copular_flip",),
+                    len(candidates) + 1,
+                )
+            )
+        for prep in options[1:]:
+            if len(candidates) >= plan.config.emit_alternatives:
+                break
+            tokens, extra = splice(answer_tokens, prep)
+            candidates.append(candidate(tokens, rules + extra, len(candidates) + 1))
+    return candidates
 
 # -- fixed cases --------------------------------------------------------------
 

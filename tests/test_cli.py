@@ -4,6 +4,7 @@ Most tests drive main() in-process for speed; one subprocess test proves the
 module entry point works end to end.
 """
 
+import io
 import json
 import subprocess
 import sys
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from qa2nli import cli
 from qa2nli.cli import main
+from qa2nli.conllu import index_by_sent_id, load_conllu
+from qa2nli.engine import DeclarativeCandidate
 from qa2nli.metrics import evaluate, load_eval_records
-from qa2nli.nli import build_pairs, write_nli_jsonl
+from qa2nli.nli import attach_parses, build_pairs, load_qa_jsonl, write_nli_jsonl
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 QA = str(_FIXTURES / "qa2d_fixtures.jsonl")
@@ -63,6 +67,27 @@ def test_qa2d_idempotent_and_job_invariant(tmp_path):
     _qa2d(b)
     _qa2d(c, "--jobs", "4")
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def test_qa2d_writer_lines_equal_json_dumps(monkeypatch):
+    example_id = 'q "1" \\ ü\u2028\x01'
+    candidates = [
+        DeclarativeCandidate('Zoë said "hi" \\ left.', ("Zoë",), ("qtype:who", "realize"), 1),
+        DeclarativeCandidate("Tab\there\x00\u2029.", ("Tab",), (), 2),
+        DeclarativeCandidate("日本語.", ("日本語",), ("copy_wh_nouns:日本_\u2028\"", "realize"), 12),
+    ]
+    encoded = []
+    to_json = cli._to_json
+    monkeypatch.setattr(cli, "_to_json", lambda value: encoded.append(value) or to_json(value))
+    out = io.StringIO()
+    assert cli._write_declaratives(out, example_id, candidates) == 3
+    rows = [
+        {"id": example_id, "declarative": c.text, "rank": c.rank,
+         "applied_rules": list(c.applied_rules)}
+        for c in candidates
+    ]
+    assert out.getvalue() == "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    assert encoded.count(example_id) == 1  # once per example, not per candidate
 
 
 def test_qa2d_alternatives(tmp_path):
@@ -298,8 +323,20 @@ def test_convert_output_matches_library_writer(tmp_path, multichoice_examples):
     lib = tmp_path / "lib.jsonl"
     for negatives, seed in (("all", 0), ("one-random", 3)):
         assert _convert(out, "--negatives", negatives, "--seed", str(seed)) == 0
-        write_nli_jsonl(build_pairs(multichoice_examples, negatives=negatives, seed=seed).pairs, lib)
+        pairs = build_pairs(multichoice_examples, negatives=negatives, seed=seed).pairs
+        assert write_nli_jsonl(pairs, lib) == len(pairs)
         assert out.read_bytes() == lib.read_bytes(), negatives
+    # the generated corpus, whose passages are each the premise of four pairs
+    examples = attach_parses(
+        load_qa_jsonl(_FIXTURES / "gen_convert_mc_200.jsonl", "multichoice"),
+        index_by_sent_id(load_conllu(_FIXTURES / "gen_convert_mc_200.conllu")),
+    )
+    pairs = build_pairs(examples).pairs
+    assert write_nli_jsonl(pairs, lib) == len(pairs) == 784
+    assert main(["convert", "--qa", str(_FIXTURES / "gen_convert_mc_200.jsonl"), "--parses",
+                 str(_FIXTURES / "gen_convert_mc_200.conllu"), "--schema", "multichoice",
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == lib.read_bytes()
 
 
 def test_convert_span_schema(tmp_path):
@@ -409,6 +446,21 @@ def test_analyze_text(tmp_path, capsys):
     assert "entailed:" in text and "not_entailed:" in text
     assert "hypothesis length by label:" in text
     assert "word overlap by label:" in text
+
+
+def test_analyze_splits_each_text_once(monkeypatch, capsys):
+    # each hypothesis once and each distinct premise once, however many pairs
+    # share it; the report is the golden one (tests/test_golden.py)
+    calls = []
+    normalize = cli.normalize
+    monkeypatch.setattr(cli, "normalize", lambda text: calls.append(text) or normalize(text))
+    pairs = _FIXTURES / "scoring_pairs.jsonl"
+    assert main(["analyze", "--pairs", str(pairs)]) == 0
+    rows = _rows(pairs)
+    assert len(rows) == 60
+    texts = [r["hypothesis"] for r in rows] + list({r["premise"] for r in rows})
+    assert sorted(calls) == sorted(texts)
+    assert capsys.readouterr().out == (_FIXTURES / "golden" / "analyze_scoring.text").read_text("utf-8")
 
 
 def test_analyze_csv(tmp_path, capsys):

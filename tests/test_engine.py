@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qa2nli import engine
 from qa2nli.analysis import QuestionType, analyze
 from qa2nli.conllu import DepSentence, DepToken, parse_conllu
@@ -640,7 +641,7 @@ _UPOS = ("VERB", "AUX", "PUNCT", "ADP", "PART", "ADV", "NOUN", "PROPN", "PRON", 
 
 
 @st.composite
-def questions(draw, max_size=9):
+def questions(draw, max_size=9, forms=_FORMS):
     """A valid tree, heads drawn like test_conllu's trees, with question-like words."""
     n = draw(st.integers(1, max_size))
     order = draw(st.permutations(range(1, n + 1)))
@@ -649,7 +650,7 @@ def questions(draw, max_size=9):
         heads[order[k]] = order[draw(st.integers(0, k - 1))]
     tokens = []
     for tid in range(1, n + 1):
-        form = draw(st.sampled_from(_FORMS))
+        form = draw(st.sampled_from(forms))
         tokens.append(DepToken(
             id=tid, form=form, lemma=_LEMMAS.get(form, form.lower()),
             upos=draw(st.sampled_from(_UPOS)), xpos=None, head=heads[tid],
@@ -713,3 +714,99 @@ def test_fixture_rewrites_splice_the_answer(qa2d_parses):
             plan = plan_question(analyze(sent), config)
             for answer in answers:
                 _assert_answer_spliced(plan, plan.realize(answer)[0], answer)
+
+
+# -- pre-joined realization against the token-by-token oracle -----------------
+
+# Answers that put each kind of token at a seam of the answer slot: closing
+# punctuation and clitics first or last, "(" last, a standalone "?" (dropped)
+# and a "?" inside a token (a TransformError), a digit first, a lowercase
+# first letter, a final ".", and an answer that cleans down to a lone "?".
+_SEAM_ANSWERS = (
+    ", Paris", "Paris ,", ") Paris", "Paris )", "'s dog", "the dog 's", "n't go", "go n't",
+    "the (", "( 1945", "Paris ? now", "Par?is", "1945", "50 people", "ann", "UN", "Monday",
+    "in 1945", "August 16, 1958", "9 a.m.", "the city .", "? .",
+)
+# Words that put closing punctuation, clitics, brackets, digits and a "?"
+# inside a word next to the slot in generated trees.
+_SEAM_FORMS = (",", ")", "(", "'s", "n't", ".", "1945", "ann", "wh?y")
+_SEAM_CONFIGS = [
+    EngineConfig(emit_alternatives=cap, copy_wh_phrase=copy)
+    for cap in (1, 3)
+    for copy in (False, True)
+]
+_SEAM_TREES = (
+    _ud(  # 1999 , who won the race ?   (no letter before the slot)
+        "1999 1999 NUM 4 obl", ", , PUNCT 4 punct", "who who PRON 4 nsubj", "won win VERB 0 root",
+        "the the DET 6 det", "race race NOUN 4 obj", "? ? PUNCT 4 punct",
+    ),
+    _ud(  # What did Liz buy , then ?   (the tail opens with ",")
+        "What what PRON 4 obj", "did do AUX 4 aux", "Liz Liz PROPN 4 nsubj", "buy buy VERB 0 root",
+        ", , PUNCT 4 punct", "then then ADV 4 advmod", "? ? PUNCT 4 punct",
+    ),
+    _ud(  # Who 's here ?   (the tail opens with a clitic)
+        "Who who PRON 3 nsubj", "'s be AUX 3 cop", "here here ADV 0 root", "? ? PUNCT 3 punct",
+    ),
+    _ud("Who who PRON 0 root", "? ? PUNCT 1 punct"),  # nothing but the answer
+)
+
+
+def _outcome(realize_answer):
+    """realize_answer(), or the message of the TransformError it raised."""
+    try:
+        return realize_answer()
+    except TransformError as exc:
+        return str(exc)
+
+
+def _assert_seams_match_oracle(sent):
+    """Every seam answer realizes as the token-by-token oracle does, under
+    each config; returns what the inputs exercised."""
+    seen = set()
+    try:
+        analysis = analyze(sent)
+    except (NotWhQuestionError, AnalysisError):
+        return seen
+    for config in _SEAM_CONFIGS:
+        try:
+            plan = plan_question(analysis, config)
+        except TransformError:
+            continue
+        head = "".join(t for t in plan.body[: plan.insert_index] if t != "?")
+        tail = [t for t in plan.body[plan.insert_index :] if t != "?"]
+        if not head:
+            seen.add("empty head")
+        else:
+            seen.add("lettered head" if any(map(str.isalpha, head)) else "unlettered head")
+        if not tail:
+            seen.add("empty tail")
+        elif tail[0] in (",", ".", ")", "n't") or tail[0].startswith("'"):
+            seen.add("tail opens with a clitic")
+        else:
+            seen.add("tail opens with a word")
+        seen.add("residual" if plan.residual else "no residual")
+        for answer in _SEAM_ANSWERS:
+            got = _outcome(lambda: [dataclasses.astuple(c) for c in plan.realize(answer)])
+            assert got == _outcome(lambda: oracles.oracle_plan_realize(plan, answer)), (
+                plan.body, plan.insert_index, answer, config
+            )
+            seen.add(got if isinstance(got, str) else f"{len(got)} candidates")
+    return seen
+
+
+def test_fixture_rewrites_realize_as_the_token_by_token_oracle(qa2d_parses, multichoice_examples):
+    sentences = [*qa2d_parses.values(), *(ex.parse for ex in multichoice_examples), *_SEAM_TREES]
+    seen = set().union(*map(_assert_seams_match_oracle, sentences))
+    # the inputs reach every seam case, every error and every candidate count
+    assert seen >= {
+        "empty head", "lettered head", "unlettered head", "empty tail",
+        "tail opens with a clitic", "tail opens with a word", "residual",
+        "nothing to realize", "candidate text may not contain '?'",
+        "1 candidates", "2 candidates", "3 candidates",
+    }, seen
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(questions(forms=_FORMS + _SEAM_FORMS))
+def test_generated_rewrites_realize_as_the_token_by_token_oracle(sent):
+    _assert_seams_match_oracle(sent)

@@ -1,5 +1,7 @@
 """QA loading, parse attachment, and NLI pair construction."""
 
+import io
+import itertools
 import json
 
 import pytest
@@ -11,6 +13,7 @@ from qa2nli.errors import DatasetError
 from qa2nli.nli import (
     AnswerOption,
     Label,
+    NliPair,
     Provenance,
     QAExample,
     attach_parses,
@@ -364,6 +367,38 @@ def test_write_nli_jsonl_keeps_unicode(tmp_path):
     out = tmp_path / "u.jsonl"
     write_nli_jsonl([pair], out)
     assert "Zoë" in out.read_text(encoding="utf-8")
+
+
+# Strings JSON must escape or must pass through: quotes, backslashes, control
+# characters, non-ASCII and the two Unicode line separators.
+_AWKWARD = ('Zoë said "hi" \\ left.', "tab\there\x00\x1f\x7f.", "line\u2028sep\u2029para.",
+            "\r\n\b\f.", "日本語 😀.", "")
+
+
+def test_pair_writer_lines_equal_json_dumps(monkeypatch):
+    shared = "Premise: " + _AWKWARD[0]
+    twin = "".join(["Premise: ", _AWKWARD[0]])
+    other = "Premise: " + _AWKWARD[2]
+    assert twin == shared and twin is not shared
+    # one shared object, an equal but distinct string, alternation, and a
+    # premise run that starts where another ends
+    premises = [shared, shared, shared, twin, other, shared, other, _AWKWARD[1], "", ""]
+    ends = itertools.cycle(itertools.product(Label, Provenance))  # consistent or not
+    pairs = [
+        NliPair(f"id{i} {_AWKWARD[i % 6]}", premise, f"H{i}: {_AWKWARD[-i % 6]}", *next(ends))
+        for i, premise in enumerate(premises)
+    ]
+    encoded = []
+    to_json = nli._to_json
+    monkeypatch.setattr(nli, "_to_json", lambda value: encoded.append(value) or to_json(value))
+    out = io.StringIO()
+    counts = nli._write_pairs(pairs, out)
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert lines == [json.dumps(pair.to_dict(), ensure_ascii=False) for pair in pairs]
+    assert counts == {prov: sum(p.provenance is prov for p in pairs) for prov in Provenance}
+    # a premise is encoded once per run of equal premises
+    assert [v for v in encoded if v in premises] == [shared, other, shared, other, _AWKWARD[1], ""]
 
 
 def test_label_and_provenance_render_as_plain_strings():
