@@ -396,6 +396,41 @@ def test_transform_hand_parsed(rows, answer, expected):
     assert transform(analyze(_ud(*rows)), answer)[0].text == expected
 
 
+def test_argument_answer_goes_after_the_particle_of_an_embedded_predicate():
+    # What did Liz say Bo picked up? -- "What" is the object of "picked",
+    # which is the ccomp of the root "say"; "up" is its compound:prt.
+    sent = _ud(
+        "What what PRON 6 obj", "did do AUX 4 aux", "Liz Liz PROPN 4 nsubj",
+        "say say VERB 0 root", "Bo Bo PROPN 6 nsubj", "picked pick VERB 4 ccomp",
+        "up up ADP 6 compound:prt", "? ? PUNCT 4 punct",
+    )
+    a = analyze(sent)
+    assert a.wh_attachment == 6
+    cand = transform(a, "the box")[0]
+    # without the particle step the answer would land between "picked" and "up"
+    assert cand.text == "Liz said Bo picked up the box."
+    assert {"insert:after_predicate", "prep:none"} <= set(cand.applied_rules)
+
+
+@pytest.mark.parametrize(
+    "rows, answer, expected",
+    [
+        (("Where where ADV 2 advmod", "is be AUX 0 root", "the the DET 4 det",
+          "station station NOUN 2 nsubj", "? ? PUNCT 2 punct"),
+         "Boston", "The station is in Boston."),
+        (("Who who PRON 2 attr", "is be AUX 0 root", "the the DET 4 det",
+          "mayor mayor NOUN 2 nsubj", "? ? PUNCT 2 punct"),
+         "Ann", "The mayor is Ann."),
+    ],
+    ids=["where", "who-attr"],
+)
+def test_be_heading_its_own_clause_is_the_copula(rows, answer, expected):
+    # "is" is the root, with a subject and no cop dependent
+    a = analyze(_ud(*rows))
+    assert a.copula == a.root == 2
+    assert transform(a, answer)[0].text == expected
+
+
 def test_transform_do_with_plural_subject_keeps_bare_verb(qa2d_parses):
     got = _first(qa2d_parses, "f47", "That he has never killed anyone")
     assert got.text == "The guys learn That he has never killed anyone about Jones."

@@ -1,7 +1,11 @@
-"""Every exported name resolves, so moved or deleted code leaves no stale export."""
+"""Every exported name resolves, so moved or deleted code leaves no stale export,
+and importing the package loads a module only when one of its names is read."""
 
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +60,73 @@ def test_package_exports_each_module_all_once():
     for module in modules:
         for n in module.__all__:
             assert getattr(qa2nli, n) is getattr(module, n), n
+
+
+# -- laziness: each case runs in a fresh interpreter ----------------------------------
+
+
+def _fresh(code: str, env: dict) -> str:
+    """Stdout of `code` run by a new interpreter that imports this package."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8",
+        env=env, check=True,
+    )
+    return proc.stdout
+
+
+_LOADED = "import sys; print(*sorted(m for m in sys.modules if m.startswith('qa2nli.')))"
+
+
+def _loaded_after(code: str, env: dict) -> set[str]:
+    """The qa2nli modules loaded once `code` has run."""
+    return {m.removeprefix("qa2nli.") for m in _fresh(f"{code}\n{_LOADED}", env).split()}
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import qa2nli", set()),
+        ("import qa2nli; qa2nli.__version__", set()),
+        # no __all__ holds a private name, so probing one loads nothing
+        ("import qa2nli; hasattr(qa2nli, '__wrapped__')", set()),
+        ("import qa2nli; qa2nli.VerbLexicon", {"errors", "conllu", "morphology"}),
+        ("import qa2nli; qa2nli.morphology", {"errors", "conllu", "morphology"}),
+        (
+            "import qa2nli; qa2nli.PrepositionTable",
+            {"errors", "conllu", "morphology", "analysis", "engine"},
+        ),
+    ],
+    ids=["package", "version", "private-name", "VerbLexicon", "module", "PrepositionTable"],
+)
+def test_a_name_loads_its_module_and_what_that_imports(child_env, code, loaded):
+    assert _loaded_after(code, child_env) == loaded
+
+
+def test_cli_loads_the_modules_the_benchmark_reads(child_env):
+    # benchmarks/run.py reads these from sys.modules after `import qa2nli.cli`
+    loaded = _loaded_after("import qa2nli.cli", child_env)
+    assert {"cli", "analysis", "conllu", "engine", "errors", "nli"} <= loaded
+
+
+def test_star_import_binds_exactly_all(child_env):
+    code = (
+        "import json, qa2nli\n"
+        "ns = {}\n"
+        "exec('from qa2nli import *', ns)\n"
+        "print(json.dumps([sorted(set(ns) - {'__builtins__'}), qa2nli.__all__, dir(qa2nli)]))"
+    )
+    bound, names, listed = json.loads(_fresh(code, child_env))
+    assert bound == sorted(names)
+    assert len(names) == len(set(names))
+    assert set(names) <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error(child_env):
+    code = (
+        "import qa2nli\n"
+        "try:\n"
+        "    qa2nli.no_such_name\n"
+        "except AttributeError as error:\n"
+        "    print(error)\n"
+    )
+    assert _fresh(code, child_env) == "module 'qa2nli' has no attribute 'no_such_name'\n"

@@ -8,17 +8,29 @@ and the `gen_*` question corpora with its question generator (seed 7, 200
 tests need nothing outside `tests/`. The files under `fixtures/golden/`
 hold the pinned outputs; a mismatch reports the first line that differs
 from them. `qa2d` and `convert` runs also pin their stderr (skip lines and
-summary) exactly.
+summary) exactly, and `eval` and `analyze` runs write nothing to stderr.
+
+Each case calls `main()` in-process. With `QA2NLI_CLI` set to a `qa2nli`
+executable, such as the script of an installed copy, each case instead runs
+`[QA2NLI_CLI, *argv]` as a subprocess from its temporary directory and
+checks the same output, stderr and exit status:
+
+    QA2NLI_CLI=/path/to/venv/bin/qa2nli python -m pytest tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from qa2nli.cli import main
 
-FIXTURES = Path(__file__).parent / "fixtures"
+CLI = os.environ.get("QA2NLI_CLI")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
 SCORING = [
@@ -98,27 +110,38 @@ def _check(name: str, actual: bytes) -> None:
     pytest.fail(f"{name}: {len(got)} lines, golden has {len(want)} (or line endings differ)")
 
 
-def _run(tmp_path, name: str, argv: list[str]) -> bytes:
-    out = tmp_path / name
-    assert main([*argv, "--output", str(out)]) == 0
-    return out.read_bytes()
+def _run(workdir: Path, name: str, argv: list[str]) -> tuple[bytes, str]:
+    """The output file and the stderr of a run writing workdir/name; it must exit 0."""
+    out = workdir / name
+    argv = [*argv, "--output", str(out)]
+    if CLI:
+        proc = subprocess.run([CLI, *argv], cwd=workdir, capture_output=True)
+        status, stderr = proc.returncode, proc.stderr.decode("utf-8")
+    else:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            status = main(argv)
+        stderr = err.getvalue()
+    assert status == 0, stderr
+    return out.read_bytes(), stderr
+
+
+def _check_quiet(name: str, run: tuple[bytes, str]) -> None:
+    stdout, stderr = run
+    _check(name, stdout)
+    assert stderr == ""
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_eval_scoring_corpus_golden(tmp_path, fmt):
     name = f"eval_scoring.{fmt}"
-    _check(name, _run(tmp_path, name, ["eval", *SCORING, "--format", fmt]))
+    _check_quiet(name, _run(tmp_path, name, ["eval", *SCORING, "--format", fmt]))
 
 
 @pytest.fixture(scope="module")
 def qa2d_alternatives(tmp_path_factory) -> Path:
-    out = tmp_path_factory.mktemp("qa2d") / "alt3.jsonl"
-    assert main([
-        "qa2d", "--qa", str(FIXTURES / "qa2d_fixtures.jsonl"),
-        "--parses", str(FIXTURES / "qa2d_fixtures.conllu"),
-        "--alternatives", "3", "--output", str(out),
-    ]) == 0
-    return out
+    workdir = tmp_path_factory.mktemp("qa2d")
+    _run(workdir, "alt3.jsonl", ["qa2d", *QA2D_FIXTURES, "--alternatives", "3"])
+    return workdir / "alt3.jsonl"
 
 
 @pytest.mark.parametrize("k", ["1", "3"])
@@ -130,26 +153,25 @@ def test_eval_qa2d_alternatives_golden(tmp_path, qa2d_alternatives, k, fmt):
         "--references", str(FIXTURES / "qa2d_references.jsonl"),
         "--k", k, "--format", fmt,
     ]
-    _check(name, _run(tmp_path, name, argv))
+    _check_quiet(name, _run(tmp_path, name, argv))
 
 
 def test_analyze_scoring_pairs_golden(tmp_path):
     name = "analyze_scoring.text"
     argv = ["analyze", "--pairs", str(FIXTURES / "scoring_pairs.jsonl")]
-    _check(name, _run(tmp_path, name, argv))
+    _check_quiet(name, _run(tmp_path, name, argv))
 
 
 @pytest.mark.parametrize("name", sorted(REWRITES))
-def test_rewrite_golden(tmp_path, capsys, name):
-    stdout = _run(tmp_path, name, REWRITES[name])
-    stderr = capsys.readouterr().err
+def test_rewrite_golden(tmp_path, name):
+    stdout, stderr = _run(tmp_path, name, REWRITES[name])
     _check(name, stdout)
     assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
 @pytest.mark.parametrize("name", ["qa2d_fixtures.jsonl", "convert_span.jsonl"])
-def test_line_endings_leave_output_unchanged(tmp_path, capsys, name, ending):
+def test_line_endings_leave_output_unchanged(tmp_path, name, ending):
     """CRLF and lone-CR copies of the inputs give the bytes of the LF originals."""
     copies = []
     for flag, fixture in (("--qa", "qa2d_fixtures.jsonl"), ("--parses", "qa2d_fixtures.conllu")):
@@ -157,6 +179,6 @@ def test_line_endings_leave_output_unchanged(tmp_path, capsys, name, ending):
         copy.write_bytes((FIXTURES / fixture).read_bytes().replace(b"\n", ending))
         copies += [flag, str(copy)]
     command, rest = REWRITES[name][0], REWRITES[name][1 + len(QA2D_FIXTURES):]
-    stdout = _run(tmp_path, name, [command, *copies, *rest])
+    stdout, stderr = _run(tmp_path, name, [command, *copies, *rest])
     _check(name, stdout)
-    assert capsys.readouterr().err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+    assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
