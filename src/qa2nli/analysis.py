@@ -6,16 +6,24 @@ copula (a question may have both, as in "Who has been the mayor?"),
 subject, the predicate the wh phrase attaches to, and any dangling
 (stranded or pied-piped) prepositions.
 
-Conventions assumed of the parses are UD-flavored: auxiliaries hang off the
-main predicate with deprel aux/aux:pass, copulas with cop (predicate
-nominals head copular clauses, so "What is X?" has the wh word as root),
+The rules read one dependency scheme, UD: auxiliaries hang off the main
+predicate with deprel aux/aux:pass, copulas with cop (predicate nominals
+head copular clauses, so "What is X?" has the wh word as root),
 adpositions attach to their complement with case, and stranded prepositions
-stay dependents of the extracted word. Stanford-basic labels that only
-rename a UD relation (nsubjpass, auxpass, dobj, poss, ...) are read as
-their UD labels. A prep -> pobj phrase is not converted, because there the
-preposition heads its object: the preposition is taken for a stranded one,
-so such a question can be rewritten wrongly ("In which city did Liz
-live?" + "Paris" gives "In Paris Liz lived.").
+stay dependents of the extracted word. A clause headed by "be" with a
+subject is also read as copular, with "be" as its copula.
+
+analyze first reads a parse in UD (_as_ud), so that Stanford-basic and
+ClearNLP parses, such as spaCy's English models give, are rewritten as
+their UD counterparts are. The labels it converts are those of _UD_LABELS:
+nsubjpass, csubjpass, auxpass, dobj, poss, prt and neg are renamed
+(nsubj:pass, csubj:pass, aux:pass, obj, nmod:poss, compound:prt, advmod).
+A preposition that heads its object (pobj or pcomp), whether labelled
+prep, agent, dative or root, hands the object its own head and becomes the
+object's case; the object is nmod under a nominal, obl under anything else,
+and root if the preposition was. A prep with no object is stranded, and
+becomes case where it stands. Token ids and forms never change, and a
+parse with none of these labels is read as it is.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .conllu import DepSentence
+from .conllu import DepSentence, _Tokens
 from .errors import AnalysisError, NotWhQuestionError
 
 __all__ = ["QuestionType", "WhAnalysis", "analyze", "classify_question"]
@@ -68,7 +76,6 @@ _CLIMB_RELS = {
     "fixed",
     "goeswith",
     "nmod:poss",
-    "poss",
 }
 
 # Child subtrees cut away when measuring the wh phrase. Matters mainly when
@@ -92,15 +99,31 @@ _PHRASE_CUT_BASES = {
     "dislocated",
     "mark",
     "dep",
-    "nsubjpass",
-    "auxpass",
     "attr",
 }
 
-_SUBJECT_BASES = {"nsubj", "csubj", "nsubjpass", "csubjpass"}
-_AUX_BASES = {"aux", "auxpass"}
-_PREP_DEPRELS = {"case", "prep", "prt", "compound:prt"}
+_SUBJECT_BASES = {"nsubj", "csubj"}
+_AUX_BASES = {"aux"}
+_PREP_DEPRELS = {"case", "compound:prt"}
 _PREP_UPOS = {"ADP", "PART", "ADV"}
+
+# The Stanford-basic/ClearNLP labels _as_ud converts, with their UD names.
+# A preposition _as_ud re-heads, and its object, are named by where the
+# object lands; the pobj/pcomp and prep names here are for the rest, such as
+# a second object and a stranded prep.
+_UD_LABELS = {
+    "nsubjpass": "nsubj:pass",
+    "csubjpass": "csubj:pass",
+    "auxpass": "aux:pass",
+    "dobj": "obj",
+    "poss": "nmod:poss",
+    "prt": "compound:prt",
+    "neg": "advmod",
+    "pobj": "obl",
+    "pcomp": "obl",
+    "prep": "case",
+}
+_NOMINAL_UPOS = {"NOUN", "PROPN", "PRON", "NUM"}
 
 
 @dataclass(frozen=True)
@@ -213,15 +236,28 @@ def _find_copula(sentence: DepSentence, root: int, subject: int | None) -> int |
     return None
 
 
-def _attachment(sentence: DepSentence, head: int) -> int:
-    heads, upos = sentence.head, sentence.upos
-    if heads[head - 1] == 0:
-        return head
-    gov = heads[head - 1]
-    # Step over adposition nodes so prep-chain parses land on the predicate.
-    while upos[gov - 1] == "ADP" and heads[gov - 1] != 0:
-        gov = heads[gov - 1]
-    return gov
+def _as_ud(sentence: DepSentence) -> DepSentence:
+    """The sentence in UD labels (see the module docstring); the sentence
+    itself when it holds none of _UD_LABELS."""
+    deprels = sentence.deprel
+    if _UD_LABELS.keys().isdisjoint(deprels):
+        return sentence
+    heads, upos = list(sentence.head), sentence.upos
+    labels = [_UD_LABELS.get(rel, rel) for rel in deprels]
+    # A token with an object is a preposition: its first object takes its
+    # place in the tree, and it becomes the object's case.
+    for prep in range(1, len(heads) + 1):
+        kids = sentence.child_ids(prep)
+        obj = next((c for c in kids if deprels[c - 1] in ("pobj", "pcomp")), None)
+        if obj is not None:
+            gov = heads[prep - 1]
+            heads[obj - 1], heads[prep - 1] = gov, obj
+            labels[prep - 1] = "case"
+            labels[obj - 1] = (
+                "root" if gov == 0 else "nmod" if upos[gov - 1] in _NOMINAL_UPOS else "obl"
+            )
+    tokens = _Tokens(*sentence.tokens._columns()[:4], tuple(heads), tuple(labels))
+    return DepSentence(tokens, sentence.text, sentence.sent_id)
 
 
 def _dangling_preps(sentence: DepSentence, wh: int, head: int, root: int) -> tuple[int, ...]:
@@ -237,10 +273,13 @@ def _dangling_preps(sentence: DepSentence, wh: int, head: int, root: int) -> tup
 def analyze(sentence: DepSentence) -> WhAnalysis:
     """Analyze a wh question for declarative rewriting.
 
+    The analysis reads, and its question holds, the sentence's UD reading.
+
     Raises:
         NotWhQuestionError: the sentence has no wh word.
         AnalysisError: a wh word exists but the parse is degenerate.
     """
+    sentence = _as_ud(sentence)
     wh = _wh_token(sentence)
     qtype = _WH_FORMS[sentence.form[wh - 1].lower()]
     root = sentence.root_id
@@ -268,7 +307,7 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
         aux=aux,
         copula=copula,
         subject=subject,
-        wh_attachment=_attachment(sentence, head),
+        wh_attachment=sentence.head[head - 1] or head,  # the root attaches to itself
         dangling_preps=_dangling_preps(sentence, wh, head, root),
         subject_wh=subject_wh,
     )

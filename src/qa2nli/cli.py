@@ -27,7 +27,7 @@ import sys
 from typing import Iterator, Sequence, TextIO
 
 from .artifacts import _length_histogram, _pmi, _word_overlap
-from .conllu import index_by_sent_id, load_conllu
+from .conllu import index_by_sent_id, load_conllu, read_jsonl, require_key
 from .engine import DeclarativeCandidate, EngineConfig
 from .errors import DatasetError, PipelineError
 from .metrics import evaluate, load_eval_records, normalize
@@ -41,8 +41,6 @@ from .nli import (
     attach_parses,
     build_pairs,
     load_qa_jsonl,
-    read_jsonl,
-    require_key,
 )
 
 __all__ = ["main"]

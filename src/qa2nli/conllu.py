@@ -1,5 +1,6 @@
-"""CoNLL-U ingestion for dependency-parsed sentences, and the one line
-reader through which every input file of the package is read.
+"""CoNLL-U ingestion for dependency-parsed sentences, the one line reader
+through which every input file of the package is read, and the JSONL reader
+built on it.
 
 Reads the 10-column tab-separated format: '#' lines are comments (sent_id and
 text comments are captured), blank lines separate sentences. Multiword token
@@ -436,6 +437,40 @@ def _read_lines(path: str) -> Iterator[tuple[int, str]]:
                 except UnicodeEncodeError:
                     raise DatasetError("not valid UTF-8", line_no, path) from None
             yield line_no, line
+
+
+def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    r"""Yield (line number, object) for each non-blank line of a JSONL file.
+
+    The file is read one line at a time; lines split only at "\n", "\r\n"
+    and "\r".
+
+    Raises:
+        DatasetError: a line is not valid UTF-8, not valid JSON or not a
+            JSON object.
+    """
+    import json  # not at module level: parses and word lists need no JSON
+
+    for line_no, line in _read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"invalid JSON ({exc.msg})", line_no, path) from exc
+        if not isinstance(obj, dict):
+            raise DatasetError("expected a JSON object", line_no, path)
+        yield line_no, obj
+
+
+def require_key(obj: dict, key: str, kind: type, line_no: int, path: str):
+    """obj[key], checked to be present and of type kind (bool is not an int)."""
+    if key not in obj:
+        raise DatasetError(f"missing key {key!r}", line_no, path)
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise DatasetError(f"key {key!r} must be {kind.__name__}", line_no, path)
+    return value
 
 
 def index_by_sent_id(sentences: list[DepSentence]) -> dict[str, DepSentence]:

@@ -70,7 +70,7 @@ __all__ = [
     "undo_inversion",
 ]
 
-_ARG_BASES = {"obj", "iobj", "ccomp", "attr", "dobj", "acomp", "oprd", "dep"}
+_ARG_BASES = {"obj", "iobj", "ccomp", "attr", "acomp", "oprd", "dep"}
 _CLAUSE_SKIP_BASES = {"advcl", "parataxis"}
 # Questions asking who or what something is, whose copular sentence can flip
 # ("Ann is the mayor."); a When or Where answer cannot be the subject.

@@ -28,8 +28,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
+from .conllu import read_jsonl, require_key
 from .errors import DatasetError
-from .nli import read_jsonl, require_key
 
 __all__ = [
     "EvalRecord",

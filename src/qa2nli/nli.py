@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .analysis import analyze
-from .conllu import DepSentence, _read_lines
+from .conllu import DepSentence, read_jsonl, require_key
 from .engine import DeclarativeCandidate, EngineConfig, plan_question
 from .errors import (
     AnalysisError,
@@ -134,38 +134,6 @@ class SkipRecord:
 class BuildResult:
     pairs: tuple[NliPair, ...]
     skips: tuple[SkipRecord, ...]
-
-
-def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    r"""Yield (line number, object) for each non-blank line of a JSONL file.
-
-    The file is read one line at a time; lines split only at "\n", "\r\n"
-    and "\r".
-
-    Raises:
-        DatasetError: a line is not valid UTF-8, not valid JSON or not a
-            JSON object.
-    """
-    for line_no, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid JSON ({exc.msg})", line_no, path) from exc
-        if not isinstance(obj, dict):
-            raise DatasetError("expected a JSON object", line_no, path)
-        yield line_no, obj
-
-
-def require_key(obj: dict, key: str, kind: type, line_no: int, path: str):
-    """obj[key], checked to be present and of type kind (bool is not an int)."""
-    if key not in obj:
-        raise DatasetError(f"missing key {key!r}", line_no, path)
-    value = obj[key]
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise DatasetError(f"key {key!r} must be {kind.__name__}", line_no, path)
-    return value
 
 
 def load_qa_jsonl(path: str, schema: str) -> list[QAExample]:

@@ -1,10 +1,12 @@
 """Question typing and structural analysis over the fixture parses."""
 
+import dataclasses
+
 import pytest
 
-from qa2nli.analysis import QuestionType, analyze, classify_question
-from qa2nli.conllu import DepSentence, DepToken
-from qa2nli.errors import AnalysisError, NotWhQuestionError
+from qa2nli.analysis import QuestionType, _as_ud, analyze, classify_question
+from qa2nli.conllu import DepSentence, DepToken, load_conllu
+from qa2nli.errors import AnalysisError, NotWhQuestionError, PipelineError
 
 
 @pytest.mark.parametrize(
@@ -104,3 +106,29 @@ def test_all_fixtures_analyze(qa2d_parses):
         start, end = a.wh_phrase
         assert start <= a.wh_token <= end, fid
         assert 1 <= a.root <= len(sent), fid
+
+
+def _fields(sentence):
+    """The analysis of a sentence without its question, or the error it raises."""
+    try:
+        a = analyze(sentence)
+    except PipelineError as exc:
+        return repr(exc)
+    return {f.name: getattr(a, f.name) for f in dataclasses.fields(a) if f.name != "question"}
+
+
+@pytest.mark.parametrize("name", ["gen_convert_mc_200", "gen_qa2d_long_100", "qa2d_fixtures"])
+def test_clearnlp_copy_reads_as_its_ud_original(fixtures_dir, name):
+    ud = load_conllu(fixtures_dir / f"{name}.conllu")
+    copies = load_conllu(fixtures_dir / f"{name}_clearnlp.conllu")
+    assert len(copies) == len(ud)
+    for original, copy in zip(ud, copies):
+        assert _fields(copy) == _fields(original), original.sent_id
+        converted = _as_ud(copy)
+        if original.sent_id == "f51":
+            # "What is in the box?": the object of "in" hangs off the
+            # pronoun "What", so it reads back as nmod where the UD file has obl
+            assert converted.deprel[4] == "nmod" and original.deprel[4] == "obl"
+            assert converted.head == original.head
+        else:
+            assert converted == original, original.sent_id

@@ -1,6 +1,8 @@
 """CoNLL-U reader: line format, tree validation, round-tripping."""
 
+import copy
 import dataclasses
+import pickle
 import re
 import string
 import tracemalloc
@@ -205,6 +207,32 @@ def test_slots_and_index_leave_value_semantics_alone():
     assert renamed.sent_id == "x" and renamed != sent
     assert [t.id for t in renamed.children(2)] == [1, 3, 4]
     assert renamed.root.id == 2
+
+
+def test_pickle_and_deepcopy_round_trip_a_parsed_sentence():
+    sent = parse_conllu(GOOD)[0]
+    for twin in (pickle.loads(pickle.dumps(sent)), copy.deepcopy(sent)):
+        assert twin == sent and hash(twin) == hash(sent)
+        assert twin.tokens._columns() == sent.tokens._columns()
+        assert twin.child_ids(2) == (1, 3, 4) and twin.root_id == 2
+
+
+def test_ids_and_heads_of_a_thousand_and_more():
+    # Each token heads the next, so ids and heads from 1000 up take the
+    # row checks that ordinary rows skip.
+    n = 1005
+    tokens = tuple(
+        DepToken(i, f"w{i}", None, "X", None, i - 1, "root" if i == 1 else "dep")
+        for i in range(1, n + 1)
+    )
+    text = to_conllu(DepSentence(tokens))
+    (sent,) = parse_conllu(text)
+    assert sent == DepSentence(tokens)
+    assert to_conllu(sent) == text
+    assert sent.child_ids(1004) == (1005,) and sent.subtree_ids(1000) == set(range(1000, n + 1))
+    beyond = text.replace("\t1004\tdep", f"\t{n + 1}\tdep")
+    with pytest.raises(ConlluStructureError, match=f"token 1005 has head {n + 1} beyond last id {n}"):
+        parse_conllu(beyond)
 
 
 # -- generated trees -------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qa2nli import engine
-from qa2nli.analysis import QuestionType, analyze
+from qa2nli.analysis import _UD_LABELS, QuestionType, _as_ud, analyze
 from qa2nli.conllu import DepSentence, DepToken, parse_conllu
 from qa2nli.engine import (
     DeclarativeCandidate,
@@ -396,6 +396,38 @@ def test_transform_hand_parsed(rows, answer, expected):
     assert transform(analyze(_ud(*rows)), answer)[0].text == expected
 
 
+@pytest.mark.parametrize(
+    "rows, answer, expected",
+    [
+        # "at" heads "store": the answer still goes after the verb
+        (("What what PRON 4 dobj", "did do AUX 4 aux", "Liz Liz PROPN 4 nsubj",
+          "buy buy VERB 0 root", "at at ADP 4 prep", "the the DET 7 det",
+          "store store NOUN 5 pobj", "? ? PUNCT 4 punct"),
+         "milk", "Liz bought milk at the store."),
+        # the fronted "In" heads the wh phrase, and is pied-piped with it
+        (("In in ADP 6 prep", "which which DET 3 det", "city city NOUN 1 pobj",
+          "did do AUX 6 aux", "Liz Liz PROPN 6 nsubj", "live live VERB 0 root",
+          "? ? PUNCT 6 punct"),
+         "Paris", "Liz lived in Paris."),
+        # a stranded "to" heading the wh word as its object
+        (("Who who PRON 7 pobj", "did do AUX 4 aux", "Olga Olga PROPN 4 nsubj",
+          "send send VERB 0 root", "a a DET 6 det", "letter letter NOUN 4 dobj",
+          "to to ADP 4 prep", "? ? PUNCT 4 punct"),
+         "Mary", "Olga sent a letter to Mary."),
+        # a stranded "to" with no object
+        (("Who who PRON 4 dep", "did do AUX 4 aux", "Olga Olga PROPN 4 nsubj",
+          "send send VERB 0 root", "a a DET 6 det", "letter letter NOUN 4 dobj",
+          "to to ADP 4 prep", "? ? PUNCT 4 punct"),
+         "Mary", "Olga sent a letter to Mary."),
+    ],
+    ids=["prep-object", "fronted-prep", "stranded-prep-object", "stranded-prep"],
+)
+def test_transform_hand_parsed_clearnlp(rows, answer, expected):
+    a = analyze(_ud(*rows))
+    assert _UD_LABELS.keys().isdisjoint(a.question.deprel)
+    assert transform(a, answer)[0].text == expected
+
+
 def test_argument_answer_goes_after_the_particle_of_an_embedded_predicate():
     # What did Liz say Bo picked up? -- "What" is the object of "picked",
     # which is the ccomp of the root "say"; "up" is its compound:prt.
@@ -676,7 +708,7 @@ _UPOS = ("VERB", "AUX", "PUNCT", "ADP", "PART", "ADV", "NOUN", "PROPN", "PRON", 
 
 
 @st.composite
-def questions(draw, max_size=9, forms=_FORMS):
+def questions(draw, max_size=9, forms=_FORMS, deprels=_DEPRELS):
     """A valid tree, heads drawn like test_conllu's trees, with question-like words."""
     n = draw(st.integers(1, max_size))
     order = draw(st.permutations(range(1, n + 1)))
@@ -689,7 +721,7 @@ def questions(draw, max_size=9, forms=_FORMS):
         tokens.append(DepToken(
             id=tid, form=form, lemma=_LEMMAS.get(form, form.lower()),
             upos=draw(st.sampled_from(_UPOS)), xpos=None, head=heads[tid],
-            deprel="root" if heads[tid] == 0 else draw(st.sampled_from(_DEPRELS)),
+            deprel="root" if heads[tid] == 0 else draw(st.sampled_from(deprels)),
         ))
     return DepSentence(tokens=tuple(tokens))
 
@@ -712,6 +744,21 @@ def test_rewrite_fails_only_with_its_own_errors(sent, answer):
         assert all(c.text.endswith(".") and "?" not in c.text for c in cands)
         assert plan.realize(answer) == cands
         _assert_answer_spliced(plan, cands[0], answer)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(questions(deprels=_DEPRELS + ("pobj", "pcomp", "agent")))
+def test_as_ud_reads_any_tree_in_ud_labels(sent):
+    ud = _as_ud(sent)
+    if _UD_LABELS.keys().isdisjoint(sent.deprel):
+        assert ud is sent
+        return
+    # a DepSentence is a valid tree, or its construction raised
+    assert isinstance(ud, DepSentence)
+    assert (ud.form, ud.lemma, ud.upos, ud.xpos) == (sent.form, sent.lemma, sent.upos, sent.xpos)
+    assert (ud.text, ud.sent_id) == (sent.text, sent.sent_id)
+    assert _UD_LABELS.keys().isdisjoint(ud.deprel)
+    assert _as_ud(ud) is ud
 
 
 def _assert_answer_spliced(plan, cand, answer):

@@ -102,6 +102,11 @@ def test_a_name_loads_its_module_and_what_that_imports(child_env, code, loaded):
     assert _loaded_after(code, child_env) == loaded
 
 
+def test_metrics_loads_no_rewrite_module(child_env):
+    # eval reads JSONL through conllu, not through the rewrite stack in nli
+    assert _loaded_after("import qa2nli.metrics", child_env) == {"errors", "conllu", "metrics"}
+
+
 def test_cli_loads_the_modules_the_benchmark_reads(child_env):
     # benchmarks/run.py reads these from sys.modules after `import qa2nli.cli`
     loaded = _loaded_after("import qa2nli.cli", child_env)

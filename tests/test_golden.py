@@ -10,6 +10,10 @@ hold the pinned outputs; a mismatch reports the first line that differs
 from them. `qa2d` and `convert` runs also pin their stderr (skip lines and
 summary) exactly, and `eval` and `analyze` runs write nothing to stderr.
 
+The `*_clearnlp.conllu` fixtures are the UD parses relabelled in ClearNLP
+style by `tests/clearnlp.py`; each rewrite run reading a UD parse file runs
+again on its copy and must give the same golden bytes.
+
 Each case calls `main()` in-process. With `QA2NLI_CLI` set to a `qa2nli`
 executable, such as the script of an installed copy, each case instead runs
 `[QA2NLI_CLI, *argv]` as a subprocess from its temporary directory and
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from clearnlp import relabel
 from qa2nli.cli import main
 
 CLI = os.environ.get("QA2NLI_CLI")
@@ -91,6 +96,12 @@ REWRITES = {
         "--parses", str(FIXTURES / "gen_qa2d_long_100.conllu"),
         "--alternatives", "3", "--copy-wh-phrase",
     ],
+}
+
+# The UD parse files with a ClearNLP-labelled copy, <name>_clearnlp.conllu.
+CLEARNLP = ["gen_convert_mc_200", "gen_qa2d_long_100", "qa2d_fixtures"]
+_TO_CLEARNLP = {
+    str(FIXTURES / f"{n}.conllu"): str(FIXTURES / f"{n}_clearnlp.conllu") for n in CLEARNLP
 }
 
 
@@ -180,5 +191,22 @@ def test_line_endings_leave_output_unchanged(tmp_path, name, ending):
         copies += [flag, str(copy)]
     command, rest = REWRITES[name][0], REWRITES[name][1 + len(QA2D_FIXTURES):]
     stdout, stderr = _run(tmp_path, name, [command, *copies, *rest])
+    _check(name, stdout)
+    assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", CLEARNLP)
+def test_clearnlp_copy_is_the_script_output(name):
+    ud = (FIXTURES / f"{name}.conllu").read_bytes().decode("utf-8")
+    copy = (FIXTURES / f"{name}_clearnlp.conllu").read_bytes()
+    assert relabel(ud).encode("utf-8") == copy
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, argv in REWRITES.items() if _TO_CLEARNLP.keys() & set(argv))
+)
+def test_clearnlp_parses_give_the_ud_golden(tmp_path, name):
+    argv = [_TO_CLEARNLP.get(arg, arg) for arg in REWRITES[name]]
+    stdout, stderr = _run(tmp_path, name, argv)
     _check(name, stdout)
     assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
