@@ -96,7 +96,7 @@ def _load_examples(args: argparse.Namespace, schema: str):
     try:
         parses = index_by_sent_id(sentences)
     except ValueError as exc:  # a duplicate sent_id; the library does not know the path
-        raise ValueError(f"{args.parses}: {exc}") from exc
+        raise DatasetError(str(exc), path=args.parses) from exc
     return attach_parses(examples, parses)
 
 
@@ -157,8 +157,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         words = normalize(require_key(obj, "hypothesis", str, line_no, args.pairs)).split()
         docs.append((words, require_key(obj, "label", str, line_no, args.pairs)))
     if not docs:
-        raise ValueError(f"{args.pairs}: no pairs")
-    table = _pmi(docs, args.smoothing, args.top)
+        raise DatasetError("no pairs", path=args.pairs)
+    try:
+        table = _pmi(docs, args.smoothing, args.top)
+    except ValueError as exc:  # fewer than two labels; the flags are checked by the parser
+        raise DatasetError(str(exc), path=args.pairs) from exc
     # Everything the text report needs is computed before the output is
     # opened, so a bad line leaves nothing written.
     overlaps: dict[str, list[float]] = {}

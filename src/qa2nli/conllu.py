@@ -289,17 +289,18 @@ def _index_tree(heads: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | str:
     return tuple(map(tuple, kids))
 
 
-def _check_row(cols: list[str], line_no: int) -> tuple[int, int] | None:
+def _check_row(cols: list[str], line_no: int, path: str | None) -> tuple[int, int] | None:
     """Id and head of a token row that the parser's quick check did not pass,
     or None for a multiword range or empty node.
 
     Raises:
         ConlluFormatError: the row's first problem, in a fixed order: column
-            count, id, head, then DepToken's own checks.
+            count, id, head, then DepToken's own checks; with the path, when
+            one is given, and the line.
     """
     if len(cols) != _COLUMNS:
         raise ConlluFormatError(
-            f"expected {_COLUMNS} tab-separated columns, got {len(cols)}", line_no
+            f"expected {_COLUMNS} tab-separated columns, got {len(cols)}", line_no, path
         )
     raw_id, raw_head = cols[0], cols[6]
     # Ids and heads are ASCII digits: str.isdigit() alone also accepts
@@ -307,14 +308,14 @@ def _check_row(cols: list[str], line_no: int) -> tuple[int, int] | None:
     if not (raw_id.isascii() and raw_id.isdigit()):
         if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
             return None  # multiword range / empty node: not a syntactic word
-        raise ConlluFormatError(f"bad token id {raw_id!r}", line_no)
+        raise ConlluFormatError(f"bad token id {raw_id!r}", line_no, path)
     if not (raw_head.isascii() and raw_head.removeprefix("-").isdigit()):
-        raise ConlluFormatError(f"bad head {raw_head!r}", line_no)
+        raise ConlluFormatError(f"bad head {raw_head!r}", line_no, path)
     token_id, head = int(raw_id), int(raw_head)
     try:
         DepToken(token_id, cols[1], None, cols[3], None, head, cols[7])
     except ValueError as exc:
-        raise ConlluFormatError(str(exc), line_no) from exc
+        raise ConlluFormatError(str(exc), line_no, path) from exc
     return token_id, head
 
 
@@ -336,14 +337,19 @@ def parse_conllu(text: str) -> list[DepSentence]:
     load_conllu, so a form may hold any other Unicode line separator.
 
     Raises:
-        ConlluFormatError: a malformed line, with its line number.
-        ConlluStructureError: token ids/heads of a sentence are not a tree.
+        ConlluFormatError: a malformed line; the message starts with
+            "line N: " and err.line_no is N.
+        ConlluStructureError: token ids/heads of a sentence are not a tree;
+            the message names the sentence.
     """
     return _parse_lines(enumerate(io.StringIO(text, newline=None), start=1))
 
 
-def _parse_lines(lines: Iterable[tuple[int, str]]) -> list[DepSentence]:
-    r"""Sentences from (line number, line) pairs; a line may keep its "\n"."""
+def _parse_lines(lines: Iterable[tuple[int, str]], path: str | None = None) -> list[DepSentence]:
+    r"""Sentences from (line number, line) pairs; a line may keep its "\n".
+
+    Errors name path, when one is given, before the rest of the message.
+    """
     sentences: list[DepSentence] = []
     pool: dict[str, str] = {}
     intern = pool.setdefault
@@ -366,7 +372,10 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> list[DepSentence]:
                     tokens = _Tokens(*map(tuple, columns))
                 else:  # DepSentence reports the ids
                     tokens = tuple(map(DepToken, ids, *columns))
-                sentences.append(DepSentence(tokens, sent_text, sent_id))
+                try:
+                    sentences.append(DepSentence(tokens, sent_text, sent_id))
+                except ConlluStructureError as exc:
+                    raise ConlluStructureError(str(exc), path=path) from None
                 ids, forms, lemmas, upos_tags = [], [], [], []
                 xpos_tags, heads, deprels = [], [], []
             sent_id = sent_text = None
@@ -390,7 +399,7 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> list[DepSentence]:
             if token_id < 1 or head == token_id or not form:
                 raise ValueError
         except (ValueError, KeyError):
-            checked = _check_row(cols, line_no)
+            checked = _check_row(cols, line_no, path)
             if checked is None:
                 continue
             token_id, head = checked
@@ -407,15 +416,13 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> list[DepSentence]:
 def load_conllu(path: str) -> list[DepSentence]:
     """Parse a CoNLL-U file from disk (UTF-8), one line at a time.
 
-    Lines split as in parse_conllu. Errors are those of parse_conllu, their
-    messages prefixed by the path, or a DatasetError for a line that is not
-    valid UTF-8 ("<path>: line N: not valid UTF-8").
+    Lines split as in parse_conllu. Errors are those of parse_conllu, raised
+    with the path at the start of the message ("<path>: line N: ..." for a
+    malformed line, "<path>: sentence ...: ..." for a sentence that is not a
+    tree), or a DatasetError for a line that is not valid UTF-8
+    ("<path>: line N: not valid UTF-8").
     """
-    try:
-        return _parse_lines(_read_lines(path))
-    except (ConlluFormatError, ConlluStructureError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    return _parse_lines(_read_lines(path), path)
 
 
 def _read_lines(path: str) -> Iterator[tuple[int, str]]:

@@ -55,7 +55,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import _AUX_BASES, QuestionType, WhAnalysis, _base, _cut_subtree
 from .conllu import DepSentence
-from .errors import TransformError
+from .errors import DatasetError, TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
 
 __all__ = [
@@ -141,7 +141,7 @@ class PrepositionTable:
         lists: dict[str, set[str]] = {}
         for line_no, key, value in _key_value_lines(path):
             if key not in cls._LIST_KEYS:
-                raise ValueError(f"{path}: line {line_no}: unknown preposition-table key {key!r}")
+                raise DatasetError(f"unknown preposition-table key {key!r}", line_no, path)
             if key != "article_org":
                 value = value.lower()
             lists.setdefault(key, set()).add(value)

@@ -14,6 +14,7 @@ from importlib import resources
 from typing import Iterator, Mapping
 
 from .conllu import _read_lines
+from .errors import DatasetError
 
 __all__ = ["VerbLexicon", "reinflect"]
 
@@ -60,7 +61,7 @@ class VerbLexicon:
             elif key.startswith("3sg:"):
                 third[key[len("3sg:"):]] = value
             else:
-                raise ValueError(f"{path}: line {line_no}: unknown key prefix {key!r}")
+                raise DatasetError(f"unknown key prefix {key!r}", line_no, path)
         return cls(irregular_past=past, irregular_third_singular=third)
 
     @classmethod
@@ -87,7 +88,7 @@ def _key_value_lines(path: str) -> Iterator[tuple[int, str, str]]:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{path}: line {line_no}: expected key<TAB>value")
+            raise DatasetError("expected key<TAB>value", line_no, path)
         yield line_no, parts[0], parts[1]
 
 

@@ -553,6 +553,12 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
         refs[name].write_text(json.dumps(ref) + "\n", encoding="utf-8")
     blank = tmp_path / "blank.jsonl"
     blank.write_text("\n  \n\n", encoding="utf-8")
+    one_label = tmp_path / "one_label.jsonl"
+    one_label.write_text(
+        "".join(json.dumps({"premise": "Liz called Taylor.", "hypothesis": h, "label": "entailed"})
+                + "\n" for h in ("Liz called Taylor.", "Tom called Taylor.")),
+        encoding="utf-8",
+    )
     # the bad byte sits past the reader's first buffer, on line 3
     latin = tmp_path / "latin.jsonl"
     latin.write_bytes(b"\n" + b" " * 9000 + b"\n" + '{"id": "caf\u00e9"}\n'.encode("latin-1"))
@@ -579,6 +585,8 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
             )
         ),
         (["analyze", "--pairs", str(blank)], f"{blank}: no pairs\n"),
+        (["analyze", "--pairs", str(one_label)],
+         f"{one_label}: need at least two distinct labels for PMI\n"),
         ([*convert, "--qa", str(latin), "--parses", PARSES], f"{latin}: {utf8}\n"),
         (["qa2d", "--qa", QA, "--parses", str(latin_parses)],
          f"{latin_parses}: line {n_parse_lines + 1}: not valid UTF-8\n"),
