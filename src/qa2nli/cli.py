@@ -35,11 +35,11 @@ from .nli import (
     NEGATIVE_POLICIES,
     SCHEMAS,
     SkipRecord,
+    _pairs,
     _rewrites,
     _to_json,
     _write_pairs,
     attach_parses,
-    build_pairs,
     load_qa_jsonl,
 )
 
@@ -118,24 +118,20 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
     skips: list[SkipRecord] = []
     written = 0
     with _open_out(args.output) as out:
-        for item in _rewrites(examples, _engine_config(args)):
-            if isinstance(item, SkipRecord):
-                skips.append(item)
-            else:  # (pair id, example, provenance, ranked candidates)
-                written += _write_declaratives(out, item[1].id, item[3])
+        for _, example, _, candidates in _rewrites(examples, _engine_config(args), skips):
+            written += _write_declaratives(out, example.id, candidates)
     _report_skips(skips, f"{written} declaratives written")
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     examples = _load_examples(args, args.schema)
-    result = build_pairs(
-        examples, _engine_config(args), negatives=args.negatives, seed=args.seed
-    )
+    skips: list[SkipRecord] = []
+    pairs = _pairs(examples, _engine_config(args), skips, args.negatives, args.seed)
     with _open_out(args.output) as out:
-        by_provenance = _write_pairs(result.pairs, out)
+        by_provenance = _write_pairs(pairs, out)
     breakdown = " ".join(f"{k.value}={v}" for k, v in sorted(by_provenance.items()))
-    _report_skips(result.skips, f"{len(result.pairs)} pairs written ({breakdown or 'none'})")
+    _report_skips(skips, f"{sum(by_provenance.values())} pairs written ({breakdown or 'none'})")
     return 0
 
 

@@ -315,10 +315,10 @@ def _load_references(path: str) -> dict[str, tuple[tuple[str, ...], str | None, 
         qa_length = obj.get("qa_length")
         if qtype is not None and not isinstance(qtype, str):
             raise DatasetError("'qtype' must be a string", line_no, path)
-        if qa_length is not None and (
-            isinstance(qa_length, bool) or not isinstance(qa_length, int)
-        ):
+        if qa_length is not None and (isinstance(qa_length, bool) or not isinstance(qa_length, int)):
             raise DatasetError("'qa_length' must be an int", line_no, path)
+        if qa_length is not None and qa_length < 1:
+            raise DatasetError(f"'qa_length' must be >= 1, got {qa_length}", line_no, path)
         references[ref_id] = (tuple(refs), qtype, qa_length)
     return references
 
@@ -327,15 +327,15 @@ def load_eval_records(hypotheses_path: str, references_path: str) -> list[EvalRe
     """Read qa2d output and its references into records for evaluate.
 
     References are JSON lines {id, references: [str, ...], qtype?, qa_length?}
-    with unique ids. Hypotheses are JSON lines {id, declarative, rank}; the
-    lines of one id are its candidates, ordered by rank (ties keep file
-    order). Records come in order of each id's first hypothesis line;
-    references with no hypotheses are left out.
+    with unique ids and any qa_length an int >= 1. Hypotheses are JSON lines
+    {id, declarative, rank}; the lines of one id are its candidates, ordered
+    by rank (ties keep file order). Records come in order of each id's first
+    hypothesis line; references with no hypotheses are left out.
 
     Raises:
-        DatasetError: malformed line, missing/mistyped key, duplicate
-            reference id, or a hypothesis id with no reference entry, with
-            the path and the offending line number.
+        DatasetError: malformed line, missing/mistyped key, a qa_length
+            below 1, duplicate reference id, or a hypothesis id with no
+            reference entry, with the path and the offending line number.
     """
     references = _load_references(references_path)
     path = hypotheses_path

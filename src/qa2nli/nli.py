@@ -211,32 +211,34 @@ def attach_parses(
 def _rewrites(
     examples: Iterable[QAExample],
     config: EngineConfig,
+    skips: list[SkipRecord],
     negatives: str = "all",
     seed: int = 0,
-) -> Iterator[tuple[str, QAExample, Provenance, list[DeclarativeCandidate]] | SkipRecord]:
+) -> Iterator[tuple[str, QAExample, Provenance, list[DeclarativeCandidate]]]:
     """The one per-example rewrite loop, shared by qa2d and convert.
 
     For each answer rewritten it yields (pair id, example, provenance,
-    ranked candidates); for an example or answer with no rewrite, the
-    SkipRecord saying why. Each example's question is planned once and
-    realized per answer: the correct one first, then the incorrect options
-    (all, or one sampled as build_pairs describes), or the plausible answer
-    of an unanswerable question.
+    ranked candidates). For an example or answer with no rewrite it appends
+    the SkipRecord saying why to skips, a list the caller owns, in input
+    order. Each example's question is planned once and realized per answer:
+    the correct one first, then the incorrect options (all, or one sampled
+    as build_pairs describes), or the plausible answer of an unanswerable
+    question.
     """
     for example in examples:
         if example.parse is None:
-            yield SkipRecord(example.id, "parse", "no dependency parse for this id")
+            skips.append(SkipRecord(example.id, "parse", "no dependency parse for this id"))
             continue
         try:
             analysis = analyze(example.parse)
         except (NotWhQuestionError, AnalysisError) as exc:
-            yield SkipRecord(example.id, "analysis", str(exc))
+            skips.append(SkipRecord(example.id, "analysis", str(exc)))
             continue
 
         if example.answerable:
             correct = example.correct_options
             if not correct:
-                yield SkipRecord(example.id, "options", "no correct answer")
+                skips.append(SkipRecord(example.id, "options", "no correct answer"))
                 continue
             wrong = example.incorrect_options
             if wrong and negatives == "one-random":
@@ -246,12 +248,14 @@ def _rewrites(
         elif example.options:
             todo = [(example.options[0], Provenance.UNANSWERABLE)]
         else:
-            yield SkipRecord(example.id, "options", "unanswerable without a plausible answer")
+            skips.append(
+                SkipRecord(example.id, "options", "unanswerable without a plausible answer")
+            )
             continue
         try:
             plan = plan_question(analysis, config)
         except TransformError as exc:  # the question itself cannot be rewritten
-            yield SkipRecord(example.id, "transform", str(exc))
+            skips.append(SkipRecord(example.id, "transform", str(exc)))
             continue
 
         n = 0
@@ -259,10 +263,27 @@ def _rewrites(
             try:
                 candidates = plan.realize(option.text)
             except TransformError as exc:
-                yield SkipRecord(example.id, "transform", str(exc), option=option.text)
+                skips.append(SkipRecord(example.id, "transform", str(exc), option=option.text))
                 continue
             yield f"{example.id}:{n}", example, provenance, candidates
             n += 1
+
+
+def _pairs(
+    examples: Iterable[QAExample], config: EngineConfig | None, skips: list[SkipRecord],
+    negatives: str, seed: int,
+) -> Iterator[NliPair]:
+    """The pairs build_pairs describes, each made as _rewrites yields its rewrite.
+
+    Only the rank-1 candidate is realized, whatever config.emit_alternatives
+    says (None means EngineConfig()); skips fills as _rewrites describes.
+    convert writes each pair as it comes, and build_pairs collects them.
+    """
+    config = replace(config or EngineConfig(), emit_alternatives=1)
+    rewrites = _rewrites(examples, config, skips, negatives, seed)
+    for pair_id, example, provenance, candidates in rewrites:
+        label = Label.ENTAILED if provenance is Provenance.CORRECT_ANSWER else Label.NOT_ENTAILED
+        yield NliPair(pair_id, example.passage, candidates[0].text, label, provenance)
 
 
 def build_pairs(
@@ -281,21 +302,13 @@ def build_pairs(
     Pair ids are "<example id>:<n>" with the entailed pair first. The
     rewrite's word lists come from config; each hypothesis is the rank-1
     candidate, the only one realized whatever config.emit_alternatives
-    says, and only a correct answer's pair is entailed.
+    says, and only a correct answer's pair is entailed. The pairs and
+    skips are those the convert command writes and reports, collected.
     """
     if negatives not in NEGATIVE_POLICIES:
         raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
-    config = replace(config or EngineConfig(), emit_alternatives=1)
-    pairs: list[NliPair] = []
     skips: list[SkipRecord] = []
-    for item in _rewrites(examples, config, negatives, seed):
-        if isinstance(item, SkipRecord):
-            skips.append(item)
-            continue
-        pair_id, example, provenance, candidates = item
-        label = Label.ENTAILED if provenance is Provenance.CORRECT_ANSWER else Label.NOT_ENTAILED
-        pairs.append(NliPair(pair_id, example.passage, candidates[0].text, label, provenance))
-    return BuildResult(pairs=tuple(pairs), skips=tuple(skips))
+    return BuildResult(tuple(_pairs(examples, config, skips, negatives, seed)), tuple(skips))
 
 
 def _write_pairs(pairs: Iterable[NliPair], out: TextIO) -> dict[Provenance, int]:

@@ -6,6 +6,7 @@ module entry point works end to end.
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from qa2nli import cli
 from qa2nli.cli import main
 from qa2nli.conllu import index_by_sent_id, load_conllu
-from qa2nli.engine import DeclarativeCandidate
+from qa2nli.engine import DeclarativeCandidate, QuestionPlan
 from qa2nli.metrics import evaluate, load_eval_records
 from qa2nli.nli import attach_parses, build_pairs, load_qa_jsonl, write_nli_jsonl
 
@@ -339,6 +340,33 @@ def test_convert_output_matches_library_writer(tmp_path, multichoice_examples):
     assert out.read_bytes() == lib.read_bytes()
 
 
+def test_convert_writes_each_pair_as_it_is_made(tmp_path, monkeypatch):
+    realized = []
+    realize = QuestionPlan.realize
+
+    def counting_realize(plan, answer):
+        candidates = realize(plan, answer)
+        realized.append(len(candidates))
+        return candidates
+
+    realized_before_pair = []
+    write_pairs = cli._write_pairs
+
+    def watching_write_pairs(pairs, out):
+        def watched():
+            for pair in pairs:
+                realized_before_pair.append(len(realized))
+                yield pair
+        return write_pairs(watched(), out)
+
+    monkeypatch.setattr(QuestionPlan, "realize", counting_realize)
+    monkeypatch.setattr(cli, "_write_pairs", watching_write_pairs)
+    assert _convert(tmp_path / "pairs.jsonl", "--negatives", "all") == 0
+    # the k-th pair reaches the writer right after the k-th answer is realized
+    assert realized_before_pair == list(range(1, 81))
+    assert realized == [1] * 80  # rank 1 only
+
+
 def test_convert_span_schema(tmp_path):
     out = tmp_path / "span.jsonl"
     code = main(
@@ -548,6 +576,8 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
         ("qtype", {"id": "f01", "references": ["x."], "qtype": 5}),
         ("qa_length_str", {"id": "f01", "references": ["x."], "qa_length": "4"}),
         ("qa_length_bool", {"id": "f01", "references": ["x."], "qa_length": True}),
+        ("qa_length_negative", {"id": "f01", "references": ["x."], "qa_length": -3}),
+        ("qa_length_zero", {"id": "f01", "references": ["x."], "qa_length": 0}),
     ):
         refs[name] = tmp_path / f"{name}.jsonl"
         refs[name].write_text(json.dumps(ref) + "\n", encoding="utf-8")
@@ -582,6 +612,8 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
                 ("qtype", "'qtype' must be a string"),
                 ("qa_length_str", "'qa_length' must be an int"),
                 ("qa_length_bool", "'qa_length' must be an int"),
+                ("qa_length_negative", "'qa_length' must be >= 1, got -3"),
+                ("qa_length_zero", "'qa_length' must be >= 1, got 0"),
             )
         ),
         (["analyze", "--pairs", str(blank)], f"{blank}: no pairs\n"),
@@ -720,6 +752,35 @@ def test_bad_smoothing_fails_before_reading_input(value, capsys):
     assert "no-such" not in err
 
 
+_BAD_INPUTS = {  # name -> (the bad input, what follows its good copy; None repeats the copy)
+    "malformed-qa-line": ("qa", b'{"id": "zz", "question": "Who?"\n'),
+    "malformed-conllu-line": ("parses", b"# sent_id = zz\n1\tWho\n"),
+    "not-a-tree": ("parses", _conllu((1, "a", 2), (2, "b", 1)).encode()),
+    "duplicate-sent-id": ("parses", None),
+    "non-utf8-qa": ("qa", '{"id": "caf\u00e9"}\n'.encode("latin-1")),
+    "non-utf8-parses": ("parses", "# caf\u00e9\n".encode("latin-1")),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_INPUTS))
+@pytest.mark.parametrize("command", ["qa2d", "convert"])
+def test_input_error_leaves_no_output(tmp_path, capsys, command, bad):
+    """Both row commands read and check all input before they open the output."""
+    which, tail = _BAD_INPUTS[bad]
+    qa, parses = (QA, PARSES) if command == "qa2d" else (MC_QA, MC_PARSES)
+    files = {name: Path(path).read_bytes().rstrip() + b"\n\n"
+             for name, path in (("qa", qa), ("parses", parses))}
+    files[which] = files[which] * 2 if tail is None else files[which] + tail
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = ["qa2d"] if command == "qa2d" else ["convert", "--schema", "multichoice"]
+    out = tmp_path / "out.jsonl"
+    assert main([*argv, "--qa", str(tmp_path / "qa"), "--parses", str(tmp_path / "parses"),
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"qa2nli: error: {tmp_path / which}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     ("argv", "summary"),
     [
@@ -739,14 +800,17 @@ def test_empty_qa_file_writes_empty_output(tmp_path, capsys, argv, summary):
 
 @pytest.mark.parametrize("command", ["qa2d", "convert"])
 def test_closed_stdout_stops_quietly(command, child_env):
-    argv = [sys.executable, "-m", "qa2nli", command]
+    """Runs `python -m qa2nli`, or the `qa2nli` executable that QA2NLI_CLI
+    names, such as the script of an installed copy."""
+    cli_path = os.environ.get("QA2NLI_CLI")
+    argv = [cli_path, command] if cli_path else [sys.executable, "-m", "qa2nli", command]
     if command == "qa2d":
         argv += ["--qa", QA, "--parses", PARSES, "--alternatives", "3"]
     else:
         argv += ["--qa", MC_QA, "--parses", MC_PARSES, "--schema", "multichoice"]
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, encoding="utf-8",
-        env=child_env,
+        env=None if cli_path else child_env,
     )
     proc.stdout.close()  # the reader is gone before the first line is written
     try:

@@ -440,12 +440,10 @@ def _generated(fixtures_dir, stem, schema):
 def test_generated_candidate_texts_are_distinct(fixtures_dir, stem, schema, copy_wh_phrase):
     config = EngineConfig(emit_alternatives=3, copy_wh_phrase=copy_wh_phrase)
     answers = alternatives = 0
-    for item in nli._rewrites(_generated(fixtures_dir, stem, schema), config):
-        if isinstance(item, nli.SkipRecord):
-            continue
-        texts = [c.text for c in item[3]]
-        assert len(set(texts)) == len(texts), (item[0], texts)
-        assert [c.rank for c in item[3]] == list(range(1, len(texts) + 1))
+    for pair_id, _, _, candidates in nli._rewrites(_generated(fixtures_dir, stem, schema), config, []):
+        texts = [c.text for c in candidates]
+        assert len(set(texts)) == len(texts), (pair_id, texts)
+        assert [c.rank for c in candidates] == list(range(1, len(texts) + 1))
         answers += 1
         alternatives += len(texts) > 1
     assert answers and alternatives  # some answers do get alternatives
