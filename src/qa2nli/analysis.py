@@ -2,9 +2,10 @@
 
 Finds the wh word, works out the extent of the fronted wh phrase, and pulls
 out the pieces the declarative rewrite needs: main predicate, auxiliary and
-copula (a question may have both, as in "Who has been the mayor?"),
-subject, the predicate the wh phrase attaches to, and any dangling
-(stranded or pied-piped) prepositions.
+copula (a question may have both, as in "Who has been the mayor?"), the
+verb group (all of the predicate's auxiliaries and its copula, the words
+de-inversion moves), subject, the predicate the wh phrase attaches to, and
+any dangling (stranded or pied-piped) prepositions.
 
 The rules read one dependency scheme, UD: auxiliaries hang off the main
 predicate with deprel aux/aux:pass, copulas with cop (predicate nominals
@@ -138,8 +139,9 @@ class WhAnalysis:
     existentials like "What is in the box?"). aux is the main predicate's
     first auxiliary and copula its copula; a question may have both ("What
     will be the result?") and further auxiliaries ("What will have been the
-    result?"). The rewrite moves every auxiliary and copula that precedes
-    the subject, keeping their order.
+    result?"). verbs is the verb group: the ids of all the main predicate's
+    auxiliaries and its copula, in surface order. The rewrite moves every
+    one of them that precedes the subject, keeping their order.
     """
 
     question: DepSentence
@@ -149,6 +151,7 @@ class WhAnalysis:
     root: int
     aux: int | None
     copula: int | None
+    verbs: tuple[int, ...]
     subject: int | None
     wh_attachment: int
     dangling_preps: tuple[int, ...]
@@ -291,9 +294,10 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
     head = _phrase_head(sentence, wh)
     span = _phrase_span(sentence, head, wh)
     subject = _first_child(sentence, root, _SUBJECT_BASES)
-    # The main predicate's first auxiliary: an inverted one when there is one.
-    aux = _first_child(sentence, root, _AUX_BASES)
+    deprels = sentence.deprel
+    auxes = [c for c in sentence.child_ids(root) if _base(deprels[c - 1]) in _AUX_BASES]
     copula = _find_copula(sentence, root, subject)
+    verbs = auxes if copula is None else sorted([*auxes, copula])
 
     # A copular clause with no other subject has the wh phrase as subject.
     subject_wh = subject == head or (subject is None and copula is not None and head == root)
@@ -304,8 +308,9 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
         wh_phrase=span,
         qtype=qtype,
         root=root,
-        aux=aux,
+        aux=auxes[0] if auxes else None,  # an inverted one when there is one
         copula=copula,
+        verbs=tuple(verbs),
         subject=subject,
         wh_attachment=sentence.head[head - 1] or head,  # the root attaches to itself
         dangling_preps=_dangling_preps(sentence, wh, head, root),

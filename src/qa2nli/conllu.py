@@ -30,7 +30,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cache
-from itertools import chain
+from itertools import chain, starmap
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -354,30 +354,25 @@ def _parse_lines(lines: Iterable[tuple[int, str]], path: str | None = None) -> l
     pool: dict[str, str] = {}
     intern = pool.setdefault
     small_ints = _small_ints()
-    ids: list[int] = []
-    forms: list[str] = []
-    lemmas: list[str | None] = []
-    upos_tags: list[str] = []
-    xpos_tags: list[str | None] = []
-    heads: list[int] = []
-    deprels: list[str] = []
+    # One (id, form, lemma, upos, xpos, head, deprel) row per token, in
+    # DepToken's field order.
+    rows: list[tuple] = []
     sent_id: str | None = None
     sent_text: str | None = None
     # A blank line after the last one ends the last sentence.
     for line_no, line in chain(lines, [(0, "")]):
         if not line.strip():
-            if ids:
-                columns = (forms, lemmas, upos_tags, xpos_tags, heads, deprels)
-                if ids == list(range(1, len(ids) + 1)):
-                    tokens = _Tokens(*map(tuple, columns))
+            if rows:
+                ids, *columns = zip(*rows)
+                if ids == tuple(range(1, len(ids) + 1)):
+                    tokens = _Tokens(*columns)
                 else:  # DepSentence reports the ids
-                    tokens = tuple(map(DepToken, ids, *columns))
+                    tokens = tuple(starmap(DepToken, rows))
                 try:
                     sentences.append(DepSentence(tokens, sent_text, sent_id))
                 except ConlluStructureError as exc:
                     raise ConlluStructureError(str(exc), path=path) from None
-                ids, forms, lemmas, upos_tags = [], [], [], []
-                xpos_tags, heads, deprels = [], [], []
+                rows = []
             sent_id = sent_text = None
             continue
         if line[0] == "#":
@@ -403,13 +398,15 @@ def _parse_lines(lines: Iterable[tuple[int, str]], path: str | None = None) -> l
             if checked is None:
                 continue
             token_id, head = checked
-        ids.append(token_id)
-        forms.append(intern(form, form))
-        lemmas.append(None if lemma == "_" else intern(lemma, lemma))
-        upos_tags.append(intern(upos, upos))
-        xpos_tags.append(None if xpos == "_" else intern(xpos, xpos))
-        heads.append(head)
-        deprels.append(intern(deprel, deprel))
+        rows.append((
+            token_id,
+            intern(form, form),
+            None if lemma == "_" else intern(lemma, lemma),
+            intern(upos, upos),
+            None if xpos == "_" else intern(xpos, xpos),
+            head,
+            intern(deprel, deprel),
+        ))
     return sentences
 
 

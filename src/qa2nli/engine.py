@@ -53,7 +53,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .analysis import _AUX_BASES, QuestionType, WhAnalysis, _base, _cut_subtree
+from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
 from .conllu import DepSentence
 from .errors import DatasetError, TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
@@ -106,41 +106,37 @@ class PrepositionTable:
     Rule application is first-match in the order coded in when_options /
     where_options; the file only supplies vocabulary. Matching is
     case-insensitive except article_orgs.
+
+    Each list is one of the attributes named in __slots__, and its key, in
+    the file and in the dict __init__ takes, is that name without the final
+    "s": lines keyed "month" fill months, "article_org" fills article_orgs.
     """
 
-    _LIST_KEYS = (
-        "preposition",
-        "temporal_adverb",
-        "place_adverb",
-        "month",
-        "weekday",
-        "season",
-        "time_word",
-        "motion_verb",
-        "at_location",
-        "article_org",
+    __slots__ = (
+        "prepositions",
+        "temporal_adverbs",
+        "place_adverbs",
+        "months",
+        "weekdays",
+        "seasons",
+        "time_words",
+        "motion_verbs",
+        "at_locations",
+        "article_orgs",
     )
 
     def __init__(self, lists: dict[str, frozenset[str]]):
-        unknown = set(lists) - set(self._LIST_KEYS)
+        unknown = set(lists).difference(name[:-1] for name in self.__slots__)
         if unknown:
             raise ValueError(f"unknown preposition-table keys: {sorted(unknown)}")
-        self.prepositions = lists.get("preposition", frozenset())
-        self.temporal_adverbs = lists.get("temporal_adverb", frozenset())
-        self.place_adverbs = lists.get("place_adverb", frozenset())
-        self.months = lists.get("month", frozenset())
-        self.weekdays = lists.get("weekday", frozenset())
-        self.seasons = lists.get("season", frozenset())
-        self.time_words = lists.get("time_word", frozenset())
-        self.motion_verbs = lists.get("motion_verb", frozenset())
-        self.at_locations = lists.get("at_location", frozenset())
-        self.article_orgs = lists.get("article_org", frozenset())
+        for name in self.__slots__:
+            setattr(self, name, lists.get(name[:-1], frozenset()))
 
     @classmethod
     def from_file(cls, path: str) -> "PrepositionTable":
         lists: dict[str, set[str]] = {}
         for line_no, key, value in _key_value_lines(path):
-            if key not in cls._LIST_KEYS:
+            if key + "s" not in cls.__slots__:
                 raise DatasetError(f"unknown preposition-table key {key!r}", line_no, path)
             if key != "article_org":
                 value = value.lower()
@@ -152,7 +148,9 @@ class PrepositionTable:
         return _load_bundled(cls, "prepositions.tsv")
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and vars(other) == vars(self)
+        return type(other) is type(self) and all(
+            getattr(other, name) == getattr(self, name) for name in self.__slots__
+        )
 
     # -- rule blocks ------------------------------------------------------
 
@@ -269,14 +267,6 @@ def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:
 # -- sequencing --------------------------------------------------------------
 
 
-def _verb_words(analysis: WhAnalysis) -> list[int]:
-    """Ids of the main predicate's auxiliaries and copula, in surface order."""
-    sent = analysis.question
-    deprels = sent.deprel
-    ids = {c for c in sent.child_ids(analysis.root) if _base(deprels[c - 1]) in _AUX_BASES}
-    return sorted(ids | ({analysis.copula} - {None}))
-
-
 def _deinverted(
     analysis: WhAnalysis, lexicon: VerbLexicon
 ) -> tuple[list[int], dict[int, str], list[str]]:
@@ -291,10 +281,9 @@ def _deinverted(
     seq = [i for i, f in enumerate(form, 1) if f != "?"]
     forms: dict[int, str] = {}
     rules: list[str] = []
-    inverted = _verb_words(analysis)
-    if analysis.subject_wh or not inverted:
+    if analysis.subject_wh or not analysis.verbs:
         return seq, forms, rules  # subject and in-situ questions are not inverted
-    target = inverted[0]
+    target = analysis.verbs[0]
 
     if analysis.aux is not None and (lemma[target - 1] or form[target - 1].lower()) == "do":
         aux = form[target - 1].lower()
@@ -316,7 +305,7 @@ def _deinverted(
     # Auxiliary and copula words before the subject move, in order, behind
     # its last word; a '?' is not a word and is already out of seq.
     subj_span = sent.subtree_ids(analysis.subject)
-    fronted = [tid for tid in inverted if tid < min(subj_span) and tid in seq]
+    fronted = [tid for tid in analysis.verbs if tid < min(subj_span) and tid in seq]
     if fronted:
         seq = [tid for tid in seq if tid not in fronted]
         words = [i for i, tid in enumerate(seq) if tid in subj_span]
@@ -609,8 +598,8 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     identity = copular_identity and analysis.qtype in _IDENTITY_QTYPES
     if identity and seq and seq[-1] == analysis.copula:
         # the flip fronts the copula with the auxiliaries right before it
-        verbs, cut = _verb_words(analysis), len(seq) - 1
-        while cut and seq[cut - 1] in verbs:
+        cut = len(seq) - 1
+        while cut and seq[cut - 1] in analysis.verbs:
             cut -= 1
         flip_body = (*body[cut:], *body[:cut])
     return QuestionPlan(

@@ -223,7 +223,9 @@ def _rewrites(
     order. Each example's question is planned once and realized per answer:
     the correct one first, then the incorrect options (all, or one sampled
     as build_pairs describes), or the plausible answer of an unanswerable
-    question.
+    question. An incorrect option whose rank-1 candidate reads as the
+    correct answer's is skipped, so that no hypothesis is both entailed and
+    not; pair ids count only the answers yielded.
     """
     for example in examples:
         if example.parse is None:
@@ -259,11 +261,18 @@ def _rewrites(
             continue
 
         n = 0
+        entailed = None  # the correct answer's hypothesis, once realized
         for option, provenance in todo:
             try:
                 candidates = plan.realize(option.text)
             except TransformError as exc:
                 skips.append(SkipRecord(example.id, "transform", str(exc), option=option.text))
+                continue
+            if provenance is Provenance.CORRECT_ANSWER:
+                entailed = candidates[0].text
+            elif candidates[0].text == entailed:  # one hypothesis under both labels
+                reason = "same hypothesis as the correct answer"
+                skips.append(SkipRecord(example.id, "options", reason, option=option.text))
                 continue
             yield f"{example.id}:{n}", example, provenance, candidates
             n += 1

@@ -99,6 +99,42 @@ def test_copular_existential_subject_wh(qa2d_parses):
     assert a.subject_wh is True
 
 
+def _sent(*rows):
+    """A sentence from "form lemma upos head deprel" rows."""
+    return DepSentence(tuple(
+        _tok(i, form, lemma, upos, int(head), deprel)
+        for i, (form, lemma, upos, head, deprel) in enumerate(map(str.split, rows), 1)
+    ))
+
+
+@pytest.mark.parametrize(
+    "rows, verbs",
+    [
+        (("Who who PRON 5 nsubj", "has have AUX 5 aux", "been be AUX 5 cop",
+          "the the DET 5 det", "mayor mayor NOUN 0 root", "? ? PUNCT 5 punct"),
+         (2, 3)),
+        (("What what PRON 0 root", "will will AUX 1 aux", "have have AUX 1 aux",
+          "been be AUX 1 cop", "the the DET 6 det", "result result NOUN 1 nsubj",
+          "? ? PUNCT 1 punct"),
+         (2, 3, 4)),
+        (("What what PRON 4 obj", "did do AUX 4 aux", "Liz Liz PROPN 4 nsubj",
+          "buy buy VERB 0 root", "? ? PUNCT 4 punct"),
+         (2,)),
+        (("Who who PRON 2 nsubj", "called call VERB 0 root", "Taylor Taylor PROPN 2 obj",
+          "? ? PUNCT 2 punct"),
+         ()),
+        # ClearNLP labels: "is" heads its clause and is the copula
+        (("Who who PRON 2 attr", "is be AUX 0 root", "the the DET 4 det",
+          "mayor mayor NOUN 2 nsubj", "? ? PUNCT 2 punct"),
+         (2,)),
+    ],
+    ids=["has-been", "will-have-been", "did", "subject-who", "clearnlp-be-root"],
+)
+def test_verb_group(rows, verbs):
+    # every auxiliary of the main predicate and its copula, in surface order
+    assert analyze(_sent(*rows)).verbs == verbs
+
+
 def test_all_fixtures_analyze(qa2d_parses):
     for fid, sent in qa2d_parses.items():
         a = analyze(sent)

@@ -312,6 +312,37 @@ def test_convert_one_random(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize(
+    ("negatives", "hypotheses", "summary"),
+    [
+        (["--negatives", "all"], [("Liz bought milk at the store.", "entailed"),
+                                  ("Liz bought bread at the store.", "not_entailed")],
+         "2 pairs written (correct_answer=1 incorrect_option=1), 1 skipped"),
+        # seed 4 samples "milk.", which leaves the item no negative pair
+        (["--negatives", "one-random", "--seed", "4"],
+         [("Liz bought milk at the store.", "entailed")],
+         "1 pairs written (correct_answer=1), 1 skipped"),
+    ],
+    ids=["all", "one-random"],
+)
+def test_convert_never_writes_one_hypothesis_under_both_labels(
+    tmp_path, capsys, negatives, hypotheses, summary
+):
+    qa = tmp_path / "qa.jsonl"
+    item = {"id": "f02", "question": "What did Liz buy at the store?", "passage": "p",
+            "options": ["milk", "bread", "milk."], "correct": 0}
+    qa.write_text(json.dumps(item) + "\n", encoding="utf-8")
+    out = tmp_path / "pairs.jsonl"
+    argv = ["convert", "--schema", "multichoice", "--qa", str(qa), "--parses", PARSES]
+    assert main([*argv, "--output", str(out), *negatives]) == 0
+    rows = _rows(out)
+    assert [(r["hypothesis"], r["label"]) for r in rows] == hypotheses
+    assert [r["id"] for r in rows] == [f"f02:{n}" for n in range(len(rows))]
+    skip = {"id": "f02", "stage": "options", "reason": "same hypothesis as the correct answer",
+            "option": "milk."}
+    assert capsys.readouterr().err == json.dumps(skip) + f"\nqa2nli: {summary}\n"
+
+
 def test_convert_job_invariant(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _convert(a, "--negatives", "one-random", "--seed", "3")

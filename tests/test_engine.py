@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import pickle
+from copy import deepcopy
 from importlib import resources
 
 import pytest
@@ -115,6 +117,21 @@ def test_table_from_file(tmp_path):
 
 def test_bundled_table_is_cached():
     assert PrepositionTable.bundled() is PrepositionTable.bundled()
+
+
+@pytest.mark.parametrize("make", [EngineConfig, PrepositionTable.bundled])
+def test_table_survives_pickle_and_deepcopy(make):
+    original = make()
+    for copy in (pickle.loads(pickle.dumps(original)), deepcopy(original)):
+        assert copy is not original and copy == original
+
+
+def test_table_has_only_its_lists():
+    table = PrepositionTable({"month": frozenset({"may"})})
+    with pytest.raises(AttributeError):
+        table.month = frozenset({"june"})  # the list is months
+    assert table.months == frozenset({"may"}) and table.weekdays == frozenset()
+    assert table != PrepositionTable({"month": frozenset({"june"})})
 
 
 def test_when_and_where_options_tokenize_the_answer_once(monkeypatch, table):
