@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .metrics import normalize
 
@@ -29,16 +28,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PmiEntry:
+class PmiEntry(NamedTuple):
     word: str
     pmi: float
     count: int  # documents of the class containing the word
     percent: float  # count / class size * 100
 
 
-@dataclass(frozen=True)
-class PmiTable:
+class PmiTable(NamedTuple):
     classes: dict  # label -> tuple[PmiEntry, ...], strongest first
     k: float
     vocabulary_size: int
@@ -121,8 +118,7 @@ def _pmi(docs: Iterable[tuple[list[str], str]], k: float, top_n: int) -> PmiTabl
     return PmiTable(classes=classes, k=k, vocabulary_size=len(word_total))
 
 
-@dataclass(frozen=True)
-class LengthStats:
+class LengthStats(NamedTuple):
     counts: dict  # token length -> number of documents
     mean: float
     median: float

@@ -154,12 +154,13 @@ class PrepositionTable:
 
     # -- rule blocks ------------------------------------------------------
 
-    def starts_suppressed(self, answer: str, qtype: QuestionType) -> bool:
+    def starts_suppressed(self, answer: str, qtype: QuestionType | None) -> bool:
         """True when the answer already opens with a preposition, or with a
-        standalone time/place adverb matching the question type."""
+        standalone time/place adverb matching the question type (None
+        matches neither)."""
         return self._suppressed(_match_tokens(answer), qtype)
 
-    def _suppressed(self, toks: list[str], qtype: QuestionType) -> bool:
+    def _suppressed(self, toks: list[str], qtype: QuestionType | None) -> bool:
         if not toks:
             return False
         first = toks[0]
@@ -450,8 +451,7 @@ def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
     return (positions[-1] + 1 if positions else len(seq)), "insert:attachment_end"
 
 
-@dataclass(frozen=True)
-class QuestionPlan:
+class QuestionPlan(NamedTuple):
     """The answer-independent half of a rewrite, built by plan_question.
 
     A plan is built once per question and realized once per answer, so a
@@ -472,12 +472,7 @@ class QuestionPlan:
     # prep), ("when", ""), ("where", attachment lemma) or ("none", "").
     link: tuple[str, str] | None
     flip_body: tuple[str, ...] | None  # copula + subject for "Answer is X's Y."
-    # body pre-joined around the answer slot; derived, so it takes no part
-    # in == or repr.
-    _slot: _Frame = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_slot", _frame(self.body, self.insert_index))
+    slot: _Frame  # body joined around insert_index, as _frame(body, insert_index)
 
     def realize(self, answer: str) -> list[DeclarativeCandidate]:
         """Ranked declaratives for one answer, exactly as transform gives them.
@@ -510,7 +505,11 @@ class QuestionPlan:
         """This answer's preposition options, in rank order."""
         kind, word = self.link or ("none", "")
         if kind == "pied":
-            return [] if table.starts_suppressed(answer, self.analysis.qtype) else [word]
+            # A time adverb keeps a pied-piped When preposition ("until next
+            # week"); only the answer's own preposition replaces it.
+            qtype = self.analysis.qtype
+            own = table.starts_suppressed(answer, None if qtype is QuestionType.WHEN else qtype)
+            return [] if own else [word]
         if kind == "when":
             return table.when_options(answer)
         if kind == "where":
@@ -521,10 +520,10 @@ class QuestionPlan:
         """The candidate with the answer in the slot, after prep if there is one."""
         if prep is None:
             none = ("prep:none",) if self.link is not None else ()
-            return self._slot.fill((*answer_tokens, *self.residual), rules + self.insert_rules + none, rank)
+            return self.slot.fill((*answer_tokens, *self.residual), rules + self.insert_rules + none, rank)
         source = "pied" if self.link[0] == "pied" else "table"
         rules += (f"prep:{prep}({source})", *self.insert_rules)
-        return self._slot.fill((prep, *answer_tokens, *self.residual), rules, rank)
+        return self.slot.fill((prep, *answer_tokens, *self.residual), rules, rank)
 
 
 def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> QuestionPlan:
@@ -612,6 +611,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
         residual=residual,
         link=link,
         flip_body=flip_body,
+        slot=_frame(body, insert_index),
     )
 
 

@@ -23,10 +23,9 @@ import json
 import math
 import string
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .conllu import read_jsonl, require_key
 from .errors import DatasetError
@@ -188,8 +187,7 @@ def length_bucket(n: int) -> str:
     return "30+"
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
     """One item to score: ranked candidates plus references.
 
     qtype and qa_length (question plus answer token count) are optional
@@ -203,8 +201,7 @@ class EvalRecord:
     qa_length: int | None = None
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     n: int
     k: int
     exact: float

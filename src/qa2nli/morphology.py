@@ -8,10 +8,10 @@ rules with their orthographic adjustments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .conllu import _read_lines
 from .errors import DatasetError
@@ -20,6 +20,7 @@ __all__ = ["VerbLexicon", "reinflect"]
 
 _VOWELS = "aeiou"
 _SIBILANT_ENDINGS = ("s", "z", "x", "sh", "ch")
+_NO_FORMS: Mapping[str, str] = MappingProxyType({})  # read-only, so every default may share it
 
 
 def _regular_past(lemma: str) -> str:
@@ -38,8 +39,7 @@ def _regular_third_singular(lemma: str) -> str:
     return lemma + "s"
 
 
-@dataclass(frozen=True)
-class VerbLexicon:
+class VerbLexicon(NamedTuple):
     """Irregular verb forms plus regular-inflection fallbacks.
 
     The data file holds key<TAB>value lines ('#' comments allowed) with
@@ -48,8 +48,8 @@ class VerbLexicon:
     stress and cannot be decided from spelling alone.
     """
 
-    irregular_past: Mapping[str, str] = field(default_factory=dict)
-    irregular_third_singular: Mapping[str, str] = field(default_factory=dict)
+    irregular_past: Mapping[str, str] = _NO_FORMS
+    irregular_third_singular: Mapping[str, str] = _NO_FORMS
 
     @classmethod
     def from_file(cls, path: str) -> "VerbLexicon":

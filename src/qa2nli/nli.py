@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .analysis import analyze
 from .conllu import DepSentence, read_jsonl, require_key
@@ -69,14 +69,12 @@ _PAIR_ENDS = {  # a pair's JSON line after its hypothesis, by label and provenan
 }
 
 
-@dataclass(frozen=True)
-class AnswerOption:
+class AnswerOption(NamedTuple):
     text: str
     correct: bool
 
 
-@dataclass(frozen=True)
-class QAExample:
+class QAExample(NamedTuple):
     """One QA item; parse is attached separately (see attach_parses)."""
 
     id: str
@@ -95,8 +93,7 @@ class QAExample:
         return tuple(o for o in self.options if not o.correct)
 
 
-@dataclass(frozen=True)
-class NliPair:
+class NliPair(NamedTuple):
     id: str
     premise: str
     hypothesis: str
@@ -114,8 +111,7 @@ class NliPair:
         }
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     """Why an example (or one of its options) produced no pair."""
 
     example_id: str
@@ -130,8 +126,7 @@ class SkipRecord:
         return out
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     pairs: tuple[NliPair, ...]
     skips: tuple[SkipRecord, ...]
 
@@ -223,9 +218,10 @@ def _rewrites(
     order. Each example's question is planned once and realized per answer:
     the correct one first, then the incorrect options (all, or one sampled
     as build_pairs describes), or the plausible answer of an unanswerable
-    question. An incorrect option whose rank-1 candidate reads as the
-    correct answer's is skipped, so that no hypothesis is both entailed and
-    not; pair ids count only the answers yielded.
+    question. An incorrect option whose rank-1 candidate reads as that of
+    an answer already yielded, the correct one or an earlier option, is
+    skipped, so that no hypothesis is both entailed and not or written
+    twice; pair ids count only the answers yielded.
     """
     for example in examples:
         if example.parse is None:
@@ -261,19 +257,23 @@ def _rewrites(
             continue
 
         n = 0
-        entailed = None  # the correct answer's hypothesis, once realized
+        yielded: dict[str, AnswerOption] = {}  # rank-1 text -> the answer yielded with it
         for option, provenance in todo:
             try:
                 candidates = plan.realize(option.text)
             except TransformError as exc:
                 skips.append(SkipRecord(example.id, "transform", str(exc), option=option.text))
                 continue
-            if provenance is Provenance.CORRECT_ANSWER:
-                entailed = candidates[0].text
-            elif candidates[0].text == entailed:  # one hypothesis under both labels
-                reason = "same hypothesis as the correct answer"
+            text = candidates[0].text
+            earlier = yielded.get(text)
+            if earlier is not None:  # one hypothesis twice, or under both labels
+                if earlier.correct:
+                    reason = "same hypothesis as the correct answer"
+                else:
+                    reason = f"same hypothesis as option {earlier.text!r}"
                 skips.append(SkipRecord(example.id, "options", reason, option=option.text))
                 continue
+            yielded[text] = option
             yield f"{example.id}:{n}", example, provenance, candidates
             n += 1
 

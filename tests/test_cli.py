@@ -343,6 +343,25 @@ def test_convert_never_writes_one_hypothesis_under_both_labels(
     assert capsys.readouterr().err == json.dumps(skip) + f"\nqa2nli: {summary}\n"
 
 
+def test_convert_never_writes_one_hypothesis_twice(tmp_path, capsys):
+    # "bread." rewrites as the earlier "bread" does; the skip names that option
+    qa = tmp_path / "qa.jsonl"
+    item = {"id": "f02", "question": "What did Liz buy at the store?", "passage": "p",
+            "options": ["milk", "bread", "bread."], "correct": 0}
+    qa.write_text(json.dumps(item) + "\n", encoding="utf-8")
+    out = tmp_path / "pairs.jsonl"
+    argv = ["convert", "--schema", "multichoice", "--qa", str(qa), "--parses", PARSES]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert [(r["id"], r["hypothesis"], r["label"]) for r in _rows(out)] == [
+        ("f02:0", "Liz bought milk at the store.", "entailed"),
+        ("f02:1", "Liz bought bread at the store.", "not_entailed"),
+    ]
+    skip = {"id": "f02", "stage": "options", "reason": "same hypothesis as option 'bread'",
+            "option": "bread."}
+    summary = "2 pairs written (correct_answer=1 incorrect_option=1), 1 skipped"
+    assert capsys.readouterr().err == json.dumps(skip) + f"\nqa2nli: {summary}\n"
+
+
 def test_convert_job_invariant(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _convert(a, "--negatives", "one-random", "--seed", "3")

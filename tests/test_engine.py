@@ -175,6 +175,12 @@ def test_starts_suppressed(table):
         ("the morning", ["in"]),
         ("yesterday", []),  # standalone temporal adverb: nothing to add
         ("in 1958", []),
+        # deictic time phrases stand alone too
+        ("next week", []),
+        ("last year", []),
+        ("this morning", []),
+        ("every Sunday", []),
+        ("Each summer", []),
     ],
 )
 def test_when_options(table, answer, options):
@@ -224,6 +230,44 @@ def test_select_preposition_pied_piping(qa2d_parses):
     assert _prep_rules(a, "Mary") == ["prep:to(pied)"]
     # ... unless the answer brings its own preposition
     assert _prep_rules(a, "to Mary") == ["prep:none"]
+
+
+@pytest.mark.parametrize(
+    "answer, expected",
+    [
+        ("next week", "The ceremony is next week."),
+        ("every Sunday", "The ceremony is every Sunday."),
+        ("this morning", "The ceremony is this morning."),
+        ("Sunday", "The ceremony is on Sunday."),
+    ],
+)
+def test_deictic_time_answer_takes_no_table_preposition(qa2d_parses, answer, expected):
+    a = analyze(qa2d_parses["f52"])  # "When is the ceremony?"
+    assert transform(a, answer)[0].text == expected
+    if answer != "Sunday":
+        assert _prep_rules(a, answer) == ["prep:none"]
+
+
+@pytest.mark.parametrize(
+    "answer, expected, rules",
+    [
+        # a time adverb keeps the pied-piped preposition
+        ("next week", "Liz stayed until next week.", ["prep:until(pied)"]),
+        ("last year", "Liz stayed until last year.", ["prep:until(pied)"]),
+        ("tomorrow", "Liz stayed until tomorrow.", ["prep:until(pied)"]),
+        ("Sunday", "Liz stayed until Sunday.", ["prep:until(pied)"]),
+        # the answer's own preposition replaces it
+        ("until next week", "Liz stayed until next week.", ["prep:none"]),
+        ("since Monday", "Liz stayed since Monday.", ["prep:none"]),
+    ],
+)
+def test_pied_piped_when_preposition_before_a_time_answer(answer, expected, rules):
+    a = analyze(_ud(  # Until when did Liz stay?
+        "Until until ADP 2 case", "when when ADV 5 obl", "did do AUX 5 aux",
+        "Liz Liz PROPN 5 nsubj", "stay stay VERB 0 root", "? ? PUNCT 5 punct",
+    ))
+    assert transform(a, answer)[0].text == expected
+    assert _prep_rules(a, answer) == rules
 
 
 def test_select_preposition_other_types(qa2d_parses):

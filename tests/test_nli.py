@@ -3,8 +3,11 @@
 import io
 import itertools
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qa2nli import nli
 from qa2nli.conllu import DepSentence, DepToken, index_by_sent_id, load_conllu
@@ -422,6 +425,49 @@ def test_build_pairs_realizes_only_rank_1(monkeypatch, fixtures_dir, qa2d_parses
     monkeypatch.setattr(QuestionPlan, "realize", counting_realize)
     assert build_pairs(examples, EngineConfig(emit_alternatives=3)) == build_pairs(examples)
     assert len(realized) == 104 and set(realized) == {1}  # 52 answers, two builds
+
+
+_PARSES = index_by_sent_id(load_conllu(Path(__file__).parent / "fixtures" / "qa2d_fixtures.conllu"))
+# Answers that rewrite alike after trimming, or fail to rewrite at all
+_OPTIONS = ("milk", "milk.", " milk ", "bread", "bread.", "UN", "the UN", "Paris", "in Paris",
+            "Monday", "on Monday", "next week", "", "?")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_PARSES)),
+            st.lists(st.sampled_from(_OPTIONS), min_size=1, max_size=6),
+            st.integers(0, 5),
+        ),
+        min_size=1, max_size=4, unique_by=lambda item: item[0],
+    ),
+    st.sampled_from(nli.NEGATIVE_POLICIES),
+    st.integers(0, 3),
+)
+def test_convert_never_writes_one_hypothesis_twice_per_item(items, negatives, seed):
+    # build_pairs gives the pairs convert writes (test_cli pins the bytes)
+    examples = [
+        QAExample(fid, "", f"passage of {fid}", tuple(
+            AnswerOption(text, i == correct % len(texts)) for i, text in enumerate(texts)
+        ), parse=_PARSES[fid])
+        for fid, texts, correct in items
+    ]
+    result = build_pairs(examples, negatives=negatives, seed=seed)
+    written: dict[str, list[tuple[str, str]]] = {}
+    for pair in result.pairs:
+        written.setdefault(pair.id.rsplit(":", 1)[0], []).append((pair.premise, pair.hypothesis))
+    for example_id, rows in written.items():
+        assert len(set(rows)) == len(rows), (example_id, rows)
+    # every option asked for is written or skipped, once
+    for example in examples:
+        skips = [s for s in result.skips if s.example_id == example.id]
+        if any(s.option is None for s in skips):
+            continue  # the question itself was skipped
+        wanted = 1 + (min(len(example.incorrect_options), 1) if negatives == "one-random"
+                      else len(example.incorrect_options))
+        assert len(written.get(example.id, ())) + len(skips) == wanted
 
 
 # -- invariants on the committed generated corpora ----------------------------
