@@ -14,7 +14,8 @@ first one whose __all__ holds it: qa2nli.VerbLexicon loads errors, conllu
 and morphology, and qa2nli.PrepositionTable adds analysis and engine.
 Reading qa2nli.__all__, dir(qa2nli) or `from qa2nli import *` loads all
 eight. The cli module is not one of them: it loads only when imported
-itself, as `python -m qa2nli` does, and it imports the whole stack.
+itself, as `python -m qa2nli` does. It imports the rewrite stack, through
+nli; metrics and artifacts load only when eval or analyze runs.
 """
 
 import importlib

@@ -8,20 +8,28 @@ and its premise.
 
 All counts are document-level: a word occurring three times in one
 hypothesis counts once. Text is normalized the same way as in metrics.
+analyze_corpus runs all three on a converted corpus file, as the analyze
+command does.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter, defaultdict
 from typing import Iterable, NamedTuple
 
+from .conllu import read_jsonl, require_key
+from .errors import DatasetError
 from .metrics import normalize
 
 __all__ = [
+    "CorpusReport",
     "LengthStats",
     "PmiEntry",
     "PmiTable",
+    "analyze_corpus",
     "length_histogram",
     "pmi",
     "word_overlap",
@@ -171,3 +179,77 @@ def _word_overlap(words: list[str], p_types: set[str]) -> float:
     if not q_types:
         raise ValueError("question has no content words")
     return 100.0 * len(q_types & p_types) / len(q_types)
+
+
+class CorpusReport(NamedTuple):
+    """The probes analyze_corpus runs on one corpus."""
+
+    table: PmiTable
+    lengths: dict  # label -> LengthStats
+    overlap: dict | None  # label -> mean hypothesis-premise word overlap, percent
+
+    def to_text(self) -> str:
+        lines = [self.table.to_text(), "hypothesis length by label:"]
+        for label, stats in sorted(self.lengths.items()):
+            lines.append(
+                f"  {label}: mean={stats.mean:.2f} median={stats.median:.1f} "
+                f"histogram={stats.counts}"
+            )
+        if self.overlap is not None:
+            lines.append("hypothesis-premise word overlap by label:")
+            for label, mean in sorted(self.overlap.items()):
+                lines.append(f"  {label}: mean={mean:.2f}%")
+        return "\n".join(lines)
+
+    def to_csv(self) -> str:
+        """The PMI table as CSV rows (label, rank, word, pmi, count, percent)."""
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["label", "rank", "word", "pmi", "count", "percent"])
+        for label, rank, word, value, count, percent in self.table.rows():
+            writer.writerow([label, rank, word, f"{value:.6f}", count, f"{percent:.2f}"])
+        return out.getvalue()
+
+
+def analyze_corpus(
+    path: str, k: float = 100.0, top_n: int = 5, *, overlap: bool = True
+) -> CorpusReport:
+    """Probe an NLI corpus file (convert output) for label giveaways.
+
+    Each JSON line needs a string premise, hypothesis and label; other keys
+    are ignored. The report holds the pmi table (smoothing k, top_n words
+    per label), the length_histogram of the hypotheses and, unless overlap
+    is False, each label's mean word_overlap of hypothesis and premise.
+    Each hypothesis is normalized once, and each distinct premise once:
+    convert writes a passage as the premise of every pair of its question.
+
+    Raises:
+        DatasetError: a malformed line or a missing or mistyped key, no
+            pairs, fewer than two labels, or, when overlap is computed, a
+            hypothesis with no words, with the path and the line number
+            where there is one.
+    """
+    docs: list[tuple[list[str], str]] = []
+    rows: list[tuple[int, str]] = []
+    for line_no, obj in read_jsonl(path):
+        rows.append((line_no, require_key(obj, "premise", str, line_no, path)))
+        words = normalize(require_key(obj, "hypothesis", str, line_no, path)).split()
+        docs.append((words, require_key(obj, "label", str, line_no, path)))
+    if not docs:
+        raise DatasetError("no pairs", path=path)
+    try:
+        table = _pmi(docs, k, top_n)
+    except ValueError as exc:  # fewer than two labels
+        raise DatasetError(str(exc), path=path) from exc
+    means = None
+    if overlap:
+        overlaps: dict[str, list[float]] = {}
+        premise_types = {p: set(normalize(p).split()) for p in {p for _, p in rows}}
+        for (words, label), (line_no, premise) in zip(docs, rows):
+            try:
+                value = _word_overlap(words, premise_types[premise])
+            except ValueError as exc:
+                raise DatasetError("hypothesis has no words", line_no, path) from exc
+            overlaps.setdefault(label, []).append(value)
+        means = {label: sum(values) / len(values) for label, values in overlaps.items()}
+    return CorpusReport(table, _length_histogram(docs), means)

@@ -7,6 +7,13 @@ Four subcommands cover the pipeline end to end:
     eval      score declaratives against reference sentences
     analyze   probe a converted corpus for label giveaways
 
+Each is a thin layer over the public library: qa2d and convert over the
+streaming rewrite path of nli (iter_rewrites, iter_pairs and the row
+writers), eval over metrics.load_eval_records and evaluate, analyze over
+artifacts.analyze_corpus. Importing this module imports the rewrite stack;
+eval and analyze import metrics and artifacts when they run, so qa2d and
+convert never load the scoring code.
+
 Data problems (unreadable files, schema violations, unknown ids) and bad
 flag values exit with status 2. A reader that closes standard output
 early (`| head`) ends the run quietly with status 1. Examples the
@@ -20,27 +27,25 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import os
 import sys
 from typing import Iterator, Sequence, TextIO
 
-from .artifacts import _length_histogram, _pmi, _word_overlap
-from .conllu import index_by_sent_id, load_conllu, read_jsonl, require_key
-from .engine import DeclarativeCandidate, EngineConfig
+from .conllu import index_by_sent_id, load_conllu
+from .engine import EngineConfig
 from .errors import DatasetError, PipelineError
-from .metrics import evaluate, load_eval_records, normalize
 from .nli import (
     NEGATIVE_POLICIES,
     SCHEMAS,
     SkipRecord,
-    _pairs,
-    _rewrites,
-    _to_json,
-    _write_pairs,
     attach_parses,
+    iter_pairs,
+    iter_rewrites,
     load_qa_jsonl,
+    to_json,
+    write_declaratives,
+    write_pairs,
 )
 
 __all__ = ["main"]
@@ -79,7 +84,7 @@ def _smoothing(text: str) -> float:
 def _report_skips(skips: Sequence[SkipRecord], written: str) -> None:
     """One JSON line per skip on stderr, then "qa2nli: <written>, N skipped"."""
     for skip in skips:
-        print(_to_json(skip.to_dict()), file=sys.stderr)
+        print(to_json(skip.to_dict()), file=sys.stderr)
     print(f"qa2nli: {written}, {len(skips)} skipped", file=sys.stderr)
 
 
@@ -100,26 +105,13 @@ def _load_examples(args: argparse.Namespace, schema: str):
     return attach_parses(examples, parses)
 
 
-def _write_declaratives(out: TextIO, example_id: str, cands: Sequence[DeclarativeCandidate]) -> int:
-    """Write one qa2d row per candidate in cands, each the line json.dumps(row,
-    ensure_ascii=False) gives for {id, declarative, rank, applied_rules}.
-
-    The id is encoded once for all the candidates.
-    """
-    head = f'{{"id": {_to_json(example_id)}, "declarative": '
-    for cand in cands:
-        rules = _to_json(cand.applied_rules)
-        out.write(f'{head}{_to_json(cand.text)}, "rank": {cand.rank}, "applied_rules": {rules}}}\n')
-    return len(cands)
-
-
 def _cmd_qa2d(args: argparse.Namespace) -> int:
     examples = _load_examples(args, "span")
     skips: list[SkipRecord] = []
     written = 0
     with _open_out(args.output) as out:
-        for _, example, _, candidates in _rewrites(examples, _engine_config(args), skips):
-            written += _write_declaratives(out, example.id, candidates)
+        for _, example, _, candidates in iter_rewrites(examples, _engine_config(args), skips):
+            written += write_declaratives(out, example.id, candidates)
     _report_skips(skips, f"{written} declaratives written")
     return 0
 
@@ -127,15 +119,19 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     examples = _load_examples(args, args.schema)
     skips: list[SkipRecord] = []
-    pairs = _pairs(examples, _engine_config(args), skips, args.negatives, args.seed)
+    pairs = iter_pairs(
+        examples, _engine_config(args), skips, negatives=args.negatives, seed=args.seed
+    )
     with _open_out(args.output) as out:
-        by_provenance = _write_pairs(pairs, out)
+        by_provenance = write_pairs(pairs, out)
     breakdown = " ".join(f"{k.value}={v}" for k, v in sorted(by_provenance.items()))
     _report_skips(skips, f"{sum(by_provenance.values())} pairs written ({breakdown or 'none'})")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .metrics import evaluate, load_eval_records
+
     report = evaluate(load_eval_records(args.hypotheses, args.references), k=args.k)
     with _open_out(args.output) as out:
         out.write((report.to_json() if args.format == "json" else report.to_text()) + "\n")
@@ -143,51 +139,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # Each hypothesis is split into normalized words once, and each distinct
-    # premise once: convert writes a passage as the premise of every pair of
-    # its question.
-    docs: list[tuple[list[str], str]] = []
-    rows: list[tuple[int, str]] = []
-    for line_no, obj in read_jsonl(args.pairs):
-        rows.append((line_no, require_key(obj, "premise", str, line_no, args.pairs)))
-        words = normalize(require_key(obj, "hypothesis", str, line_no, args.pairs)).split()
-        docs.append((words, require_key(obj, "label", str, line_no, args.pairs)))
-    if not docs:
-        raise DatasetError("no pairs", path=args.pairs)
-    try:
-        table = _pmi(docs, args.smoothing, args.top)
-    except ValueError as exc:  # fewer than two labels; the flags are checked by the parser
-        raise DatasetError(str(exc), path=args.pairs) from exc
-    # Everything the text report needs is computed before the output is
-    # opened, so a bad line leaves nothing written.
-    overlaps: dict[str, list[float]] = {}
-    if args.format == "text":
-        lengths = sorted(_length_histogram(docs).items())
-        premise_types = {p: set(normalize(p).split()) for p in {p for _, p in rows}}
-        for (words, label), (line_no, premise) in zip(docs, rows):
-            try:
-                overlap = _word_overlap(words, premise_types[premise])
-            except ValueError as exc:
-                raise DatasetError("hypothesis has no words", line_no, args.pairs) from exc
-            overlaps.setdefault(label, []).append(overlap)
+    from .artifacts import analyze_corpus
 
+    as_csv = args.format == "csv"  # the CSV table is the PMI table alone
+    report = analyze_corpus(args.pairs, args.smoothing, args.top, overlap=not as_csv)
     with _open_out(args.output) as out:
-        if args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(["label", "rank", "word", "pmi", "count", "percent"])
-            for label, rank, word, value, count, percent in table.rows():
-                writer.writerow([label, rank, word, f"{value:.6f}", count, f"{percent:.2f}"])
-        else:
-            out.write(table.to_text() + "\n")
-            out.write("hypothesis length by label:\n")
-            for label, stats in lengths:
-                out.write(
-                    f"  {label}: mean={stats.mean:.2f} median={stats.median:.1f} "
-                    f"histogram={stats.counts}\n"
-                )
-            out.write("hypothesis-premise word overlap by label:\n")
-            for label, values in sorted(overlaps.items()):
-                out.write(f"  {label}: mean={sum(values) / len(values):.2f}%\n")
+        out.write(report.to_csv() if as_csv else report.to_text() + "\n")
     return 0
 
 

@@ -80,6 +80,10 @@ _SLASH_DATE_RE = re.compile(r"\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}")
 _CLOCK_RE = re.compile(r"\b\d{1,2}(:\d{2})?\s*([ap]\.?m\.?)(\W|$)")
 _DECADE_RE = re.compile(r"(\d{4}|\d{2})s")
 _YEAR_RE = re.compile(r"[12]\d{3}")
+# The preposition of motion toward a place ("went to Paris"). A place
+# adverb already holds it ("went there"), so it is the one pied-piped
+# preposition such an answer drops ("To where did he go?" + "there").
+_TOWARD = "to"
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ class PrepositionTable:
             return []
         options: list[str] = []
         if attachment_lemma and attachment_lemma.lower() in self.motion_verbs:
-            options.append("to")
+            options.append(_TOWARD)
         if any(t in self.at_locations for t in toks):
             options.append("at")
         options.append("in")
@@ -505,10 +509,11 @@ class QuestionPlan(NamedTuple):
         """This answer's preposition options, in rank order."""
         kind, word = self.link or ("none", "")
         if kind == "pied":
-            # A time adverb keeps a pied-piped When preposition ("until next
-            # week"); only the answer's own preposition replaces it.
-            qtype = self.analysis.qtype
-            own = table.starts_suppressed(answer, None if qtype is QuestionType.WHEN else qtype)
+            # A place adverb drops only a pied-piped "to" ("to where" +
+            # "there"); "from abroad" and "until next week" keep theirs. The
+            # answer's own preposition replaces any.
+            where_to = self.analysis.qtype is QuestionType.WHERE and word == _TOWARD
+            own = table.starts_suppressed(answer, QuestionType.WHERE if where_to else None)
             return [] if own else [word]
         if kind == "when":
             return table.when_options(answer)

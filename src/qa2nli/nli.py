@@ -6,6 +6,12 @@ entailed pair, incorrect options and plausible answers to unanswerable
 questions yield not-entailed ones, so label and provenance line up by
 construction. Examples the rewriter cannot handle are reported as skips,
 never silently dropped.
+
+qa2d and convert stream: iter_rewrites is the per-example rewrite loop
+both share, iter_pairs makes each pair as its rewrite comes, and
+write_declaratives and write_pairs write the rows of each command as they
+are made. build_pairs and write_nli_jsonl are the same path with the
+pairs collected.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import json
 import random
 from dataclasses import replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .analysis import analyze
 from .conllu import DepSentence, read_jsonl, require_key
@@ -36,8 +42,13 @@ __all__ = [
     "SkipRecord",
     "attach_parses",
     "build_pairs",
+    "iter_pairs",
+    "iter_rewrites",
     "load_qa_jsonl",
+    "to_json",
+    "write_declaratives",
     "write_nli_jsonl",
+    "write_pairs",
 ]
 
 SCHEMAS = ("span", "multichoice", "unanswerable")
@@ -62,9 +73,9 @@ class Provenance(str, Enum):
 
 
 # One value as json.dumps(value, ensure_ascii=False) writes it.
-_to_json = json.JSONEncoder(ensure_ascii=False).encode
+to_json = json.JSONEncoder(ensure_ascii=False).encode
 _PAIR_ENDS = {  # a pair's JSON line after its hypothesis, by label and provenance
-    (lab, prov): ", " + _to_json({"label": lab.value, "provenance": prov.value})[1:] + "\n"
+    (lab, prov): ", " + to_json({"label": lab.value, "provenance": prov.value})[1:] + "\n"
     for lab in Label for prov in Provenance
 }
 
@@ -203,10 +214,11 @@ def attach_parses(
     ]
 
 
-def _rewrites(
+def iter_rewrites(
     examples: Iterable[QAExample],
     config: EngineConfig,
     skips: list[SkipRecord],
+    *,
     negatives: str = "all",
     seed: int = 0,
 ) -> Iterator[tuple[str, QAExample, Provenance, list[DeclarativeCandidate]]]:
@@ -222,7 +234,13 @@ def _rewrites(
     an answer already yielded, the correct one or an earlier option, is
     skipped, so that no hypothesis is both entailed and not or written
     twice; pair ids count only the answers yielded.
+
+    Raises:
+        ValueError: negatives is not one of NEGATIVE_POLICIES, at the first
+            step of the iteration.
     """
+    if negatives not in NEGATIVE_POLICIES:
+        raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
     for example in examples:
         if example.parse is None:
             skips.append(SkipRecord(example.id, "parse", "no dependency parse for this id"))
@@ -278,18 +296,24 @@ def _rewrites(
             n += 1
 
 
-def _pairs(
-    examples: Iterable[QAExample], config: EngineConfig | None, skips: list[SkipRecord],
-    negatives: str, seed: int,
+def iter_pairs(
+    examples: Iterable[QAExample],
+    config: EngineConfig | None,
+    skips: list[SkipRecord],
+    *,
+    negatives: str = "all",
+    seed: int = 0,
 ) -> Iterator[NliPair]:
-    """The pairs build_pairs describes, each made as _rewrites yields its rewrite.
+    """The pairs build_pairs describes, each made as iter_rewrites yields its
+    rewrite.
 
     Only the rank-1 candidate is realized, whatever config.emit_alternatives
-    says (None means EngineConfig()); skips fills as _rewrites describes.
-    convert writes each pair as it comes, and build_pairs collects them.
+    says (None means EngineConfig()); skips fills as iter_rewrites
+    describes. convert writes each pair as it comes, and build_pairs
+    collects them.
     """
     config = replace(config or EngineConfig(), emit_alternatives=1)
-    rewrites = _rewrites(examples, config, skips, negatives, seed)
+    rewrites = iter_rewrites(examples, config, skips, negatives=negatives, seed=seed)
     for pair_id, example, provenance, candidates in rewrites:
         label = Label.ENTAILED if provenance is Provenance.CORRECT_ANSWER else Label.NOT_ENTAILED
         yield NliPair(pair_id, example.passage, candidates[0].text, label, provenance)
@@ -314,13 +338,28 @@ def build_pairs(
     says, and only a correct answer's pair is entailed. The pairs and
     skips are those the convert command writes and reports, collected.
     """
-    if negatives not in NEGATIVE_POLICIES:
-        raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
     skips: list[SkipRecord] = []
-    return BuildResult(tuple(_pairs(examples, config, skips, negatives, seed)), tuple(skips))
+    pairs = tuple(iter_pairs(examples, config, skips, negatives=negatives, seed=seed))
+    return BuildResult(pairs, tuple(skips))
 
 
-def _write_pairs(pairs: Iterable[NliPair], out: TextIO) -> dict[Provenance, int]:
+def write_declaratives(
+    out: TextIO, example_id: str, candidates: Sequence[DeclarativeCandidate]
+) -> int:
+    """Write one qa2d row per candidate, each the line json.dumps(row,
+    ensure_ascii=False) gives for {id, declarative, rank, applied_rules};
+    returns the number of rows written.
+
+    The id is encoded once for all the candidates.
+    """
+    head = f'{{"id": {to_json(example_id)}, "declarative": '
+    for cand in candidates:
+        rules = to_json(cand.applied_rules)
+        out.write(f'{head}{to_json(cand.text)}, "rank": {cand.rank}, "applied_rules": {rules}}}\n')
+    return len(candidates)
+
+
+def write_pairs(pairs: Iterable[NliPair], out: TextIO) -> dict[Provenance, int]:
     """Write each pair as the line json.dumps(pair.to_dict(), ensure_ascii=False)
     gives; returns the number of pairs of each Provenance.
 
@@ -330,9 +369,9 @@ def _write_pairs(pairs: Iterable[NliPair], out: TextIO) -> dict[Provenance, int]
     premise = middle = None
     for pair in pairs:
         if pair.premise != premise:
-            premise, middle = pair.premise, f', "premise": {_to_json(pair.premise)}, "hypothesis": '
+            premise, middle = pair.premise, f', "premise": {to_json(pair.premise)}, "hypothesis": '
         end = _PAIR_ENDS[pair.label, pair.provenance]
-        out.write(f'{{"id": {_to_json(pair.id)}{middle}{_to_json(pair.hypothesis)}{end}')
+        out.write(f'{{"id": {to_json(pair.id)}{middle}{to_json(pair.hypothesis)}{end}')
         counts[pair.provenance] = counts.get(pair.provenance, 0) + 1
     return counts
 
@@ -344,4 +383,4 @@ def write_nli_jsonl(pairs: Iterable[NliPair], path: str) -> int:
     same pairs.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        return sum(_write_pairs(pairs, fh).values())
+        return sum(write_pairs(pairs, fh).values())

@@ -1,13 +1,16 @@
 """PMI giveaway detection, length histograms, and overlap probes."""
 
+import json
 import math
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 
 import oracles
-from qa2nli.artifacts import length_histogram, pmi, word_overlap
+from qa2nli.artifacts import analyze_corpus, length_histogram, pmi, word_overlap
+from qa2nli.errors import DatasetError
 from qa2nli.nli import Label
 
 # Six tiny documents over two labels; small enough to verify by hand.
@@ -138,3 +141,41 @@ def test_word_overlap():
     assert word_overlap("Liz won.", "liz WON") == 100.0
     with pytest.raises(ValueError, match="no content words"):
         word_overlap("?!", "anything")
+
+
+# -- the analyze report -------------------------------------------------------------
+
+
+def test_analyze_corpus_runs_the_public_probes():
+    path = Path(__file__).parent / "fixtures" / "scoring_pairs.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    items = [(row["hypothesis"], row["label"]) for row in rows]
+    report = analyze_corpus(str(path), k=1.0, top_n=3)
+    assert report.table == pmi(items, k=1.0, top_n=3)
+    assert report.lengths == length_histogram(items)
+    overlaps: dict[str, list[float]] = {}
+    for row in rows:
+        overlaps.setdefault(row["label"], []).append(
+            word_overlap(row["hypothesis"], row["premise"])
+        )
+    assert report.overlap == {label: sum(v) / len(v) for label, v in overlaps.items()}
+    without = analyze_corpus(str(path), k=1.0, top_n=3, overlap=False)
+    assert without == report._replace(overlap=None)
+    assert without.to_text() == report.to_text().split("\nhypothesis-premise")[0]
+    assert report.to_csv().split("\r\n")[:2] == [
+        "label,rank,word,pmi,count,percent",
+        "entailed,1,{},{:.6f},{},{:.2f}".format(*report.table.rows()[0][2:]),
+    ]
+
+
+def test_analyze_corpus_checks_overlap_only_when_it_computes_it(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    rows = [
+        {"premise": "Liz won.", "hypothesis": "Liz won.", "label": "entailed"},
+        {"premise": "Liz won.", "hypothesis": "", "label": "not_entailed"},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(DatasetError) as error:
+        analyze_corpus(str(path))
+    assert str(error.value) == f"{path}: line 2: hypothesis has no words"
+    assert analyze_corpus(str(path), overlap=False).lengths["not_entailed"].counts == {0: 1}

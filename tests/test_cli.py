@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qa2nli import cli
+from qa2nli import artifacts, cli, nli
 from qa2nli.cli import main
 from qa2nli.conllu import index_by_sent_id, load_conllu
 from qa2nli.engine import DeclarativeCandidate, QuestionPlan
@@ -78,10 +78,10 @@ def test_qa2d_writer_lines_equal_json_dumps(monkeypatch):
         DeclarativeCandidate("日本語.", ("日本語",), ("copy_wh_nouns:日本_\u2028\"", "realize"), 12),
     ]
     encoded = []
-    to_json = cli._to_json
-    monkeypatch.setattr(cli, "_to_json", lambda value: encoded.append(value) or to_json(value))
+    to_json = nli.to_json
+    monkeypatch.setattr(nli, "to_json", lambda value: encoded.append(value) or to_json(value))
     out = io.StringIO()
-    assert cli._write_declaratives(out, example_id, candidates) == 3
+    assert nli.write_declaratives(out, example_id, candidates) == 3
     rows = [
         {"id": example_id, "declarative": c.text, "rank": c.rank,
          "applied_rules": list(c.applied_rules)}
@@ -400,7 +400,7 @@ def test_convert_writes_each_pair_as_it_is_made(tmp_path, monkeypatch):
         return candidates
 
     realized_before_pair = []
-    write_pairs = cli._write_pairs
+    write_pairs = cli.write_pairs
 
     def watching_write_pairs(pairs, out):
         def watched():
@@ -410,7 +410,7 @@ def test_convert_writes_each_pair_as_it_is_made(tmp_path, monkeypatch):
         return write_pairs(watched(), out)
 
     monkeypatch.setattr(QuestionPlan, "realize", counting_realize)
-    monkeypatch.setattr(cli, "_write_pairs", watching_write_pairs)
+    monkeypatch.setattr(cli, "write_pairs", watching_write_pairs)
     assert _convert(tmp_path / "pairs.jsonl", "--negatives", "all") == 0
     # the k-th pair reaches the writer right after the k-th answer is realized
     assert realized_before_pair == list(range(1, 81))
@@ -530,8 +530,8 @@ def test_analyze_splits_each_text_once(monkeypatch, capsys):
     # each hypothesis once and each distinct premise once, however many pairs
     # share it; the report is the golden one (tests/test_golden.py)
     calls = []
-    normalize = cli.normalize
-    monkeypatch.setattr(cli, "normalize", lambda text: calls.append(text) or normalize(text))
+    normalize = artifacts.normalize
+    monkeypatch.setattr(artifacts, "normalize", lambda text: calls.append(text) or normalize(text))
     pairs = _FIXTURES / "scoring_pairs.jsonl"
     assert main(["analyze", "--pairs", str(pairs)]) == 0
     rows = _rows(pairs)
@@ -585,6 +585,22 @@ def test_analyze_hypothesis_with_no_words(tmp_path, capsys, fmt):
     assert err == f"qa2nli: error: {pairs}: line 1: hypothesis has no words\n"
     assert main(["analyze", "--pairs", str(pairs)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_analyze_empty_hypothesis_fails_only_the_text_report(tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    rows = [
+        {"premise": "Liz called Taylor.", "hypothesis": "Tom called Taylor.", "label": "entailed"},
+        {"premise": "Liz called Taylor.", "hypothesis": "", "label": "not_entailed"},
+    ]
+    pairs.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    text, table = tmp_path / "report.txt", tmp_path / "table.csv"
+    assert main(["analyze", "--pairs", str(pairs), "--output", str(text)]) == 2
+    assert not text.exists()
+    assert capsys.readouterr() == ("", f"qa2nli: error: {pairs}: line 2: hypothesis has no words\n")
+    assert main(["analyze", "--pairs", str(pairs), "--format", "csv", "--output", str(table)]) == 0
+    assert table.read_text(encoding="utf-8").startswith("label,rank,word,pmi,count,percent\n")
+    assert capsys.readouterr() == ("", "")
 
 
 # -- failure modes ------------------------------------------------------------

@@ -270,6 +270,32 @@ def test_pied_piped_when_preposition_before_a_time_answer(answer, expected, rule
     assert _prep_rules(a, answer) == rules
 
 
+@pytest.mark.parametrize(
+    "prep, answer, expected, rules",
+    [
+        # a place adverb stands in for a pied-piped "to" alone
+        ("To", "abroad", "She went abroad.", ["prep:none"]),
+        ("To", "there", "She went there.", ["prep:none"]),
+        ("To", "home", "She went home.", ["prep:none"]),
+        ("To", "Paris", "She went to Paris.", ["prep:to(pied)"]),
+        ("From", "abroad", "She went from abroad.", ["prep:from(pied)"]),
+        ("From", "there", "She went from there.", ["prep:from(pied)"]),
+        ("From", "home", "She went from home.", ["prep:from(pied)"]),
+        ("From", "Paris", "She went from Paris.", ["prep:from(pied)"]),
+        # the answer's own preposition replaces either
+        ("To", "from home", "She went from home.", ["prep:none"]),
+        ("From", "to Paris", "She went to Paris.", ["prep:none"]),
+    ],
+)
+def test_pied_piped_where_preposition_before_a_place_answer(prep, answer, expected, rules):
+    a = analyze(_ud(  # To/From where did she go?
+        f"{prep} {prep.lower()} ADP 2 case", "where where ADV 5 obl", "did do AUX 5 aux",
+        "she she PRON 5 nsubj", "go go VERB 0 root", "? ? PUNCT 5 punct",
+    ))
+    assert transform(a, answer)[0].text == expected
+    assert _prep_rules(a, answer) == rules
+
+
 def test_select_preposition_other_types(qa2d_parses):
     a = analyze(qa2d_parses["f01"])  # subject question: the answer goes in bare
     assert _prep_rules(a, "Liz") == []

@@ -1,11 +1,13 @@
 """Every exported name resolves, so moved or deleted code leaves no stale export,
 and importing the package loads a module only when one of its names is read."""
 
+import ast
 import importlib
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,55 @@ def test_cli_loads_the_modules_the_benchmark_reads(child_env):
     # benchmarks/run.py reads these from sys.modules after `import qa2nli.cli`
     loaded = _loaded_after("import qa2nli.cli", child_env)
     assert {"cli", "analysis", "conllu", "engine", "errors", "nli"} <= loaded
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+_QA2D = ["--qa", str(_FIXTURES / "qa2d_fixtures.jsonl"),
+         "--parses", str(_FIXTURES / "qa2d_fixtures.conllu")]
+_SCORING = [
+    "eval", "--hypotheses", str(_FIXTURES / "scoring_hypotheses.jsonl"),
+    "--references", str(_FIXTURES / "scoring_references.jsonl"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, scoring",
+    [
+        (None, set()),
+        (["qa2d", *_QA2D], set()),
+        (["convert", *_QA2D, "--schema", "span"], set()),
+        (_SCORING, {"qa2nli.metrics"}),
+        (["analyze", "--pairs", str(_FIXTURES / "scoring_pairs.jsonl")],
+         {"qa2nli.metrics", "qa2nli.artifacts", "csv"}),
+    ],
+    ids=["import", "qa2d", "convert", "eval", "analyze"],
+)
+def test_cli_loads_scoring_code_only_in_eval_and_analyze(child_env, tmp_path, argv, scoring):
+    # qa2d and convert never load metrics, artifacts or csv; the modules
+    # benchmarks/run.py reads are loaded all the same
+    run = "" if argv is None else f"qa2nli.cli.main({[*argv, '--output', str(tmp_path / 'out')]!r})"
+    code = (
+        f"import sys, qa2nli.cli\n{run}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qa2nli.') or m == 'csv'))"
+    )
+    loaded = set(_fresh(code, child_env).split())
+    assert loaded & {"qa2nli.metrics", "qa2nli.artifacts", "csv"} == scoring
+    assert {f"qa2nli.{m}" for m in ("analysis", "conllu", "engine", "errors", "nli")} <= loaded
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    tree = ast.parse(Path(qa2nli.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    # the check sees the imports, including those inside a command
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {"nli", "metrics", "artifacts"} <= modules
 
 
 def test_star_import_binds_exactly_all(child_env):

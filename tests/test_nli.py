@@ -392,10 +392,10 @@ def test_pair_writer_lines_equal_json_dumps(monkeypatch):
         for i, premise in enumerate(premises)
     ]
     encoded = []
-    to_json = nli._to_json
-    monkeypatch.setattr(nli, "_to_json", lambda value: encoded.append(value) or to_json(value))
+    to_json = nli.to_json
+    monkeypatch.setattr(nli, "to_json", lambda value: encoded.append(value) or to_json(value))
     out = io.StringIO()
-    counts = nli._write_pairs(pairs, out)
+    counts = nli.write_pairs(pairs, out)
     lines = out.getvalue().split("\n")
     assert lines.pop() == ""
     assert lines == [json.dumps(pair.to_dict(), ensure_ascii=False) for pair in pairs]
@@ -486,7 +486,8 @@ def _generated(fixtures_dir, stem, schema):
 def test_generated_candidate_texts_are_distinct(fixtures_dir, stem, schema, copy_wh_phrase):
     config = EngineConfig(emit_alternatives=3, copy_wh_phrase=copy_wh_phrase)
     answers = alternatives = 0
-    for pair_id, _, _, candidates in nli._rewrites(_generated(fixtures_dir, stem, schema), config, []):
+    examples = _generated(fixtures_dir, stem, schema)
+    for pair_id, _, _, candidates in nli.iter_rewrites(examples, config, []):
         texts = [c.text for c in candidates]
         assert len(set(texts)) == len(texts), (pair_id, texts)
         assert [c.rank for c in candidates] == list(range(1, len(texts) + 1))
