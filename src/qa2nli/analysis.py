@@ -30,7 +30,7 @@ parse with none of these labels is read as it is.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conllu import DepSentence, _Tokens
 from .errors import AnalysisError, NotWhQuestionError
@@ -127,8 +127,7 @@ _UD_LABELS = {
 _NOMINAL_UPOS = {"NOUN", "PROPN", "PRON", "NUM"}
 
 
-@dataclass(frozen=True)
-class WhAnalysis:
+class WhAnalysis(NamedTuple):
     """Everything the rewrite engine needs to know about one question.
 
     wh_phrase is an inclusive (start, end) token-id span: the maximal

@@ -89,15 +89,20 @@ def pmi(
         ValueError: fewer than two distinct labels, no items, k < 0 or
             not finite, or top_n < 1.
     """
+    _check_pmi_args(k, top_n)
     return _pmi(((normalize(text).split(), label) for text, label in items), k, top_n)
 
 
-def _pmi(docs: Iterable[tuple[list[str], str]], k: float, top_n: int) -> PmiTable:
-    """pmi of (normalized words, label) pairs."""
+def _check_pmi_args(k: float, top_n: int) -> None:
     if not (k >= 0 and math.isfinite(k)):  # also rejects NaN
         raise ValueError(f"k must be >= 0 and finite, got {k}")
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
+
+
+def _pmi(docs: Iterable[tuple[list[str], str]], k: float, top_n: int) -> PmiTable:
+    """pmi of (normalized words, label) pairs, for k and top_n that
+    _check_pmi_args accepts."""
     class_sizes: Counter = Counter()
     word_class: defaultdict[str, Counter] = defaultdict(Counter)
     word_total: Counter = Counter()
@@ -228,7 +233,10 @@ def analyze_corpus(
             pairs, fewer than two labels, or, when overlap is computed, a
             hypothesis with no words, with the path and the line number
             where there is one.
+        ValueError: k < 0 or not finite, or top_n < 1; the file is not
+            read.
     """
+    _check_pmi_args(k, top_n)
     docs: list[tuple[list[str], str]] = []
     rows: list[tuple[int, str]] = []
     for line_no, obj in read_jsonl(path):
@@ -239,7 +247,7 @@ def analyze_corpus(
         raise DatasetError("no pairs", path=path)
     try:
         table = _pmi(docs, k, top_n)
-    except ValueError as exc:  # fewer than two labels
+    except ValueError as exc:  # fewer than two labels, the one error left
         raise DatasetError(str(exc), path=path) from exc
     means = None
     if overlap:

@@ -28,11 +28,10 @@ from __future__ import annotations
 import io
 import re
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cache
 from itertools import chain, starmap
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConlluFormatError, ConlluStructureError, DatasetError
 
@@ -53,35 +52,53 @@ _EMPTY_ID_RE = re.compile(r"^\d+\.\d+$", re.ASCII)
 
 
 def _refuse_setattr(self, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _refuse_delattr(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _frozen(cls: type) -> type:
-    """Make every attribute assignment and deletion on cls's instances raise
-    FrozenInstanceError.
+class _Record:
+    """Base of a record that is not a tuple, because it keeps more than its
+    fields or leaves some out of its hash.
 
-    The methods that dataclass(frozen=True, slots=True) generates refer to
-    the class as it was before slots=True rebuilt it, so for a name that is
-    not a field they raise TypeError instead.
-    """
-    cls.__setattr__ = _refuse_setattr
-    cls.__delattr__ = _refuse_delattr
-    return cls
-
-
-@_frozen
-@dataclass(frozen=True, slots=True)
-class DepToken:
-    """One syntactic word of a parsed sentence.
-
-    lemma and xpos are None when the file carried "_" in that column.
-    head is 0 for the root token.
+    _fields names the constructor's arguments in order: they make up the
+    record's value, which == compares, _replace copies and pickle saves.
+    _shown names the fields that hash and repr read. Like a NamedTuple, a
+    record refuses every assignment and deletion.
     """
 
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _shown: tuple[str, ...]
+
+    __setattr__ = _refuse_setattr
+    __delattr__ = _refuse_delattr
+
+    def _values(self, names: tuple[str, ...]) -> tuple:
+        return tuple(getattr(self, name) for name in names)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values(self._fields)), **changes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self._fields) == other._values(self._fields)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._shown))
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._values(self._fields)
+
+
+class _DepTokenFields(NamedTuple):
     id: int
     form: str
     lemma: str | None
@@ -90,15 +107,40 @@ class DepToken:
     head: int
     deprel: str
 
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError(f"token id must be >= 1, got {self.id}")
-        if self.head < 0:
-            raise ValueError(f"token head must be >= 0, got {self.head}")
-        if self.head == self.id:
-            raise ValueError(f"token {self.id} has itself as head")
-        if not self.form:
-            raise ValueError(f"token {self.id} has an empty form")
+
+class DepToken(_DepTokenFields):
+    """One syntactic word of a parsed sentence.
+
+    lemma and xpos are None when the file carried "_" in that column.
+    head is 0 for the root token.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: int,
+        form: str,
+        lemma: str | None,
+        upos: str,
+        xpos: str | None,
+        head: int,
+        deprel: str,
+    ) -> DepToken:
+        if id < 1:
+            raise ValueError(f"token id must be >= 1, got {id}")
+        if head < 0:
+            raise ValueError(f"token head must be >= 0, got {head}")
+        if head == id:
+            raise ValueError(f"token {id} has itself as head")
+        if not form:
+            raise ValueError(f"token {id} has an empty form")
+        return tuple.__new__(cls, (id, form, lemma, upos, xpos, head, deprel))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> DepToken:
+        """Build through __new__, so that _replace keeps the checks."""
+        return cls(*values)
 
 
 class _Tokens(Sequence):
@@ -155,17 +197,15 @@ class _Tokens(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        # A DepToken hashes as the tuple of its fields, and a tuple's hash
-        # depends only on its items' hashes: this is the hash of tuple(self).
+        # A DepToken is the tuple of its fields, and a tuple's hash depends
+        # only on its items' hashes: this is the hash of tuple(self).
         return hash(tuple(zip(range(1, len(self.form) + 1), *self._columns())))
 
     def __repr__(self) -> str:
         return repr(tuple(self))
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class DepSentence:
+class DepSentence(_Record):
     """A dependency tree over tokens with ids 1..n.
 
     tokens may be given as any sequence of DepTokens; it is stored as
@@ -175,15 +215,28 @@ class DepSentence:
     ConlluStructureError.
     """
 
-    tokens: Sequence[DepToken]
-    text: str | None = None
-    sent_id: str | None = None
     # _children[i]: ids of the dependents of token i in surface order;
     # _children[0] holds the root. Derived from tokens, so it takes no part in
     # ==, hash or repr.
-    _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("tokens", "text", "sent_id", "_children")
+    _fields = _shown = ("tokens", "text", "sent_id")
+    tokens: Sequence[DepToken]
+    text: str | None
+    sent_id: str | None
+    _children: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self, tokens: Sequence[DepToken], text: str | None = None, sent_id: str | None = None
+    ) -> None:
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "sent_id", sent_id)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Store tokens as columns and index the tree, or raise
+        ConlluStructureError. A method of its own, looked up on the class,
+        so that benchmarks/spans.py can time tree validation by wrapping it."""
         if not isinstance(self.tokens, _Tokens):
             tokens = tuple(self.tokens)
             ids = [t.id for t in tokens]

@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
-from .conllu import DepSentence
+from .conllu import DepSentence, _Record
 from .errors import DatasetError, TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
 
@@ -86,22 +85,33 @@ _YEAR_RE = re.compile(r"[12]\d{3}")
 _TOWARD = "to"
 
 
-@dataclass(frozen=True)
-class DeclarativeCandidate:
-    """One declarative rewrite, rank 1 being the engine's best guess."""
-
+class _CandidateFields(NamedTuple):
     text: str
     tokens: tuple[str, ...]
     applied_rules: tuple[str, ...]
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+
+class DeclarativeCandidate(_CandidateFields):
+    """One declarative rewrite, rank 1 being the engine's best guess."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, text: str, tokens: tuple[str, ...], applied_rules: tuple[str, ...], rank: int
+    ) -> DeclarativeCandidate:
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if "?" in self.text:
+        if "?" in text:
             raise ValueError("candidate text may not contain '?'")
-        if not self.text.endswith("."):
+        if not text.endswith("."):
             raise ValueError("candidate text must end with '.'")
+        return tuple.__new__(cls, (text, tokens, applied_rules, rank))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> DeclarativeCandidate:
+        """Build through __new__, so that _replace keeps the checks."""
+        return cls(*values)
 
 
 class PrepositionTable:
@@ -228,8 +238,7 @@ def _match_tokens(text: str) -> list[str]:
     return [t for t in (tok.strip(string.punctuation).lower() for tok in text.split()) if t]
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(_Record):
     """Knobs and word lists for the rewrite.
 
     copy_wh_phrase keeps residual nouns of Which/How phrases after the
@@ -239,21 +248,33 @@ class EngineConfig:
     Which/Whose sentence when the answer starts with a capitalized phrase.
 
     lexicon re-inflects do-support verbs and table decides prepositions
-    and articles; both default to the bundled lists, and passing others
-    here is the one way to override them. They take part in == but not in
-    hash or repr.
+    and articles; None, the default, stands for the bundled lists, and
+    passing others here is the one way to override them. They take part
+    in == but not in hash or repr.
     """
 
-    copy_wh_phrase: bool = False
-    emit_alternatives: int = 1
-    lexicon: VerbLexicon = field(default_factory=VerbLexicon.bundled, hash=False, repr=False)
-    table: PrepositionTable = field(
-        default_factory=PrepositionTable.bundled, hash=False, repr=False
-    )
+    __slots__ = _fields = ("copy_wh_phrase", "emit_alternatives", "lexicon", "table")
+    _shown = ("copy_wh_phrase", "emit_alternatives")
+    copy_wh_phrase: bool
+    emit_alternatives: int
+    lexicon: VerbLexicon
+    table: PrepositionTable
 
-    def __post_init__(self) -> None:
-        if self.emit_alternatives < 1:
+    def __init__(
+        self,
+        copy_wh_phrase: bool = False,
+        emit_alternatives: int = 1,
+        lexicon: VerbLexicon | None = None,
+        table: PrepositionTable | None = None,
+    ) -> None:
+        if emit_alternatives < 1:
             raise ValueError("emit_alternatives must be >= 1")
+        lexicon = VerbLexicon.bundled() if lexicon is None else lexicon
+        table = PrepositionTable.bundled() if table is None else table
+        object.__setattr__(self, "copy_wh_phrase", copy_wh_phrase)
+        object.__setattr__(self, "emit_alternatives", emit_alternatives)
+        object.__setattr__(self, "lexicon", lexicon)
+        object.__setattr__(self, "table", table)
 
 
 def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:

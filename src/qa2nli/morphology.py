@@ -8,8 +8,8 @@ rules with their orthographic adjustments.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -96,8 +96,7 @@ def _key_value_lines(path: str) -> Iterator[tuple[int, str, str]]:
 def _load_bundled(cls, name: str):
     """cls built from a word list shipped in the package's data directory,
     loaded once per (cls, name)."""
-    with resources.as_file(resources.files("qa2nli") / "data" / name) as path:
-        return cls.from_file(str(path))
+    return cls.from_file(os.path.join(os.path.dirname(__file__), "data", name))
 
 
 def reinflect(lemma: str, aux_form: str, lexicon: VerbLexicon | None = None) -> str:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -312,7 +311,7 @@ def iter_pairs(
     describes. convert writes each pair as it comes, and build_pairs
     collects them.
     """
-    config = replace(config or EngineConfig(), emit_alternatives=1)
+    config = (config or EngineConfig())._replace(emit_alternatives=1)
     rewrites = iter_rewrites(examples, config, skips, negatives=negatives, seed=seed)
     for pair_id, example, provenance, candidates in rewrites:
         label = Label.ENTAILED if provenance is Provenance.CORRECT_ANSWER else Label.NOT_ENTAILED

@@ -1,6 +1,5 @@
 """Question typing and structural analysis over the fixture parses."""
 
-import dataclasses
 
 import pytest
 
@@ -150,7 +149,7 @@ def _fields(sentence):
         a = analyze(sentence)
     except PipelineError as exc:
         return repr(exc)
-    return {f.name: getattr(a, f.name) for f in dataclasses.fields(a) if f.name != "question"}
+    return {name: getattr(a, name) for name in a._fields if name != "question"}
 
 
 @pytest.mark.parametrize("name", ["gen_convert_mc_200", "gen_qa2d_long_100", "qa2d_fixtures"])

@@ -179,3 +179,18 @@ def test_analyze_corpus_checks_overlap_only_when_it_computes_it(tmp_path):
         analyze_corpus(str(path))
     assert str(error.value) == f"{path}: line 2: hypothesis has no words"
     assert analyze_corpus(str(path), overlap=False).lengths["not_entailed"].counts == {0: 1}
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [({"k": -1}, "k must be >= 0 and finite, got -1"), ({"top_n": 0}, "top_n must be >= 1")],
+    ids=["k", "top_n"],
+)
+def test_analyze_corpus_blames_a_bad_argument_on_the_argument(tmp_path, kwargs, message):
+    # the arguments are checked before the file is read, so neither a good
+    # file nor a missing one is named in the error
+    good = Path(__file__).parent / "fixtures" / "scoring_pairs.jsonl"
+    for path in (good, tmp_path / "missing.jsonl"):
+        with pytest.raises(ValueError) as error:
+            analyze_corpus(str(path), **kwargs)
+        assert type(error.value) is ValueError and str(error.value) == message

@@ -1,7 +1,6 @@
 """CoNLL-U reader: line format, tree validation, round-tripping."""
 
 import copy
-import dataclasses
 import pickle
 import re
 import string
@@ -193,9 +192,9 @@ def test_slots_and_index_leave_value_semantics_alone():
         (sent, "foo"), (sent, "form"), (sent.tokens[0], "foo"),
     )
     for obj, attr in cases:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(obj, attr, "x")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(obj, attr)
     assert not hasattr(sent, "__dict__") and not hasattr(sent.tokens[0], "__dict__")
     twin = parse_conllu(GOOD)[0]
@@ -203,7 +202,7 @@ def test_slots_and_index_leave_value_semantics_alone():
     assert repr(sent) == (
         f"DepSentence(tokens={sent.tokens!r}, text={sent.text!r}, sent_id={sent.sent_id!r})"
     )
-    renamed = dataclasses.replace(sent, sent_id="x")
+    renamed = sent._replace(sent_id="x")
     assert renamed.sent_id == "x" and renamed != sent
     assert [t.id for t in renamed.children(2)] == [1, 3, 4]
     assert renamed.root.id == 2

@@ -1,6 +1,5 @@
 """Declarative rewrite engine: realization, prepositions, articles, transform."""
 
-import dataclasses
 import json
 import pickle
 from copy import deepcopy
@@ -719,7 +718,7 @@ def test_engine_config_validation():
 
 
 def test_engine_config_value_semantics(tmp_path):
-    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+    assert list(EngineConfig._fields) == [
         "copy_wh_phrase", "emit_alternatives", "lexicon", "table",
     ]
     default = EngineConfig()
@@ -955,7 +954,7 @@ def _assert_seams_match_oracle(sent):
             seen.add("tail opens with a word")
         seen.add("residual" if plan.residual else "no residual")
         for answer in _SEAM_ANSWERS:
-            got = _outcome(lambda: [dataclasses.astuple(c) for c in plan.realize(answer)])
+            got = _outcome(lambda: [tuple(c) for c in plan.realize(answer)])
             assert got == _outcome(lambda: oracles.oracle_plan_realize(plan, answer)), (
                 plan.body, plan.insert_index, answer, config
             )
