@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .conllu import DepSentence, _Tokens
+from .conllu import DepSentence
 from .errors import AnalysisError, NotWhQuestionError
 
 __all__ = ["QuestionType", "WhAnalysis", "analyze", "classify_question"]
@@ -258,8 +258,8 @@ def _as_ud(sentence: DepSentence) -> DepSentence:
             labels[obj - 1] = (
                 "root" if gov == 0 else "nmod" if upos[gov - 1] in _NOMINAL_UPOS else "obl"
             )
-    tokens = _Tokens(*sentence.tokens._columns()[:4], tuple(heads), tuple(labels))
-    return DepSentence(tokens, sentence.text, sentence.sent_id)
+    columns = (sentence.form, sentence.lemma, upos, sentence.xpos, tuple(heads), tuple(labels))
+    return DepSentence._columnar(columns, sentence.text, sentence.sent_id)
 
 
 def _dangling_preps(sentence: DepSentence, wh: int, head: int, root: int) -> tuple[int, ...]:

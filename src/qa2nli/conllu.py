@@ -10,13 +10,14 @@ ids form a single tree: every head in range, exactly one head of 0, no
 cycles. Anything else is rejected outright; downstream modules can therefore
 assume tree shape.
 
-A DepSentence stores its tokens by column: one tuple each of forms, lemmas,
-upos and xpos tags, heads and deprels, indexed by token id - 1, plus the
-ids of each token's children. Every string that one parse_conllu or
-load_conllu call reads goes through one pool, so equal strings of a corpus
-are one object, and the pool is freed with the corpus. A DepToken is built
-only when one is read through tokens, token, children or root; code that
-reads many tokens reads the columns instead.
+A DepSentence is its columns: one tuple each of forms, lemmas, upos and
+xpos tags, heads and deprels, indexed by token id - 1, plus the ids of each
+token's children. Every string that one parse_conllu or load_conllu call
+reads goes through one pool, so equal strings of a corpus are one object,
+and the pool is freed with the corpus. A DepToken is built only when one is
+read through tokens, token, children or root, and tokens builds the whole
+tuple on each read; code that reads many tokens reads len(sentence) and the
+columns instead.
 
 Validation is one linear pass over the rows that also indexes each token's
 children, so a DepSentence answers `children` and `root` in O(1) and
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 import io
 import re
-from collections.abc import Sequence
 from functools import cache
 from itertools import chain, starmap
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConlluFormatError, ConlluStructureError, DatasetError
@@ -45,8 +44,10 @@ __all__ = [
 ]
 
 _COLUMNS = 10
-_SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(.+?)\s*$")
-_TEXT_RE = re.compile(r"^#\s*text\s*=\s*(.+?)\s*$")
+# A value starts and ends with a non-space: "# text = " gives no text.
+_SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S.*?)\s*$")
+_TEXT_RE = re.compile(r"^#\s*text\s*=\s*(\S.*?)\s*$")
+_UNWRITABLE_RE = re.compile(r"[\t\n\r]")
 _RANGE_ID_RE = re.compile(r"^\d+-\d+$", re.ASCII)
 _EMPTY_ID_RE = re.compile(r"^\d+\.\d+$", re.ASCII)
 
@@ -60,8 +61,8 @@ def _refuse_delattr(self, name: str) -> None:
 
 
 class _Record:
-    """Base of a record that is not a tuple, because it keeps more than its
-    fields or leaves some out of its hash.
+    """Base of a record that is not a tuple, because it stores its fields in
+    another form, keeps more than its fields, or leaves some out of its hash.
 
     _fields names the constructor's arguments in order: they make up the
     record's value, which == compares, _replace copies and pickle saves.
@@ -142,35 +143,92 @@ class DepToken(_DepTokenFields):
         """Build through __new__, so that _replace keeps the checks."""
         return cls(*values)
 
+    def __reduce__(self):
+        # Through __new__ on every pickle protocol: 0 and 1 would otherwise
+        # rebuild the tuple unchecked.
+        return type(self), tuple(self)
 
-class _Tokens(Sequence):
-    """The tokens of one sentence as columns, token i at index i - 1.
 
-    Reads like a tuple of DepTokens: it indexes, iterates, compares, hashes
-    and prints as one, and builds each DepToken when it is read. Immutable,
-    like the tuple it stands for.
+class DepSentence(_Record):
+    """A dependency tree over tokens with ids 1..n.
+
+    Built from DepTokens with ids 1..n, in order; it keeps no DepToken but
+    their columns (see the module docstring), which the form, lemma, upos,
+    xpos, head and deprel attributes hold. Reading tokens builds the tuple
+    of DepTokens anew each time. Tree shape (single root, acyclic,
+    connected) is validated on construction; an invalid token list raises
+    ConlluStructureError.
     """
 
-    __slots__ = ("form", "lemma", "upos", "xpos", "head", "deprel")
+    # _children[i]: ids of the dependents of token i in surface order;
+    # _children[0] holds the root. Derived from the heads, so it takes no part
+    # in ==, hash or repr.
+    __slots__ = (
+        "form", "lemma", "upos", "xpos", "head", "deprel", "text", "sent_id", "_children",
+    )
+    _fields = _shown = ("tokens", "text", "sent_id")
     form: tuple[str, ...]
     lemma: tuple[str | None, ...]
     upos: tuple[str, ...]
     xpos: tuple[str | None, ...]
     head: tuple[int, ...]
     deprel: tuple[str, ...]
+    text: str | None
+    sent_id: str | None
+    _children: tuple[tuple[int, ...], ...]
 
-    def __init__(self, *columns: tuple) -> None:
-        for name, column in zip(self.__slots__, columns, strict=True):
-            object.__setattr__(self, name, column)
+    def __init__(
+        self, tokens: Iterable[DepToken], text: str | None = None, sent_id: str | None = None
+    ) -> None:
+        # No tokens give seven empty columns, which __post_init__ refuses.
+        ids, *columns = tuple(zip(*tokens)) or ((),) * 7
+        self._store(columns, text, sent_id)
+        if ids != tuple(range(1, len(ids) + 1)):
+            raise ConlluStructureError(
+                f"{self._name()}: token ids are not exactly 1..{len(ids)}: {list(ids)}"
+            )
+        self.__post_init__()
 
-    __setattr__ = _refuse_setattr
-    __delattr__ = _refuse_delattr
+    @classmethod
+    def _columnar(
+        cls, columns: Iterable[tuple], text: str | None, sent_id: str | None
+    ) -> DepSentence:
+        """The sentence whose tokens 1..n hold these six columns, in
+        DepToken's field order after id; the values are taken as checked."""
+        self = object.__new__(cls)
+        self._store(columns, text, sent_id)
+        self.__post_init__()
+        return self
 
-    def __reduce__(self):
-        return _Tokens, self._columns()
+    def _store(self, columns: Iterable[tuple], text: str | None, sent_id: str | None) -> None:
+        for name, value in zip(self.__slots__[:8], (*columns, text, sent_id), strict=True):
+            object.__setattr__(self, name, value)
 
-    def _columns(self) -> tuple[tuple, ...]:
-        return (self.form, self.lemma, self.upos, self.xpos, self.head, self.deprel)
+    def __post_init__(self) -> None:
+        """Index the tree, or raise ConlluStructureError. A method of its
+        own, looked up on the class, so that benchmarks/spans.py can time
+        tree validation by wrapping it."""
+        children = _index_tree(self.head)
+        if isinstance(children, str):
+            raise ConlluStructureError(f"{self._name()}: {children}")
+        object.__setattr__(self, "_children", children)
+
+    def _name(self) -> str:
+        if self.sent_id:
+            return f"sentence {self.sent_id!r}"
+        if self.form:
+            return f"sentence starting {' '.join(self.form[:4])!r}"
+        return "empty sentence"
+
+    def __len__(self) -> int:
+        return len(self.form)
+
+    @property
+    def tokens(self) -> tuple[DepToken, ...]:
+        """The tokens in id order, built on each read."""
+        ids = range(1, len(self.form) + 1)
+        columns = (self.form, self.lemma, self.upos, self.xpos, self.head, self.deprel)
+        return tuple(starmap(DepToken, zip(ids, *columns)))
 
     def _token(self, token_id: int) -> DepToken:
         i = token_id - 1
@@ -179,100 +237,9 @@ class _Tokens(Sequence):
             self.deprel[i],
         )
 
-    def __len__(self) -> int:
-        return len(self.form)
-
-    def __getitem__(self, index):
-        ids = range(1, len(self.form) + 1)[index]
-        return tuple(map(self._token, ids)) if isinstance(index, slice) else self._token(ids)
-
-    def __iter__(self) -> Iterator[DepToken]:
-        return map(self._token, range(1, len(self.form) + 1))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Tokens):
-            return self._columns() == other._columns()
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # A DepToken is the tuple of its fields, and a tuple's hash depends
-        # only on its items' hashes: this is the hash of tuple(self).
-        return hash(tuple(zip(range(1, len(self.form) + 1), *self._columns())))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-class DepSentence(_Record):
-    """A dependency tree over tokens with ids 1..n.
-
-    tokens may be given as any sequence of DepTokens; it is stored as
-    columns (see the module docstring), which the form, lemma, upos, xpos,
-    head and deprel properties return. Tree shape (single root, acyclic,
-    connected) is validated on construction; an invalid token list raises
-    ConlluStructureError.
-    """
-
-    # _children[i]: ids of the dependents of token i in surface order;
-    # _children[0] holds the root. Derived from tokens, so it takes no part in
-    # ==, hash or repr.
-    __slots__ = ("tokens", "text", "sent_id", "_children")
-    _fields = _shown = ("tokens", "text", "sent_id")
-    tokens: Sequence[DepToken]
-    text: str | None
-    sent_id: str | None
-    _children: tuple[tuple[int, ...], ...]
-
-    def __init__(
-        self, tokens: Sequence[DepToken], text: str | None = None, sent_id: str | None = None
-    ) -> None:
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "sent_id", sent_id)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        """Store tokens as columns and index the tree, or raise
-        ConlluStructureError. A method of its own, looked up on the class,
-        so that benchmarks/spans.py can time tree validation by wrapping it."""
-        if not isinstance(self.tokens, _Tokens):
-            tokens = tuple(self.tokens)
-            ids = [t.id for t in tokens]
-            if ids != list(range(1, len(ids) + 1)):
-                raise ConlluStructureError(
-                    f"{self._name()}: token ids are not exactly 1..{len(ids)}: {ids}"
-                )
-            columns = (tuple(getattr(t, name) for t in tokens) for name in _Tokens.__slots__)
-            object.__setattr__(self, "tokens", _Tokens(*columns))
-        children = _index_tree(self.tokens.head)
-        if isinstance(children, str):
-            raise ConlluStructureError(f"{self._name()}: {children}")
-        object.__setattr__(self, "_children", children)
-
-    def _name(self) -> str:
-        if self.sent_id:
-            return f"sentence {self.sent_id!r}"
-        if self.tokens:
-            head = " ".join(t.form for t in self.tokens[:4])
-            return f"sentence starting {head!r}"
-        return "empty sentence"
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    # The columns, read-only: sent.form[i - 1] is the form of token i.
-    form = property(attrgetter("tokens.form"))
-    lemma = property(attrgetter("tokens.lemma"))
-    upos = property(attrgetter("tokens.upos"))
-    xpos = property(attrgetter("tokens.xpos"))
-    head = property(attrgetter("tokens.head"))
-    deprel = property(attrgetter("tokens.deprel"))
-
     def token(self, token_id: int) -> DepToken:
         """Return the token with the given 1-based id."""
-        return self.tokens._token(self._check(token_id))
+        return self._token(self._check(token_id))
 
     def _check(self, token_id: int) -> int:
         if not 1 <= token_id < len(self._children):
@@ -289,7 +256,7 @@ class DepSentence(_Record):
     @property
     def root(self) -> DepToken:
         """The unique token whose head is 0."""
-        return self.tokens._token(self._children[0][0])
+        return self._token(self._children[0][0])
 
     def child_ids(self, token_id: int) -> tuple[int, ...]:
         """Ids of the direct dependents of a token, in surface order."""
@@ -297,7 +264,7 @@ class DepSentence(_Record):
 
     def children(self, token_id: int) -> tuple[DepToken, ...]:
         """Direct dependents of a token, in surface order."""
-        return tuple(map(self.tokens._token, self.child_ids(token_id)))
+        return tuple(map(self._token, self.child_ids(token_id)))
 
     def subtree_ids(self, token_id: int) -> frozenset[int]:
         """Ids of the token and all its descendants."""
@@ -417,12 +384,12 @@ def _parse_lines(lines: Iterable[tuple[int, str]], path: str | None = None) -> l
         if not line.strip():
             if rows:
                 ids, *columns = zip(*rows)
-                if ids == tuple(range(1, len(ids) + 1)):
-                    tokens = _Tokens(*columns)
-                else:  # DepSentence reports the ids
-                    tokens = tuple(starmap(DepToken, rows))
                 try:
-                    sentences.append(DepSentence(tokens, sent_text, sent_id))
+                    if ids == tuple(range(1, len(ids) + 1)):
+                        sentence = DepSentence._columnar(columns, sent_text, sent_id)
+                    else:  # DepSentence reports the ids
+                        sentence = DepSentence(starmap(DepToken, rows), sent_text, sent_id)
+                    sentences.append(sentence)
                 except ConlluStructureError as exc:
                     raise ConlluStructureError(str(exc), path=path) from None
                 rows = []
@@ -550,16 +517,36 @@ def to_conllu(sentence: DepSentence) -> str:
 
     Round-trips through parse_conllu to an equal DepSentence. Columns this
     module does not model (feats, deps, misc) are written as "_".
+
+    Raises:
+        ValueError: a value that would not read back as it is, named by its
+            field: a tab or line break in any string; a text or sent_id
+            that is empty or starts or ends with whitespace; a lemma or xpos
+            of "_", which reads back as None.
     """
     lines: list[str] = []
-    if sentence.sent_id is not None:
-        lines.append(f"# sent_id = {sentence.sent_id}")
-    if sentence.text is not None:
-        lines.append(f"# text = {sentence.text}")
-    columns = (sentence.form, sentence.lemma, sentence.upos, sentence.xpos, sentence.head,
-               sentence.deprel)
-    for token_id, (form, lemma, upos, xpos, head, deprel) in enumerate(zip(*columns), 1):
+    for name in ("sent_id", "text"):
+        value = getattr(sentence, name)
+        if value is not None:
+            _check_writable(name, value)
+            lines.append(f"# {name} = {value}")
+    for name in ("form", "lemma", "upos", "xpos", "deprel"):
+        for value in getattr(sentence, name):
+            if value is not None:
+                _check_writable(name, value)
+    for token_id, form, lemma, upos, xpos, head, deprel in sentence.tokens:
         lemma = "_" if lemma is None else lemma
         xpos = "_" if xpos is None else xpos
         lines.append(f"{token_id}\t{form}\t{lemma}\t{upos}\t{xpos}\t_\t{head}\t{deprel}\t_\t_")
     return "\n".join(lines) + "\n"
+
+
+def _check_writable(name: str, value: str) -> None:
+    """Raise ValueError unless value reads back as it is from the field
+    called name."""
+    if _UNWRITABLE_RE.search(value):
+        raise ValueError(f"{name} {value!r} holds a tab or line break")
+    if name in ("sent_id", "text") and (not value or value != value.strip()):
+        raise ValueError(f"{name} {value!r} is empty or starts or ends with whitespace")
+    if name in ("lemma", "xpos") and value == "_":
+        raise ValueError(f"{name} '_' reads back as None")

@@ -113,6 +113,9 @@ class DeclarativeCandidate(_CandidateFields):
         """Build through __new__, so that _replace keeps the checks."""
         return cls(*values)
 
+    def __reduce__(self):
+        return type(self), tuple(self)  # through __new__, as DepToken
+
 
 class PrepositionTable:
     """Word lists driving preposition selection, loaded from a TSV file.
@@ -165,6 +168,11 @@ class PrepositionTable:
         return type(other) is type(self) and all(
             getattr(other, name) == getattr(self, name) for name in self.__slots__
         )
+
+    def __reduce__(self):
+        # Rebuilt from the dict __init__ takes, which every pickle protocol
+        # can save; 0 and 1 cannot save __slots__ alone.
+        return type(self), ({name[:-1]: getattr(self, name) for name in self.__slots__},)
 
     # -- rule blocks ------------------------------------------------------
 

@@ -60,6 +60,65 @@ def test_round_trip():
     assert parse_conllu(to_conllu(sent))[0] == sent
 
 
+def test_a_sentence_holds_its_columns_and_builds_a_plain_tuple_of_tokens():
+    parsed = parse_conllu(GOOD)[0]
+    built = DepSentence(parsed.tokens, parsed.text, parsed.sent_id)
+    assert {"form", "lemma", "upos", "xpos", "head", "deprel"} <= set(DepSentence.__slots__)
+    for sent in (parsed, built):
+        assert type(sent.tokens) is tuple and sent.tokens is not sent.tokens
+        assert sent.tokens == tuple(map(sent.token, range(1, 5)))
+        assert sent.form == ("Who", "called", "Taylor", "?")
+        assert sent.xpos == ("WP", None, None, None) and sent.head == (2, 0, 2, 2)
+    assert built == parsed and hash(built) == hash(parsed)
+
+
+def test_blank_text_and_sent_id_comments_read_as_none():
+    rows = [_row(1, "Hi", "hi", "INTJ", 0, "root"), ""]
+    for comments in (["# sent_id = ", "# text = "], ["# sent_id =", "# text =  \t"]):
+        (sent,) = parse_conllu("\n".join([*comments, *rows]))
+        assert (sent.sent_id, sent.text) == (None, None)
+
+
+_LIZ_LEFT = DepSentence(
+    (DepToken(1, "Liz", "Liz", "PROPN", "NNP", 2, "nsubj"),
+     DepToken(2, "left", "leave", "VERB", "VBD", 0, "root")),
+    "Liz left",
+    "s1",
+)
+
+
+def _liz_left(field: str, value: str) -> DepSentence:
+    """_LIZ_LEFT with one field of the sentence, or of its first token, changed."""
+    if field in DepSentence._fields:
+        return _LIZ_LEFT._replace(**{field: value})
+    liz, left = _LIZ_LEFT.tokens
+    return _LIZ_LEFT._replace(tokens=(liz._replace(**{field: value}), left))
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("text", "Liz\nleft"), ("text", "Liz\rleft"), ("text", " Liz left "), ("text", ""),
+        ("sent_id", "s\n1"), ("sent_id", ""), ("sent_id", "s1\t"),
+        ("form", "L\tiz"), ("form", "L\niz"), ("lemma", "l\r"), ("upos", "PROPN\t"),
+        ("xpos", "N\nNP"), ("deprel", "n\tsubj"), ("lemma", "_"), ("xpos", "_"),
+    ],
+)
+def test_to_conllu_refuses_what_would_not_read_back(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        to_conllu(_liz_left(field, value))
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("text", "Liz  left\u2028now\x0c."), ("sent_id", "_"), ("form", " _ "), ("upos", "_"),
+     ("lemma", ""), ("deprel", "nsubj\x85")],
+)
+def test_to_conllu_writes_what_reads_back(field, value):
+    sent = _liz_left(field, value)
+    assert parse_conllu(to_conllu(sent)) == [sent]
+
+
 def test_blank_lines_separate_sentences():
     text = GOOD + "\n" + "\n".join(
         ["# sent_id = q2", _row(1, "Hi", "hi", "INTJ", 0, "root"), ""]
@@ -212,7 +271,8 @@ def test_pickle_and_deepcopy_round_trip_a_parsed_sentence():
     sent = parse_conllu(GOOD)[0]
     for twin in (pickle.loads(pickle.dumps(sent)), copy.deepcopy(sent)):
         assert twin == sent and hash(twin) == hash(sent)
-        assert twin.tokens._columns() == sent.tokens._columns()
+        columns = ("form", "lemma", "upos", "xpos", "head", "deprel")
+        assert [getattr(twin, c) for c in columns] == [getattr(sent, c) for c in columns]
         assert twin.child_ids(2) == (1, 3, 4) and twin.root_id == 2
 
 
@@ -336,6 +396,21 @@ def sentences(draw):
 def test_round_trip_generated(sent):
     (back,) = parse_conllu(to_conllu(sent))
     assert back == sent and hash(back) == hash(sent)
+
+
+# Any text, and text made of separators and the blank mark.
+_ANY_TEXT = st.text() | st.text(" \t\n\r\x0b\x0c\x1c\x85\u2028_ab")
+
+
+@GENERATED
+@given(_ANY_TEXT, _ANY_TEXT, _ANY_TEXT.filter(bool))
+def test_to_conllu_refuses_or_round_trips(text, sent_id, form):
+    sent = _liz_left("form", form)._replace(text=text, sent_id=sent_id)
+    try:
+        written = to_conllu(sent)
+    except ValueError:
+        return
+    assert parse_conllu(written) == [sent]
 
 
 # -- committed generated corpora ----------------------------------------------

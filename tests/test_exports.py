@@ -150,18 +150,21 @@ def test_cli_loads_scoring_code_only_in_eval_and_analyze(child_env, tmp_path, ar
 
 
 def test_cli_imports_no_private_name_of_another_module():
-    tree = ast.parse(Path(qa2nli.__file__).with_name("cli.py").read_text(encoding="utf-8"))
-    private = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
-    assert private == []
-    # the check sees the imports, including those inside a command
-    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert {"nli", "metrics", "artifacts"} <= modules
+    # analysis reads a parse only through DepSentence's public attributes
+    checked = [("cli.py", {"nli", "metrics", "artifacts"}), ("analysis.py", {"conllu"})]
+    for name, imported in checked:
+        tree = ast.parse(Path(qa2nli.__file__).with_name(name).read_text(encoding="utf-8"))
+        private = [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == [], name
+        # the check sees the imports, including those inside a command
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert imported <= modules
 
 
 def test_star_import_binds_exactly_all(child_env):

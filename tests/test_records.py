@@ -160,9 +160,7 @@ def test_empty_lexicon_shares_no_mutable_mapping():
     assert VerbLexicon().irregular_past == {}
 
 
-# Protocols 0 and 1 restore a tuple subclass without calling its __new__, and
-# cannot pickle PrepositionTable; 4 is the default.
-_PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
+_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 def test_dep_sentence_is_a_record():
@@ -233,6 +231,10 @@ def _forged(cls, values: dict):
     if issubclass(cls, tuple):
         return tuple.__new__(cls, values.values())
     forged = object.__new__(cls)
+    if cls is DepSentence:  # it stores the columns after id, not the tokens
+        _, *columns = zip(*values["tokens"])
+        values = dict(zip(DepSentence.__slots__, columns), text=values["text"],
+                      sent_id=values["sent_id"])
     for name, value in values.items():
         object.__setattr__(forged, name, value)
     return forged
