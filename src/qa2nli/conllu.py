@@ -1,6 +1,11 @@
-"""CoNLL-U ingestion for dependency-parsed sentences, the one line reader
-through which every input file of the package is read, and the JSONL reader
-built on it.
+"""CoNLL-U ingestion for dependency-parsed sentences, the one reader through
+which every input file of the package is read, and the JSONL reader built on
+it.
+
+The reader hands out a file in blocks of whole lines: _BLOCK_CHARS
+characters, then the rest of the last line, each block split at "\n" once
+and checked to be UTF-8 once. The CoNLL-U parser runs one loop over each
+block's lines; read_jsonl and the word-list readers number the same lines.
 
 Reads the 10-column tab-separated format: '#' lines are comments (sent_id and
 text comments are captured), blank lines separate sentences. Multiword token
@@ -44,20 +49,11 @@ __all__ = [
 ]
 
 _COLUMNS = 10
-# A value starts and ends with a non-space: "# text = " gives no text.
-_SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S.*?)\s*$")
-_TEXT_RE = re.compile(r"^#\s*text\s*=\s*(\S.*?)\s*$")
+# Characters per read of an input file; a longer line spans several reads.
+_BLOCK_CHARS = 1 << 16
 _UNWRITABLE_RE = re.compile(r"[\t\n\r]")
-_RANGE_ID_RE = re.compile(r"^\d+-\d+$", re.ASCII)
-_EMPTY_ID_RE = re.compile(r"^\d+\.\d+$", re.ASCII)
-
-
-def _refuse_setattr(self, name: str, value: object) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delattr(self, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
+# The id of a multiword token range ("3-4") or an empty node ("3.1").
+_SKIPPED_ID_RE = re.compile(r"\d+[-.]\d+", re.ASCII)
 
 
 class _Record:
@@ -74,8 +70,11 @@ class _Record:
     _fields: tuple[str, ...]
     _shown: tuple[str, ...]
 
-    __setattr__ = _refuse_setattr
-    __delattr__ = _refuse_delattr
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self, names: tuple[str, ...]) -> tuple:
         return tuple(getattr(self, name) for name in names)
@@ -243,9 +242,7 @@ class DepSentence(_Record):
 
     def _check(self, token_id: int) -> int:
         if not 1 <= token_id < len(self._children):
-            raise ValueError(
-                f"token id {token_id} out of range 1..{len(self._children) - 1}"
-            )
+            raise ValueError(f"token id {token_id} out of range 1..{len(self._children) - 1}")
         return token_id
 
     @property
@@ -326,7 +323,7 @@ def _check_row(cols: list[str], line_no: int, path: str | None) -> tuple[int, in
     # Ids and heads are ASCII digits: str.isdigit() alone also accepts
     # digits that int() rejects ("²").
     if not (raw_id.isascii() and raw_id.isdigit()):
-        if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
+        if _SKIPPED_ID_RE.fullmatch(raw_id):
             return None  # multiword range / empty node: not a syntactic word
         raise ConlluFormatError(f"bad token id {raw_id!r}", line_no, path)
     if not (raw_head.isascii() and raw_head.removeprefix("-").isdigit()):
@@ -362,11 +359,12 @@ def parse_conllu(text: str) -> list[DepSentence]:
         ConlluStructureError: token ids/heads of a sentence are not a tree;
             the message names the sentence.
     """
-    return _parse_lines(enumerate(io.StringIO(text, newline=None), start=1))
+    return _parse_blocks([(1, io.StringIO(text, newline=None).read().split("\n"))])
 
 
-def _parse_lines(lines: Iterable[tuple[int, str]], path: str | None = None) -> list[DepSentence]:
-    r"""Sentences from (line number, line) pairs; a line may keep its "\n".
+def _parse_blocks(blocks: Iterable, path: str | None = None) -> list[DepSentence]:
+    """Sentences from (first line number, lines) blocks, as _read_blocks
+    gives them.
 
     Errors name path, when one is given, before the rest of the message.
     """
@@ -377,114 +375,126 @@ def _parse_lines(lines: Iterable[tuple[int, str]], path: str | None = None) -> l
     # One (id, form, lemma, upos, xpos, head, deprel) row per token, in
     # DepToken's field order.
     rows: list[tuple] = []
-    sent_id: str | None = None
-    sent_text: str | None = None
-    # A blank line after the last one ends the last sentence.
-    for line_no, line in chain(lines, [(0, "")]):
-        if not line.strip():
-            if rows:
-                ids, *columns = zip(*rows)
-                try:
-                    if ids == tuple(range(1, len(ids) + 1)):
-                        sentence = DepSentence._columnar(columns, sent_text, sent_id)
-                    else:  # DepSentence reports the ids
-                        sentence = DepSentence(starmap(DepToken, rows), sent_text, sent_id)
-                    sentences.append(sentence)
-                except ConlluStructureError as exc:
-                    raise ConlluStructureError(str(exc), path=path) from None
-                rows = []
-            sent_id = sent_text = None
-            continue
-        if line[0] == "#":
-            m = _SENT_ID_RE.match(line)
-            if m:
-                sent_id = m.group(1)
+    # The "# key = value" comments of the sentence, such as sent_id and text.
+    comments: dict[str, str] = {}
+    # A blank line after the last block ends the last sentence.
+    for first, lines in chain(blocks, [(0, [""])]):
+        for line_no, line in enumerate(lines, first):
+            if not line or line.isspace():
+                if rows:
+                    ids, *columns = zip(*rows)
+                    text, sent_id = comments.get("text"), comments.get("sent_id")
+                    try:
+                        if ids != tuple(range(1, len(ids) + 1)):  # DepSentence raises, naming them
+                            DepSentence(starmap(DepToken, rows), text, sent_id)
+                        sentences.append(DepSentence._columnar(columns, text, sent_id))
+                    except ConlluStructureError as exc:
+                        raise ConlluStructureError(str(exc), path=path) from None
+                    rows = []
+                comments = {}
                 continue
-            m = _TEXT_RE.match(line)
-            if m:
-                sent_text = m.group(1)
-            continue
-        # The newline stays on the last (MISC) column, which is never read.
-        cols = line.split("\t")
-        # The quick check passes every ordinary row; _check_row sorts out the
-        # rest, in the order the checks are made.
-        try:
-            raw_id, form, lemma, upos, xpos, _, raw_head, deprel, _, _ = cols
-            token_id, head = small_ints[raw_id], small_ints[raw_head]
-            if token_id < 1 or head == token_id or not form:
-                raise ValueError
-        except (ValueError, KeyError):
-            checked = _check_row(cols, line_no, path)
-            if checked is None:
+            if line[0] == "#":
+                # Spaces around the key and value are optional; a value that
+                # is only whitespace is no value.
+                key, _, value = line[1:].partition("=")
+                if value := value.strip():
+                    comments[key.strip()] = value
                 continue
-            token_id, head = checked
-        rows.append((
-            token_id,
-            intern(form, form),
-            None if lemma == "_" else intern(lemma, lemma),
-            intern(upos, upos),
-            None if xpos == "_" else intern(xpos, xpos),
-            head,
-            intern(deprel, deprel),
-        ))
+            cols = line.split("\t")
+            # The quick check passes every ordinary row; _check_row sorts out
+            # the rest, in the order the checks are made.
+            try:
+                raw_id, form, lemma, upos, xpos, _, raw_head, deprel, _, _ = cols
+                token_id, head = small_ints[raw_id], small_ints[raw_head]
+                if token_id < 1 or head == token_id or not form:
+                    raise ValueError
+            except (ValueError, KeyError):
+                checked = _check_row(cols, line_no, path)
+                if checked is None:
+                    continue
+                token_id, head = checked
+            rows.append((
+                token_id,
+                intern(form, form),
+                None if lemma == "_" else intern(lemma, lemma),
+                intern(upos, upos),
+                None if xpos == "_" else intern(xpos, xpos),
+                head,
+                intern(deprel, deprel),
+            ))
     return sentences
 
 
 def load_conllu(path: str) -> list[DepSentence]:
-    """Parse a CoNLL-U file from disk (UTF-8), one line at a time.
+    """Parse a CoNLL-U file from disk (UTF-8), one block of lines at a time.
 
     Lines split as in parse_conllu. Errors are those of parse_conllu, raised
     with the path at the start of the message ("<path>: line N: ..." for a
     malformed line, "<path>: sentence ...: ..." for a sentence that is not a
     tree), or a DatasetError for a line that is not valid UTF-8
-    ("<path>: line N: not valid UTF-8").
+    ("<path>: line N: not valid UTF-8"), each for the first bad line.
     """
-    return _parse_lines(_read_lines(path), path)
+    return _parse_blocks(_read_blocks(path), path)
 
 
-def _read_lines(path: str) -> Iterator[tuple[int, str]]:
-    r"""Yield (line number, line) for each line of a UTF-8 text file.
+def _read_blocks(path: str) -> Iterator[tuple[int, list[str]]]:
+    r"""Yield (first line number, lines) for each block of whole lines of a
+    UTF-8 text file; the lines hold no "\n".
 
-    Every input file of the package is read here. Lines split only at
-    "\n", "\r\n" and "\r", as in text-mode reading, and each line but
-    perhaps the last ends in "\n".
+    Every input file of the package is read here: _BLOCK_CHARS characters at
+    a time, and then the rest of the last line. Lines split only at "\n",
+    "\r\n" and "\r", as in text-mode reading.
 
     Raises:
-        DatasetError: a line is not valid UTF-8, with the path and line.
+        DatasetError: a line is not valid UTF-8, with the path and line,
+            after the lines before it are yielded.
     """
+    line_no = 1
     # A bad byte decodes to a lone surrogate, which does not encode back.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise DatasetError("not valid UTF-8", line_no, path) from None
-            yield line_no, line
+        while block := fh.read(_BLOCK_CHARS) + fh.readline():
+            try:
+                block.isascii() or block.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                whole = block[: block.rfind("\n", 0, exc.start) + 1]
+                yield line_no, whole.split("\n")[:-1]
+                raise DatasetError("not valid UTF-8", line_no + whole.count("\n"), path) from None
+            lines = block.removesuffix("\n").split("\n")
+            yield line_no, lines
+            line_no += len(lines)
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     r"""Yield (line number, object) for each non-blank line of a JSONL file.
 
-    The file is read one line at a time; lines split only at "\n", "\r\n"
-    and "\r".
+    Lines split as in parse_conllu.
 
     Raises:
-        DatasetError: a line is not valid UTF-8, not valid JSON or not a
-            JSON object.
+        DatasetError: a line is not valid UTF-8, not valid JSON, not a
+            JSON object, or holds a lone surrogate through a \u escape.
     """
     import json  # not at module level: parses and word lists need no JSON
 
-    for line_no, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid JSON ({exc.msg})", line_no, path) from exc
-        if not isinstance(obj, dict):
-            raise DatasetError("expected a JSON object", line_no, path)
-        yield line_no, obj
+    escape = re.compile(r"\\u[dD][89a-fA-F]")  # a JSON escape of a surrogate
+    for first, lines in _read_blocks(path):
+        for line_no, line in enumerate(lines, first):
+            if not line or line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"invalid JSON ({exc.msg})", line_no, path) from exc
+            if not isinstance(obj, dict):
+                raise DatasetError("expected a JSON object", line_no, path)
+            # json.loads joins a pair of surrogates into one character but
+            # keeps one that stands alone. A backslash is found faster than an
+            # escape, and most lines have none.
+            if "\\" in line and escape.search(line):
+                if re.search("[\ud800-\udfff]", json.dumps(obj, ensure_ascii=False)):
+                    raise DatasetError(
+                        "not valid Unicode: a \\u escape of a lone surrogate", line_no, path
+                    )
+            yield line_no, obj
 
 
 def require_key(obj: dict, key: str, kind: type, line_no: int, path: str):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .conllu import _read_lines
+from .conllu import _read_blocks
 from .errors import DatasetError
 
 __all__ = ["VerbLexicon", "reinflect"]
@@ -82,14 +82,14 @@ class VerbLexicon(NamedTuple):
 def _key_value_lines(path: str) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) per key<TAB>value line of a word-list file;
     blank and '#' lines are skipped."""
-    for line_no, line in _read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DatasetError("expected key<TAB>value", line_no, path)
-        yield line_no, parts[0], parts[1]
+    for first, lines in _read_blocks(path):
+        for line_no, line in enumerate(lines, first):
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DatasetError("expected key<TAB>value", line_no, path)
+            yield line_no, parts[0], parts[1]
 
 
 @lru_cache(maxsize=None)

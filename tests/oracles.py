@@ -11,6 +11,7 @@ constants frozen in the metric tests:
 """
 
 import math
+import re
 import string
 
 
@@ -183,6 +184,28 @@ def oracle_subtree_ids(tokens, token_id):
 def oracle_root(tokens):
     """Id of the one token whose head is 0."""
     return [t.id for t in tokens if t.head == 0][0]
+
+
+# The patterns the CoNLL-U reader matched sent_id and text comments with
+# before it split them at "=": a value starts and ends with a non-space, so
+# "# text = " gives no text.
+SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S.*?)\s*$")
+TEXT_RE = re.compile(r"^#\s*text\s*=\s*(\S.*?)\s*$")
+
+
+def oracle_comments(lines):
+    """(sent_id, text) that a sentence's comment lines give, read with the
+    regexes, each line in turn; a later match replaces an earlier one."""
+    sent_id = text = None
+    for line in lines:
+        m = SENT_ID_RE.match(line)
+        if m:
+            sent_id = m.group(1)
+            continue
+        m = TEXT_RE.match(line)
+        if m:
+            text = m.group(1)
+    return sent_id, text
 
 
 def oracle_realize(tokens):

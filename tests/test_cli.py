@@ -700,6 +700,36 @@ def test_malformed_jsonl_reports_line(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_a_lone_surrogate_escape_is_an_input_error(tmp_path, capsys):
+    # json.loads keeps a lone "\ud800"; no output file can hold it as UTF-8.
+    qa = tmp_path / "qa.jsonl"
+    lines = Path(QA).read_text(encoding="utf-8").splitlines()[:3]
+    lines[2] = lines[2].replace('"passage": "', '"passage": "x\\ud800', 1)
+    qa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text('{"id": "f01", "declarative": "Liz called Taylor.", "rank": 1}\n'
+                    '{"id": "f02", "declarative": "\\uDC00.", "rank": 1}\n', encoding="utf-8")
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"premise": "p", "hypothesis": "h", "label": "entailed"}\n'
+                     '{"premise": "p", "hypothesis": "\\udbff", "label": "entailed"}\n',
+                     encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    message = "not valid Unicode: a \\u escape of a lone surrogate\n"
+    for argv, error in (
+        (["qa2d", "--qa", str(qa), "--parses", PARSES, "--output", str(out)],
+         f"{qa}: line 3: {message}"),
+        (["convert", "--schema", "span", "--qa", str(qa), "--parses", PARSES,
+          "--output", str(out)], f"{qa}: line 3: {message}"),
+        (["eval", "--hypotheses", str(hyps), "--references",
+          str(_FIXTURES / "qa2d_references.jsonl"), "--output", str(out)],
+         f"{hyps}: line 2: {message}"),
+        (["analyze", "--pairs", str(pairs), "--output", str(out)], f"{pairs}: line 2: {message}"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"qa2nli: error: {error}")
+        assert not out.exists(), argv[0]
+
+
 def _conllu_row(tid, form, head):
     return "\t".join((str(tid), form, form.lower(), "X", "_", "_", str(head), "dep", "_", "_"))
 
