@@ -217,6 +217,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # "Note on SIGPIPE" in the Python signal module docs.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (PipelineError, OSError, ValueError) as exc:
         print(f"qa2nli: error: {exc}", file=sys.stderr)

@@ -51,9 +51,6 @@ __all__ = [
 _COLUMNS = 10
 # Characters per read of an input file; a longer line spans several reads.
 _BLOCK_CHARS = 1 << 16
-_UNWRITABLE_RE = re.compile(r"[\t\n\r]")
-# The id of a multiword token range ("3-4") or an empty node ("3.1").
-_SKIPPED_ID_RE = re.compile(r"\d+[-.]\d+", re.ASCII)
 
 
 class _Record:
@@ -323,8 +320,12 @@ def _check_row(cols: list[str], line_no: int, path: str | None) -> tuple[int, in
     # Ids and heads are ASCII digits: str.isdigit() alone also accepts
     # digits that int() rejects ("²").
     if not (raw_id.isascii() and raw_id.isdigit()):
-        if _SKIPPED_ID_RE.fullmatch(raw_id):
-            return None  # multiword range / empty node: not a syntactic word
+        # A multiword token range ("3-4") or an empty node ("3.1"): two ASCII
+        # numbers around one "-" or ".", and not a syntactic word.
+        if raw_id.isascii() and any(
+            first.isdigit() and rest.isdigit() for first, _, rest in map(raw_id.partition, "-.")
+        ):
+            return None
         raise ConlluFormatError(f"bad token id {raw_id!r}", line_no, path)
     if not (raw_head.isascii() and raw_head.removeprefix("-").isdigit()):
         raise ConlluFormatError(f"bad head {raw_head!r}", line_no, path)
@@ -554,7 +555,7 @@ def to_conllu(sentence: DepSentence) -> str:
 def _check_writable(name: str, value: str) -> None:
     """Raise ValueError unless value reads back as it is from the field
     called name."""
-    if _UNWRITABLE_RE.search(value):
+    if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError(f"{name} {value!r} holds a tab or line break")
     if name in ("sent_id", "text") and (not value or value != value.strip()):
         raise ValueError(f"{name} {value!r} is empty or starts or ends with whitespace")

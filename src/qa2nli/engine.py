@@ -49,7 +49,7 @@ keeps its config, so it is realized with the table it was planned with.
 from __future__ import annotations
 
 import re
-import string
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
@@ -74,11 +74,9 @@ _CLAUSE_SKIP_BASES = {"advcl", "parataxis"}
 # Questions asking who or what something is, whose copular sentence can flip
 # ("Ann is the mayor."); a When or Where answer cannot be the subject.
 _IDENTITY_QTYPES = {QuestionType.WHO, QuestionType.WHAT, QuestionType.WHICH, QuestionType.WHOSE}
-_DAY_RE = re.compile(r"\d{1,2}(st|nd|rd|th)?")
-_SLASH_DATE_RE = re.compile(r"\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}")
-_CLOCK_RE = re.compile(r"\b\d{1,2}(:\d{2})?\s*([ap]\.?m\.?)(\W|$)")
-_DECADE_RE = re.compile(r"(\d{4}|\d{2})s")
-_YEAR_RE = re.compile(r"[12]\d{3}")
+# string.punctuation, written out: importing string costs every command's
+# start-up the compile of string.Template's pattern.
+_PUNCTUATION = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
 # The preposition of motion toward a place ("went to Paris"). A place
 # adverb already holds it ("went there"), so it is the one pied-piped
 # preposition such an answer drops ("To where did he go?" + "there").
@@ -203,23 +201,24 @@ class PrepositionTable:
         toks = _match_tokens(answer)
         if not toks or self._suppressed(toks, QuestionType.WHEN):
             return []
+        day_re, slash_date_re, clock_re, decade_re, year_re = _time_patterns()
         lower = answer.lower()
         options: list[str] = []
         has_month = any(t in self.months for t in toks)
-        has_day = any(_DAY_RE.fullmatch(t) for t in toks)
-        if (has_month and has_day) or any(_SLASH_DATE_RE.fullmatch(t) for t in toks):
+        has_day = any(day_re.fullmatch(t) for t in toks)
+        if (has_month and has_day) or any(slash_date_re.fullmatch(t) for t in toks):
             options.append("on")
         if any(t in self.weekdays for t in toks):
             options.append("on")
         if (
-            _CLOCK_RE.search(lower)
+            clock_re.search(lower)
             or "o'clock" in lower
             or any(t in self.time_words for t in toks)
         ):
             options.append("at")
         if has_month or any(t in self.seasons for t in toks):
             options.append("in")
-        if any(_DECADE_RE.fullmatch(t) or _YEAR_RE.fullmatch(t) for t in toks):
+        if any(decade_re.fullmatch(t) or year_re.fullmatch(t) for t in toks):
             options.append("in")
         options.append("in")
         return list(dict.fromkeys(options))
@@ -242,8 +241,21 @@ class PrepositionTable:
         return list(dict.fromkeys(options))
 
 
+@cache
+def _time_patterns() -> tuple[re.Pattern[str], ...]:
+    """when_options' day, slash date, clock, decade and year patterns,
+    compiled on the first time answer rather than at every import."""
+    return (
+        re.compile(r"\d{1,2}(st|nd|rd|th)?"),
+        re.compile(r"\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}"),
+        re.compile(r"\b\d{1,2}(:\d{2})?\s*([ap]\.?m\.?)(\W|$)"),
+        re.compile(r"(\d{4}|\d{2})s"),
+        re.compile(r"[12]\d{3}"),
+    )
+
+
 def _match_tokens(text: str) -> list[str]:
-    return [t for t in (tok.strip(string.punctuation).lower() for tok in text.split()) if t]
+    return [t for t in (tok.strip(_PUNCTUATION).lower() for tok in text.split()) if t]
 
 
 class EngineConfig(_Record):

@@ -917,6 +917,48 @@ def test_closed_stdout_stops_quietly(command, child_env):
     assert "error" not in err and "Traceback" not in err
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises
+    BrokenPipeError, and fileno() is the write end of a real pipe."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self._fd
+
+
+def test_broken_pipe_points_stdout_at_the_null_device(monkeypatch, capsys):
+    """In-process twin of test_closed_stdout_stops_quietly."""
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)  # a pipe with a writer left raises, not hangs
+    opened = []
+    real_open = os.open
+
+    def recording_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
+    try:
+        assert main(["qa2d", "--qa", QA, "--parses", PARSES]) == 1
+        assert capsys.readouterr().err == ""
+        assert os.read(read_end, 1) == b""  # EOF: write_end now names the null device
+        assert len(opened) == 1
+        with pytest.raises(OSError):  # the null device's own fd is not left open
+            os.fstat(opened[0])
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
 def test_module_entry_point(tmp_path, child_env):
     result = subprocess.run(
         [sys.executable, "-m", "qa2nli", "qa2d", "--qa", QA, "--parses", PARSES,

@@ -173,8 +173,9 @@ def test_only_newlines_end_a_line(tmp_path, sep):
 
 
 def test_bad_token_id():
-    # "²" and "٣" pass str.isdigit(); only ASCII digits make an id.
-    for raw_id in ("x", "²", "٣"):
+    # "²" and "٣" pass str.isdigit(); only ASCII digits make an id. The rest
+    # are near misses of a range ("1-2") or empty node ("2.1") id.
+    for raw_id in ("x", "²", "٣", "٣-٤", "1-", "-1", "1.2.3", "1-2-3", "1..2"):
         with pytest.raises(ConlluFormatError, match=re.escape(f"line 1: bad token id '{raw_id}'")):
             parse_conllu(_row(raw_id, "Hi", "hi", "INTJ", 0, "root"))
 

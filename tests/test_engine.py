@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import string
 from copy import deepcopy
 from importlib import resources
 
@@ -146,6 +147,11 @@ def test_when_and_where_options_tokenize_the_answer_once(monkeypatch, table):
     assert table.where_options("the store", "go") == ["to", "at", "in"]
     assert table.where_options("in Paris", "go") == []  # suppressed: still one call
     assert calls == ["August 16, 1958", "the store", "in Paris"]
+
+
+def test_punctuation_constant_is_string_punctuation():
+    # engine writes the constant out rather than import string at start-up
+    assert engine._PUNCTUATION == string.punctuation
 
 
 def test_starts_suppressed(table):

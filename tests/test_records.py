@@ -258,7 +258,9 @@ def test_checked_record_refuses_bad_values_on_every_path(record, changes, error)
 
 # The dataclasses module costs every command's start-up its import and the
 # inspect module under it (ast, dis, tokenize), and each decorated class an
-# exec of generated source.
+# exec of generated source. The string module compiles string.Template's
+# pattern at import, and a module-level regex is compiled on every import
+# whether or not a call reads it.
 _DATACLASS_MACHINERY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
@@ -275,11 +277,18 @@ def test_start_up_loads_no_dataclass_machinery(child_env, code):
     script = (
         f"import sys\nbefore = set(sys.modules)\n{code}\n"
         "print(*sorted(set(sys.modules) - before))\n"
+        "import re\n"
+        "print(*sorted(f'{name}.{key}' for name, module in list(sys.modules.items())\n"
+        "    if name.startswith('qa2nli') for key, value in vars(module).items()\n"
+        "    if isinstance(value, re.Pattern)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8",
         env=child_env, check=True,
     )
-    loaded = set(proc.stdout.split())
+    modules, patterns = proc.stdout.split("\n")[:2]
+    loaded = set(modules.split())
     assert {"qa2nli.conllu", "qa2nli.engine"} <= loaded
     assert not loaded & _DATACLASS_MACHINERY, loaded & _DATACLASS_MACHINERY
+    assert "string" not in loaded
+    assert patterns == ""
