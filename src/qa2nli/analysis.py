@@ -140,7 +140,12 @@ class WhAnalysis(NamedTuple):
     will be the result?") and further auxiliaries ("What will have been the
     result?"). verbs is the verb group: the ids of all the main predicate's
     auxiliaries and its copula, in surface order. The rewrite moves every
-    one of them that precedes the subject, keeping their order.
+    one of them that precedes the subject, keeping their order. wh_head is
+    the head of the wh phrase: the token the wh word climbs to through its
+    determiner, modifier and possessor relations ("city" in "In which
+    city", "books" in "How many books", the wh word itself in "What did
+    Liz buy?"). Its relation says what the phrase does in the clause, and
+    wh_attachment is its head (itself when it is the root).
     """
 
     question: DepSentence
@@ -155,6 +160,7 @@ class WhAnalysis(NamedTuple):
     wh_attachment: int
     dangling_preps: tuple[int, ...]
     subject_wh: bool
+    wh_head: int
 
 
 def _base(deprel: str) -> str:
@@ -314,4 +320,5 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
         wh_attachment=sentence.head[head - 1] or head,  # the root attaches to itself
         dangling_preps=_dangling_preps(sentence, wh, head, root),
         subject_wh=subject_wh,
+        wh_head=head,
     )

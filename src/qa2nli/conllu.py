@@ -444,7 +444,8 @@ def _read_blocks(path: str) -> Iterator[tuple[int, list[str]]]:
 
     Every input file of the package is read here: _BLOCK_CHARS characters at
     a time, and then the rest of the last line. Lines split only at "\n",
-    "\r\n" and "\r", as in text-mode reading.
+    "\r\n" and "\r", as in text-mode reading. A byte-order mark (U+FEFF)
+    that starts the file is skipped; one anywhere else is data.
 
     Raises:
         DatasetError: a line is not valid UTF-8, with the path and line,
@@ -453,7 +454,9 @@ def _read_blocks(path: str) -> Iterator[tuple[int, list[str]]]:
     line_no = 1
     # A bad byte decodes to a lone surrogate, which does not encode back.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        while block := fh.read(_BLOCK_CHARS) + fh.readline():
+        # Not "utf-8-sig": its codec is one more import on every start-up.
+        block = fh.read(_BLOCK_CHARS).removeprefix("\ufeff")
+        while block := block + fh.readline():
             try:
                 block.isascii() or block.encode("utf-8")
             except UnicodeEncodeError as exc:
@@ -463,6 +466,7 @@ def _read_blocks(path: str) -> Iterator[tuple[int, list[str]]]:
             lines = block.removesuffix("\n").split("\n")
             yield line_no, lines
             line_no += len(lines)
+            block = fh.read(_BLOCK_CHARS)
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:

@@ -53,7 +53,7 @@ from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
-from .conllu import DepSentence, _Record
+from .conllu import _Record
 from .errors import DatasetError, TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
 
@@ -378,19 +378,6 @@ def undo_inversion(analysis: WhAnalysis, config: EngineConfig | None = None) -> 
     return [forms.get(tid, form[tid - 1]) for tid in seq]
 
 
-def _span_head_id(sent: DepSentence, span: tuple[int, int]) -> int:
-    ids = set(range(span[0], span[1] + 1))
-    heads = sent.head
-    external = [tid for tid in ids if heads[tid - 1] not in ids]
-    if len(external) == 1:
-        return external[0]
-    # Several links leave the span: the head is the one covering most of it.
-    return max(
-        external,
-        key=lambda tid: (len(sent.subtree_ids(tid) & ids), -tid),
-    )
-
-
 def _clean_answer(answer: str) -> str:
     a = answer.strip()
     while a and a[-1] in ",;:!?":
@@ -481,8 +468,7 @@ def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
     sent = analysis.question
     heads, deprels = sent.head, sent.deprel
     attach_id = analysis.wh_attachment
-    phrase_head = _span_head_id(sent, analysis.wh_phrase)
-    if _base(deprels[phrase_head - 1]) in _ARG_BASES and attach_id in seq:
+    if _base(deprels[analysis.wh_head - 1]) in _ARG_BASES and attach_id in seq:
         index = seq.index(attach_id) + 1
         while (
             index < len(seq)
@@ -610,7 +596,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     copular_identity = (
         analysis.copula is not None
         and not analysis.subject_wh
-        and start <= analysis.root <= end
+        and analysis.wh_head == analysis.root
     )
     link: tuple[str, str] | None = None
     if analysis.subject_wh:

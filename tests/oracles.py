@@ -186,6 +186,20 @@ def oracle_root(tokens):
     return [t.id for t in tokens if t.head == 0][0]
 
 
+def oracle_span_head(tokens, span):
+    """The head of an inclusive (start, end) span of token ids, by the rule
+    the rewrite engine applied to the wh phrase before analyze reported its
+    head: the span token whose head lies outside the span; where several
+    do, the one whose subtree covers most of the span, the leftmost on a tie.
+
+    Returns (head, the ids of the span tokens whose head lies outside it).
+    """
+    ids = set(range(span[0], span[1] + 1))
+    external = [t.id for t in tokens if t.id in ids and t.head not in ids]
+    head = max(external, key=lambda tid: (len(oracle_subtree_ids(tokens, tid) & ids), -tid))
+    return head, external
+
+
 # The patterns the CoNLL-U reader matched sent_id and text comments with
 # before it split them at "=": a value starts and ends with a non-space, so
 # "# text = " gives no text.

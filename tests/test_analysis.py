@@ -3,8 +3,10 @@
 
 import pytest
 
+import oracles
+from clearnlp import relabel
 from qa2nli.analysis import QuestionType, _as_ud, analyze, classify_question
-from qa2nli.conllu import DepSentence, DepToken, load_conllu
+from qa2nli.conllu import DepSentence, DepToken, load_conllu, parse_conllu, to_conllu
 from qa2nli.errors import AnalysisError, NotWhQuestionError, PipelineError
 
 
@@ -167,3 +169,58 @@ def test_clearnlp_copy_reads_as_its_ud_original(fixtures_dir, name):
             assert converted.head == original.head
         else:
             assert converted == original, original.sent_id
+
+
+# Hand-parsed UD questions: "form lemma upos head deprel" rows, and the form
+# of the wh phrase's head.
+WH_HEADS = {
+    "which-city": (("Which which DET 2 det", "city city NOUN 5 obj", "did do AUX 5 aux",
+                    "Liz Liz PROPN 5 nsubj", "visit visit VERB 0 root", "? ? PUNCT 5 punct"),
+                   "city"),
+    "how-many-books": (("How how ADV 2 advmod", "many many ADJ 3 amod", "books book NOUN 6 obj",
+                        "did do AUX 6 aux", "Liz Liz PROPN 6 nsubj", "buy buy VERB 0 root",
+                        "? ? PUNCT 6 punct"),
+                       "books"),
+    "whose-car": (("Whose whose PRON 2 nmod:poss", "car car NOUN 3 nsubj",
+                   "broke break VERB 0 root", "? ? PUNCT 3 punct"),
+                  "car"),
+    "in-which-city": (("In in ADP 3 case", "which which DET 3 det", "city city NOUN 6 obl",
+                       "did do AUX 6 aux", "Liz Liz PROPN 6 nsubj", "live live VERB 0 root",
+                       "? ? PUNCT 6 punct"),
+                      "city"),
+    "what-object": (("What what PRON 4 obj", "did do AUX 4 aux", "Liz Liz PROPN 4 nsubj",
+                     "buy buy VERB 0 root", "? ? PUNCT 4 punct"),
+                    "What"),
+    "what-copular": (("What what PRON 0 root", "is be AUX 1 cop", "the the DET 4 det",
+                      "capital capital NOUN 1 nsubj", "? ? PUNCT 1 punct"),
+                     "What"),
+}
+
+
+@pytest.mark.parametrize("name", list(WH_HEADS))
+def test_wh_head_in_both_schemes(name):
+    rows, head = WH_HEADS[name]
+    ud = _sent(*rows)
+    (clearnlp,) = parse_conllu(relabel(to_conllu(ud)))
+    for sentence in (ud, clearnlp):
+        a = analyze(sentence)
+        assert a.question.form[a.wh_head - 1] == head
+        start, end = a.wh_phrase
+        assert start <= a.wh_head <= end
+        # only in "What is the capital?" does the wh phrase head the clause
+        assert (a.wh_head == a.root) is (name == "what-copular")
+
+
+def test_wh_head_is_the_one_token_whose_head_leaves_the_wh_phrase(fixtures_dir):
+    analyzed = 0
+    for path in sorted(fixtures_dir.glob("*.conllu")):
+        for sentence in load_conllu(path):
+            try:
+                a = analyze(sentence)
+            except PipelineError:
+                continue
+            head, external = oracles.oracle_span_head(a.question.tokens, a.wh_phrase)
+            assert external == [a.wh_head], (path.name, sentence.sent_id)
+            assert head == a.wh_head
+            analyzed += 1
+    assert analyzed >= 700

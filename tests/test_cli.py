@@ -877,6 +877,38 @@ def test_input_error_leaves_no_output(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+# command -> argv; each fixture name stands for that input file
+_BOM_RUNS = {
+    "qa2d": ["qa2d", "--qa", "qa2d_fixtures.jsonl", "--parses", "qa2d_fixtures.conllu",
+             "--alternatives", "3"],
+    "convert": ["convert", "--qa", "multichoice_20.jsonl", "--parses", "multichoice_20.conllu",
+                "--schema", "multichoice"],
+    "eval": ["eval", "--hypotheses", "scoring_hypotheses.jsonl",
+             "--references", "scoring_references.jsonl"],
+    "analyze": ["analyze", "--pairs", "scoring_pairs.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", list(_BOM_RUNS))
+def test_a_byte_order_mark_changes_no_output(tmp_path, capsys, command):
+    """Every input file that starts with a UTF-8 byte-order mark gives the
+    bytes it gives without one."""
+    runs = {}
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        folder = tmp_path / ("bom" if prefix else "plain")
+        folder.mkdir()
+        argv = list(_BOM_RUNS[command])
+        for i, arg in enumerate(argv):
+            if (_FIXTURES / arg).is_file():
+                (folder / arg).write_bytes(prefix + (_FIXTURES / arg).read_bytes())
+                argv[i] = str(folder / arg)
+        out = folder / "out"
+        assert main([*argv, "--output", str(out)]) == 0
+        runs[prefix] = (out.read_bytes(), capsys.readouterr())
+    assert runs[b""][0]
+    assert runs[b""] == runs[b"\xef\xbb\xbf"]
+
+
 @pytest.mark.parametrize(
     ("argv", "summary"),
     [

@@ -109,6 +109,49 @@ def test_every_jsonl_file_reads_alike_at_every_block_size(block_size):
             assert list(read_jsonl(path)) == expected[path], (n, path.name)
 
 
+BOM = "\ufeff".encode("utf-8")
+WORD_LISTS = sorted((Path(conllu.__file__).parent / "data").glob("*.tsv"))
+
+
+def test_a_leading_byte_order_mark_is_skipped_at_every_block_size(tmp_path, block_size):
+    mixed = tmp_path / "mixed.conllu"
+    mixed.write_bytes(MIXED)
+    plain = [mixed, *sorted(FIXTURES.glob("*.conllu")), *sorted(FIXTURES.glob("*.jsonl")),
+             *WORD_LISTS]
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    readers = {".conllu": load_conllu, ".jsonl": lambda path: list(read_jsonl(path)),
+               ".tsv": _numbered_lines}
+    for path in plain:
+        (marked / path.name).write_bytes(BOM + path.read_bytes())
+    for n in (None, *SIZES):
+        for path in plain:
+            block_size(n, small_chunks=path.stat().st_size < 20_000)
+            read = readers[path.suffix]
+            assert read(marked / path.name) == read(path), (n, path.name)
+
+
+def test_a_file_of_only_a_byte_order_mark_is_empty(tmp_path, block_size):
+    path = tmp_path / "bom.conllu"
+    path.write_bytes(BOM)
+    for n in (None, *SIZES):
+        block_size(n)
+        assert list(conllu._read_blocks(path)) == [], n
+        assert load_conllu(path) == [] and list(read_jsonl(path)) == [], n
+
+
+def test_a_byte_order_mark_past_the_start_is_data(tmp_path, block_size):
+    path = tmp_path / "qa.jsonl"
+    path.write_bytes(BOM + '{"id": "\ufeffa", "q": "x \ufeff"}\n\ufeff{"id": "b"}\n'.encode("utf-8"))
+    for n in (None, *SIZES):
+        block_size(n)
+        lines = read_jsonl(path)
+        assert next(lines) == (1, {"id": "\ufeffa", "q": "x \ufeff"}), n
+        with pytest.raises(DatasetError) as err:
+            next(lines)
+        assert str(err.value).startswith(f"{path}: line 2: invalid JSON (Unexpected UTF-8 BOM"), n
+
+
 # (case, bytes, line of the first byte that is not UTF-8)
 BAD_BYTES = [
     ("first-line", b"caf\xe9\n" + MIXED, 1),

@@ -1,6 +1,6 @@
 """The contract of the package's immutable records.
 
-Fifteen records are NamedTuples: each keeps its constructor (field order,
+Sixteen records are NamedTuples: each keeps its constructor (field order,
 keywords, defaults), its repr text, equality by value and immutability.
 DepToken and DeclarativeCandidate check their values, and so do
 DepSentence and EngineConfig, which are not tuples: DepSentence keeps an
@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from qa2nli.analysis import QuestionType, WhAnalysis, analyze
-from qa2nli.artifacts import LengthStats, PmiEntry, PmiTable
+from qa2nli.artifacts import CorpusReport, LengthStats, PmiEntry, PmiTable
 from qa2nli.conllu import DepSentence, DepToken
 from qa2nli.engine import (
     DeclarativeCandidate,
@@ -55,6 +55,8 @@ _TOKENS_REPR = (
     "DepToken(id=3, form='milk', lemma='milk', upos='NOUN', xpos=None, head=2, deprel='obj'))"
 )
 _SENTENCE_REPR = f"DepSentence(tokens={_TOKENS_REPR}, text='Liz bought milk', sent_id='s1')"
+_TABLE = PmiTable({"entailed": (PmiEntry("not", 0.5, 3, 30.0),)}, 100.0, 7)
+_LENGTHS = LengthStats({5: 2}, 5.0, 5.0)
 _CANDIDATE = DeclarativeCandidate(
     "Liz bought milk.", ("Liz", "bought", "milk", "."), ("realize",), 1
 )
@@ -101,10 +103,12 @@ RECORDS = [
     (WhAnalysis, {"question": _SENTENCE, "wh_token": 3, "wh_phrase": (3, 3),
                   "qtype": QuestionType.WHAT, "root": 2, "aux": None, "copula": None,
                   "verbs": (), "subject": 1, "wh_attachment": 2, "dangling_preps": (),
-                  "subject_wh": False}, {},
+                  "subject_wh": False, "wh_head": 3}, {},
      f"WhAnalysis(question={_SENTENCE_REPR}, wh_token=3, wh_phrase=(3, 3), "
      "qtype=<QuestionType.WHAT: 'What'>, root=2, aux=None, copula=None, verbs=(), subject=1, "
-     "wh_attachment=2, dangling_preps=(), subject_wh=False)"),
+     "wh_attachment=2, dangling_preps=(), subject_wh=False, wh_head=3)"),
+    (CorpusReport, {"table": _TABLE, "lengths": {"entailed": _LENGTHS}, "overlap": None}, {},
+     f"CorpusReport(table={_TABLE!r}, lengths={{'entailed': {_LENGTHS!r}}}, overlap=None)"),
 ]
 _IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -260,7 +264,8 @@ def test_checked_record_refuses_bad_values_on_every_path(record, changes, error)
 # inspect module under it (ast, dis, tokenize), and each decorated class an
 # exec of generated source. The string module compiles string.Template's
 # pattern at import, and a module-level regex is compiled on every import
-# whether or not a call reads it.
+# whether or not a call reads it. Reading a file as "utf-8-sig" imports
+# that codec's module on its first open.
 _DATACLASS_MACHINERY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
@@ -291,4 +296,5 @@ def test_start_up_loads_no_dataclass_machinery(child_env, code):
     assert {"qa2nli.conllu", "qa2nli.engine"} <= loaded
     assert not loaded & _DATACLASS_MACHINERY, loaded & _DATACLASS_MACHINERY
     assert "string" not in loaded
+    assert "encodings.utf_8_sig" not in loaded
     assert patterns == ""
