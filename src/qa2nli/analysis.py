@@ -164,7 +164,7 @@ class WhAnalysis(NamedTuple):
 
 
 def _base(deprel: str) -> str:
-    return deprel.split(":", 1)[0]
+    return deprel.partition(":")[0]
 
 
 def classify_question(sentence: DepSentence) -> QuestionType:

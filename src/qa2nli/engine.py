@@ -16,8 +16,10 @@ spacing: the words before the slot, and the words after it but the first.
 That spacing depends only on a token and the character before it, so a
 plan's realize joins just the preposition, answer and residual nouns onto
 the words before, then the first word after (the second seam), appends the
-rest as it is, and capitalizes and ends the sentence as realize does. The
-cost per answer follows the answer's length, not the question's.
+rest as it is, and capitalizes and ends the sentence as realize does. Its
+Python-level steps follow the answer's length, not the question's; each
+candidate still copies or scans the whole sentence once in C, for the
+capitalization, the '?' check and the tokens tuple.
 
 Where the answer lands depends on what the wh phrase was doing:
 
@@ -204,19 +206,19 @@ class PrepositionTable:
         day_re, slash_date_re, clock_re, decade_re, year_re = _time_patterns()
         lower = answer.lower()
         options: list[str] = []
-        has_month = any(t in self.months for t in toks)
+        has_month = not self.months.isdisjoint(toks)
         has_day = any(day_re.fullmatch(t) for t in toks)
         if (has_month and has_day) or any(slash_date_re.fullmatch(t) for t in toks):
             options.append("on")
-        if any(t in self.weekdays for t in toks):
+        if not self.weekdays.isdisjoint(toks):
             options.append("on")
         if (
             clock_re.search(lower)
             or "o'clock" in lower
-            or any(t in self.time_words for t in toks)
+            or not self.time_words.isdisjoint(toks)
         ):
             options.append("at")
-        if has_month or any(t in self.seasons for t in toks):
+        if has_month or not self.seasons.isdisjoint(toks):
             options.append("in")
         if any(decade_re.fullmatch(t) or year_re.fullmatch(t) for t in toks):
             options.append("in")
@@ -235,7 +237,7 @@ class PrepositionTable:
         options: list[str] = []
         if attachment_lemma and attachment_lemma.lower() in self.motion_verbs:
             options.append(_TOWARD)
-        if any(t in self.at_locations for t in toks):
+        if not self.at_locations.isdisjoint(toks):
             options.append("at")
         options.append("in")
         return list(dict.fromkeys(options))
@@ -255,7 +257,7 @@ def _time_patterns() -> tuple[re.Pattern[str], ...]:
 
 
 def _match_tokens(text: str) -> list[str]:
-    return [t for t in (tok.strip(_PUNCTUATION).lower() for tok in text.split()) if t]
+    return [t for tok in text.split() if (t := tok.strip(_PUNCTUATION).lower())]
 
 
 class EngineConfig(_Record):
@@ -394,12 +396,26 @@ _CLOSING = frozenset({",", ".", ";", ":", "!", "%", ")", "]", "}", "n't"})
 
 def _spoken(tokens: Iterable[str]) -> tuple[str, ...]:
     """The tokens a sentence keeps: empty tokens and '?' go."""
-    return tuple(t for t in tokens if t and t != "?")
+    return tuple([t for t in tokens if t and t != "?"])
 
 
-def _join(tokens: Iterable[str], text: str = "") -> str:
+def _join(tokens: Sequence[str], text: str = "") -> str:
     """text with tokens appended, each after one space, except none at the
     start, before closing punctuation or a clitic, or after an opening bracket."""
+    joined = " ".join(tokens)
+    # With no empty or closing token, no apostrophe and no opening bracket,
+    # each token after the first takes one space, so one join spaces them all.
+    if (
+        "'" not in joined
+        and "(" not in joined
+        and "[" not in joined
+        and "{" not in joined
+        and "" not in tokens
+        and _CLOSING.isdisjoint(tokens)
+    ):
+        if text and joined and text[-1] not in "([{":
+            return text + " " + joined
+        return text + joined
     for tok in tokens:
         if text and not (tok in _CLOSING or tok.startswith("'") or text[-1] in "([{"):
             text += " "
@@ -424,12 +440,16 @@ def realize(tokens: Sequence[str]) -> str:
     Single spaces, except none before closing punctuation / clitics
     (, . ; : ! % ) 's n't ...) and none after an opening bracket. The first
     alphabetic character is uppercased and a terminal period appended if
-    missing. Question marks never survive into the output.
+    missing. '?' tokens are dropped, and a '?' inside a token is an error,
+    so question marks never survive into the output.
 
     Raises:
-        ValueError: no tokens left to realize.
+        ValueError: no tokens left to realize, or a token holds a '?'.
     """
-    return _sentence(_join(_spoken(tokens)))
+    text = _sentence(_join(_spoken(tokens)))
+    if "?" in text:
+        raise ValueError("realized text may not contain '?'")
+    return text
 
 
 class _Frame(NamedTuple):
@@ -478,8 +498,10 @@ def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
             index += 1
         return index, "insert:after_predicate"
     members = _cut_subtree(sent, attach_id, _CLAUSE_SKIP_BASES)
-    positions = [i for i, tid in enumerate(seq) if tid in members]
-    return (positions[-1] + 1 if positions else len(seq)), "insert:attachment_end"
+    for index in range(len(seq) - 1, -1, -1):
+        if seq[index] in members:
+            return index + 1, "insert:attachment_end"
+    return len(seq), "insert:attachment_end"
 
 
 class QuestionPlan(NamedTuple):
@@ -624,7 +646,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
         else:
             link = ("none", "")
 
-    body = tuple(forms.get(tid, form[tid - 1]) for tid in seq)
+    body = tuple([forms.get(tid, form[tid - 1]) for tid in seq])
     flip_body = None
     identity = copular_identity and analysis.qtype in _IDENTITY_QTYPES
     if identity and seq and seq[-1] == analysis.copula:

@@ -353,7 +353,7 @@ def write_declaratives(
     """
     head = f'{{"id": {to_json(example_id)}, "declarative": '
     for cand in candidates:
-        rules = to_json(cand.applied_rules)
+        rules = "[" + ", ".join(map(to_json, cand.applied_rules)) + "]"
         out.write(f'{head}{to_json(cand.text)}, "rank": {cand.rank}, "applied_rules": {rules}}}\n')
     return len(candidates)
 

@@ -222,6 +222,21 @@ def oracle_comments(lines):
     return sent_id, text
 
 
+_CLOSING = frozenset({",", ".", ";", ":", "!", "%", ")", "]", "}", "n't"})
+
+
+def oracle_join(tokens, text=""):
+    """The package's _join before it joined runs of plain tokens at once, kept
+    verbatim: text with tokens appended one at a time, each after one space,
+    except none at the start, before closing punctuation or a clitic, or
+    after an opening bracket."""
+    for tok in tokens:
+        if text and not (tok in _CLOSING or tok.startswith("'") or text[-1] in "([{"):
+            text += " "
+        text += tok
+    return text
+
+
 def oracle_realize(tokens):
     """The package's realize before plans pre-joined their body, kept verbatim:
     the whole token list joined one token at a time."""

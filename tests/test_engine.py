@@ -7,7 +7,7 @@ from copy import deepcopy
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -63,6 +63,30 @@ def test_realize_terminal_period():
 
 def test_realize_drops_question_marks():
     assert realize(["Liz", "won", "?"]) == "Liz won."
+
+
+def test_realize_rejects_a_question_mark_inside_a_token():
+    with pytest.raises(ValueError, match="may not contain '\\?'"):
+        realize(["Liz", "left?"])
+    assert realize(["Liz", "left", "?"]) == "Liz left."
+
+
+# Tokens that _join must space one at a time (an empty token, each closing
+# token, an apostrophe or opening bracket alone or inside a word), and two
+# that it need not: one holding a space, and a character outside the Basic
+# Multilingual Plane.
+_JOIN_POOL = ("", *sorted(engine._CLOSING), "'s", "it's", "(", "x(", "[", "{", "a b", "\U0001d11e")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(
+    st.lists(st.one_of(st.text(), st.sampled_from(_JOIN_POOL)), max_size=8),
+    st.sampled_from(["", "Liz", "Liz (", "x[", "{"]),
+)
+@example(["", "the"], "")
+@example(["left", "early"], "Liz")
+def test_join_equals_the_token_by_token_oracle(tokens, text):
+    assert engine._join(tuple(tokens), text) == oracles.oracle_join(tokens, text)
 
 
 def test_realize_empty():
@@ -901,9 +925,12 @@ _SEAM_ANSWERS = (
     "the (", "( 1945", "Paris ? now", "Par?is", "1945", "50 people", "ann", "UN", "Monday",
     "in 1945", "August 16, 1958", "9 a.m.", "the city .", "? .",
 )
-# Words that put closing punctuation, clitics, brackets, digits and a "?"
-# inside a word next to the slot in generated trees.
-_SEAM_FORMS = (",", ")", "(", "'s", "n't", ".", "1945", "ann", "wh?y")
+# Words that put closing punctuation, clitics, brackets, digits, a "?" inside
+# a word, an apostrophe or bracket inside a word, and a space next to the
+# slot in generated trees.
+_SEAM_FORMS = (
+    ",", ")", "(", "'s", "n't", ".", "1945", "ann", "wh?y", "it's", "x(", "[", "{", "a b",
+)
 _SEAM_CONFIGS = [
     EngineConfig(emit_alternatives=cap, copy_wh_phrase=copy)
     for cap in (1, 3)
