@@ -14,6 +14,15 @@ artifacts.analyze_corpus. Importing this module imports the rewrite stack;
 eval and analyze import metrics and artifacts when they run, so qa2d and
 convert never load the scoring code.
 
+qa2d and convert read and check all their input first. With --jobs N
+(N > 1, on a platform with os.fork) they then cut the examples into up to
+N contiguous slices, no more than there are examples or usable CPUs, and
+fork one worker process per slice after the first. This process rewrites
+the first slice into the output while each worker writes its rows to an
+anonymous temporary file; the workers' rows follow in slice order, then
+every skip in input order and one summary line. Stdout, stderr and the
+exit status are those of --jobs 1, the default, which is one serial pass.
+
 Data problems (unreadable files, schema violations, unknown ids) and bad
 flag values exit with status 2. A reader that closes standard output
 early (`| head`) ends the run quietly with status 1. Examples the
@@ -30,7 +39,8 @@ import contextlib
 import math
 import os
 import sys
-from typing import Iterator, Sequence, TextIO
+from collections import Counter
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .conllu import index_by_sent_id, load_conllu
 from .engine import EngineConfig
@@ -38,6 +48,7 @@ from .errors import DatasetError, PipelineError
 from .nli import (
     NEGATIVE_POLICIES,
     SCHEMAS,
+    QAExample,
     SkipRecord,
     attach_parses,
     iter_pairs,
@@ -105,25 +116,123 @@ def _load_examples(args: argparse.Namespace, schema: str):
     return attach_parses(examples, parses)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_slices(
+    work: Callable[[list[QAExample], TextIO, list[SkipRecord]], object],
+    examples: list[QAExample],
+    jobs: int,
+    out: TextIO,
+) -> tuple[list, list[SkipRecord]]:
+    """Run work(part, out, skips) over the examples; return the result of
+    each call and every skip, both in input order.
+
+    work rewrites the examples of part, writes their rows to out and appends
+    their skips to skips. It is called once on all the examples when jobs,
+    the examples or the usable CPUs number fewer than 2, without os.fork,
+    and while another thread runs (a forked child holds only the calling
+    thread, and a lock another thread held stays locked in it). Otherwise
+    the examples are cut into that many contiguous slices, and a forked
+    worker runs work on each slice after the first, writing to an anonymous
+    temporary file opened before the fork. This process runs the first
+    slice straight into out, then reaps the workers in slice order and
+    appends each one's rows, so out gets the bytes of the one call. Workers
+    leave through os._exit; every worker not yet reaped when this function
+    exits, by any path, is killed and reaped.
+
+    Raises:
+        ChildProcessError: a worker exited with a status other than 0.
+    """
+    n = min(jobs, len(examples), _usable_cpus())
+    skips: list[SkipRecord] = []
+    threading = sys.modules.get("threading")  # not imported: no thread was started
+    if n < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return [work(examples, out, skips)], skips
+    import pickle
+    import signal
+    import tempfile
+
+    cuts = [len(examples) * i // n for i in range(n + 1)]
+    workers = []  # (pid, rows file, pickled result file), one per slice after the first
+    running = set()  # pids not yet reaped
+    sys.stdout.flush()  # a forked worker holds a copy of any unwritten buffer
+    sys.stderr.flush()
+    with contextlib.ExitStack() as files:
+        try:
+            for i in range(1, n):
+                rows = files.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                )
+                result = files.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
+                if pid == 0:  # the worker; it leaves only through os._exit
+                    status = 1
+                    try:
+                        part_skips: list[SkipRecord] = []
+                        value = work(examples[cuts[i] : cuts[i + 1]], rows, part_skips)
+                        rows.flush()
+                        pickle.dump((value, part_skips), result)
+                        result.flush()
+                        status = 0
+                    except Exception:
+                        sys.excepthook(*sys.exc_info())
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(status)
+                running.add(pid)
+                workers.append((pid, rows, result))
+            results = [work(examples[: cuts[1]], out, skips)]
+            for i, (pid, rows, result) in enumerate(workers, start=1):
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                running.discard(pid)
+                if status:
+                    raise ChildProcessError(f"worker {i} (pid {pid}) exited with status {status}")
+                result.seek(0)
+                value, part_skips = pickle.load(result)
+                rows.seek(0)
+                out.writelines(rows)
+                results.append(value)
+                skips += part_skips
+        finally:
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results, skips
+
+
 def _cmd_qa2d(args: argparse.Namespace) -> int:
     examples = _load_examples(args, "span")
-    skips: list[SkipRecord] = []
-    written = 0
-    with _open_out(args.output) as out:
-        for _, example, _, candidates in iter_rewrites(examples, _engine_config(args), skips):
+    config = _engine_config(args)
+
+    def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> int:
+        written = 0
+        for _, example, _, candidates in iter_rewrites(part, config, skips):
             written += write_declaratives(out, example.id, candidates)
-    _report_skips(skips, f"{written} declaratives written")
+        return written
+
+    with _open_out(args.output) as out:
+        written, skips = _in_slices(rewrite, examples, args.jobs, out)
+    _report_skips(skips, f"{sum(written)} declaratives written")
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     examples = _load_examples(args, args.schema)
-    skips: list[SkipRecord] = []
-    pairs = iter_pairs(
-        examples, _engine_config(args), skips, negatives=args.negatives, seed=args.seed
-    )
+    config = _engine_config(args)
+
+    def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> dict:
+        pairs = iter_pairs(part, config, skips, negatives=args.negatives, seed=args.seed)
+        return write_pairs(pairs, out)
+
     with _open_out(args.output) as out:
-        by_provenance = write_pairs(pairs, out)
+        counts, skips = _in_slices(rewrite, examples, args.jobs, out)
+    by_provenance: Counter = Counter()
+    for part_counts in counts:
+        by_provenance.update(part_counts)
     breakdown = " ".join(f"{k.value}={v}" for k, v in sorted(by_provenance.items()))
     _report_skips(skips, f"{sum(by_provenance.values())} pairs written ({breakdown or 'none'})")
     return 0
@@ -173,7 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="ignored; accepted so existing command lines keep working",
+        metavar="N",
+        help="rewrite in up to N processes, forked after the input is read "
+        "(at most one per usable CPU and per example); output is that of --jobs 1",
     )
 
     qa2d = sub.add_parser(

@@ -7,8 +7,13 @@ module entry point works end to end.
 import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -860,8 +865,9 @@ _BAD_INPUTS = {  # name -> (the bad input, what follows its good copy; None repe
 
 @pytest.mark.parametrize("bad", list(_BAD_INPUTS))
 @pytest.mark.parametrize("command", ["qa2d", "convert"])
-def test_input_error_leaves_no_output(tmp_path, capsys, command, bad):
-    """Both row commands read and check all input before they open the output."""
+def test_input_error_leaves_no_output(tmp_path, capsys, forks, many_cpus, command, bad):
+    """Both row commands read and check all input before they open the output,
+    and with --jobs 2 before they fork a worker."""
     which, tail = _BAD_INPUTS[bad]
     qa, parses = (QA, PARSES) if command == "qa2d" else (MC_QA, MC_PARSES)
     files = {name: Path(path).read_bytes().rstrip() + b"\n\n"
@@ -871,10 +877,12 @@ def test_input_error_leaves_no_output(tmp_path, capsys, command, bad):
         (tmp_path / name).write_bytes(data)
     argv = ["qa2d"] if command == "qa2d" else ["convert", "--schema", "multichoice"]
     out = tmp_path / "out.jsonl"
-    assert main([*argv, "--qa", str(tmp_path / "qa"), "--parses", str(tmp_path / "parses"),
-                 "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"qa2nli: error: {tmp_path / which}: ")
-    assert not out.exists()
+    for jobs in ("1", "2"):
+        assert main([*argv, "--qa", str(tmp_path / "qa"), "--parses", str(tmp_path / "parses"),
+                     "--output", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith(f"qa2nli: error: {tmp_path / which}: ")
+        assert not out.exists()
+        assert not forks
 
 
 # command -> argv; each fixture name stands for that input file
@@ -1002,3 +1010,273 @@ def test_module_entry_point(tmp_path, child_env):
     )
     assert result.returncode == 0
     assert "52 declaratives written" in result.stderr
+
+
+# -- --jobs: forked workers ----------------------------------------------------
+
+
+@pytest.fixture()
+def forks(monkeypatch, tmp_path):
+    """Every os.fork call of the test, counted; temporary files go to a fresh
+    folder, which must be empty at the end, with no child process left."""
+    assert threading.active_count() == 1  # beside another thread, --jobs forks nothing
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    temp = tmp_path / "tempdir"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    yield calls
+    assert list(temp.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def many_cpus(monkeypatch):
+    """Usable CPUs read as 64, so only --jobs and the examples cap the workers."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+
+
+# name -> (schema, argv without input and output flags)
+_JOBS_COMMANDS = {
+    "qa2d": ("span", ["qa2d"]),
+    "qa2d-alt3-copy": ("span", ["qa2d", "--alternatives", "3", "--copy-wh-phrase"]),
+    "convert-multichoice-all": (
+        "multichoice", ["convert", "--schema", "multichoice", "--negatives", "all"]),
+    "convert-multichoice-one-random-seed3": (
+        "multichoice",
+        ["convert", "--schema", "multichoice", "--negatives", "one-random", "--seed", "3"]),
+    "convert-span": ("span", ["convert", "--schema", "span"]),
+    "convert-unanswerable": ("unanswerable", ["convert", "--schema", "unanswerable"]),
+}
+# schema -> (fixture QA, its parses, generated QA, its parses); the generated
+# unanswerable corpus is made from the span one by _as_unanswerable
+_JOBS_FILES = {
+    "span": ("qa2d_fixtures.jsonl", "qa2d_fixtures.conllu",
+             "gen_qa2d_long_100.jsonl", "gen_qa2d_long_100.conllu"),
+    "multichoice": ("multichoice_20.jsonl", "multichoice_20.conllu",
+                    "gen_convert_mc_200.jsonl", "gen_convert_mc_200.conllu"),
+    "unanswerable": ("unanswerable_fixtures.jsonl", "qa2d_fixtures.conllu",
+                     "gen_qa2d_long_100.jsonl", "gen_qa2d_long_100.conllu"),
+}
+
+
+def _as_unanswerable(i, row):
+    """Every other item unanswerable; of those, every third has no plausible answer."""
+    row = {**row, "answerable": i % 2 == 0}
+    if i % 2:
+        plausible = row.pop("answer")
+        if i % 3:
+            row["plausible_answer"] = plausible
+    return row
+
+
+def _jobs_inputs(folder, schema, kind):
+    """The --qa and --parses files of one input kind, written into folder."""
+    qa_name, parses_name, gen_qa_name, gen_parses_name = _JOBS_FILES[schema]
+    lines = (_FIXTURES / qa_name).read_text(encoding="utf-8").splitlines(keepends=True)
+    parses = (_FIXTURES / parses_name).read_text(encoding="utf-8")
+    if kind == "generated":
+        lines = (_FIXTURES / gen_qa_name).read_text(encoding="utf-8").splitlines(keepends=True)
+        parses = (_FIXTURES / gen_parses_name).read_text(encoding="utf-8")
+        if schema == "unanswerable":
+            lines = [json.dumps(_as_unanswerable(i, json.loads(line))) + "\n"
+                     for i, line in enumerate(lines)]
+    elif kind == "few":  # fewer examples than workers
+        lines = lines[:2]
+    elif kind == "empty":
+        lines = []
+    elif kind == "all-skip":  # alternately a yes/no question and no parse at all
+        ids = [json.loads(line)["id"] for line in lines]
+        parses = "\n".join(_NON_WH_PARSE.replace("= nw", f"= {i}") for i in ids[::2])
+    qa, parses_path = folder / "qa.jsonl", folder / "parses.conllu"
+    qa.write_text("".join(lines), encoding="utf-8")
+    parses_path.write_text(parses, encoding="utf-8")
+    return qa, parses_path, len(lines)
+
+
+def _outcome(argv, output, capsys):
+    """(exit status, bytes written to the output, stdout, stderr) of one in-process run."""
+    code = main([*argv, "--output", str(output)])
+    stdout, stderr = capsys.readouterr()
+    written = stdout.encode("utf-8") if output == "-" else output.read_bytes()
+    return code, written, stdout, stderr
+
+
+@pytest.mark.parametrize("kind", ["fixtures", "generated", "few", "empty", "all-skip"])
+@pytest.mark.parametrize("command", list(_JOBS_COMMANDS))
+def test_jobs_give_the_bytes_of_one_serial_pass(tmp_path, capsys, forks, many_cpus, command, kind):
+    schema, head = _JOBS_COMMANDS[command]
+    qa, parses, n = _jobs_inputs(tmp_path, schema, kind)
+    argv = [*head, "--qa", str(qa), "--parses", str(parses)]
+    for output in (tmp_path / "out.jsonl", "-"):
+        serial = _outcome([*argv, "--jobs", "1"], output, capsys)
+        assert serial[0] == 0 and not forks
+        if kind == "all-skip":
+            assert serial[1] == b"" and f", {n} skipped\n" in serial[3]
+        for jobs in (2, 3, 4):
+            assert _outcome([*argv, "--jobs", str(jobs)], output, capsys) == serial, jobs
+            assert len(forks) == max(min(jobs, n) - 1, 0), jobs
+            forks.clear()
+
+
+def test_jobs_without_fork_is_one_serial_pass(monkeypatch, tmp_path, capsys, many_cpus):
+    output = tmp_path / "out.jsonl"
+    argv = ["qa2d", "--qa", QA, "--parses", PARSES, "--alternatives", "3"]
+    serial = _outcome(argv, output, capsys)
+    monkeypatch.delattr(os, "fork")
+    assert _outcome([*argv, "--jobs", "4"], output, capsys) == serial
+
+
+def test_jobs_beside_another_thread_is_one_serial_pass(monkeypatch, tmp_path, capsys, many_cpus):
+    output = tmp_path / "out.jsonl"
+    argv = ["qa2d", "--qa", QA, "--parses", PARSES, "--alternatives", "3"]
+    serial = _outcome(argv, output, capsys)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _outcome([*argv, "--jobs", "4"], output, capsys) == serial
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_jobs_are_capped_at_the_usable_cpus(tmp_path, capsys, forks):
+    """A typo such as --jobs 1000 starts one worker per usable CPU at most."""
+    output = tmp_path / "out.jsonl"
+    serial = _outcome(["qa2d", "--qa", QA, "--parses", PARSES], output, capsys)
+    assert _outcome(["qa2d", "--qa", QA, "--parses", PARSES, "--jobs", "1000"],
+                    output, capsys) == serial
+    assert len(forks) == min(52, cli._usable_cpus()) - 1
+
+
+def test_usable_cpus(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+def _in_workers(monkeypatch, in_parent, in_worker):
+    """Wrap cli.write_declaratives: in this process it first calls
+    in_parent(example id), in a forked worker in_worker(example id)."""
+    parent = os.getpid()
+    write = cli.write_declaratives
+
+    def wrapped(out, example_id, candidates):
+        (in_parent if os.getpid() == parent else in_worker)(example_id)
+        return write(out, example_id, candidates)
+
+    monkeypatch.setattr(cli, "write_declaratives", wrapped)
+
+
+def _nothing(example_id):
+    pass
+
+
+_STALLED = []  # each worker's own copy
+
+
+def _stall(example_id):
+    """A worker still running when the run ends: it stalls for 10 s at its
+    first row."""
+    if not _STALLED:
+        _STALLED.append(example_id)
+        time.sleep(10)
+
+
+def _raise_at_f52(example_id):
+    if example_id == "f52":
+        raise RuntimeError("worker fault")
+
+
+def _killed_at_f52(example_id):
+    if example_id == "f52":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    ("fault", "status"), [(_raise_at_f52, "1"), (_killed_at_f52, "-9")], ids=["raises", "killed"]
+)
+def test_a_failed_worker_fails_the_run(
+    monkeypatch, tmp_path, capsys, forks, many_cpus, fault, status
+):
+    """f52, the last fixture, is in the second worker's slice of three."""
+    _in_workers(monkeypatch, _nothing, fault)
+    argv = ["qa2d", "--qa", QA, "--parses", PARSES, "--jobs", "3"]
+    assert main([*argv, "--output", str(tmp_path / "out.jsonl")]) == 2
+    assert re.fullmatch(
+        rf"qa2nli: error: worker 2 \(pid \d+\) exited with status {status}\n",
+        capsys.readouterr().err,
+    )
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch, tmp_path, forks, many_cpus):
+    def interrupt(example_id):
+        raise KeyboardInterrupt
+
+    _in_workers(monkeypatch, interrupt, _stall)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["qa2d", "--qa", QA, "--parses", PARSES, "--jobs", "3",
+              "--output", str(tmp_path / "out.jsonl")])
+    assert time.monotonic() - start < 5
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _PipeClosedOnWrite(_ClosedPipe):
+    """A stdout whose reader has gone, with nothing buffered: flush() succeeds
+    until something is written, as on a real pipe."""
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_pipe_kills_and_reaps_every_worker(monkeypatch, capsys, forks, many_cpus):
+    _in_workers(monkeypatch, _nothing, _stall)
+    read_end, write_end = os.pipe()
+    monkeypatch.setattr(sys, "stdout", _PipeClosedOnWrite(write_end))
+    start = time.monotonic()
+    try:
+        assert main(["qa2d", "--qa", QA, "--parses", PARSES, "--jobs", "3"]) == 1
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == ""
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_import_loads_none_of_the_worker_modules(child_env):
+    """--jobs N > 1 imports its temporary-file, serialization and signal
+    modules when it runs, so no other run pays for them."""
+    script = (
+        "import sys\nbefore = set(sys.modules)\nimport qa2nli.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8",
+        env=child_env, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "qa2nli.cli" in loaded
+    assert not loaded & {"pickle", "signal", "tempfile"}, loaded & {"pickle", "signal", "tempfile"}
