@@ -140,7 +140,8 @@ def _in_slices(
     worker runs work on each slice after the first, writing to an anonymous
     temporary file opened before the fork. This process runs the first
     slice straight into out, then reaps the workers in slice order and
-    appends each one's rows, so out gets the bytes of the one call. Workers
+    copies each one's rows to out in blocks of text, so out gets the bytes
+    of the one call in its own encoding. Workers
     leave through os._exit; every worker not yet reaped when this function
     exits, by any path, is killed and reaped.
 
@@ -153,6 +154,7 @@ def _in_slices(
     if n < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         return [work(examples, out, skips)], skips
     import pickle
+    import shutil
     import signal
     import tempfile
 
@@ -194,7 +196,7 @@ def _in_slices(
                 result.seek(0)
                 value, part_skips = pickle.load(result)
                 rows.seek(0)
-                out.writelines(rows)
+                shutil.copyfileobj(rows, out)
                 results.append(value)
                 skips += part_skips
         finally:

@@ -7,11 +7,14 @@ questions yield not-entailed ones, so label and provenance line up by
 construction. Examples the rewriter cannot handle are reported as skips,
 never silently dropped.
 
-qa2d and convert stream: iter_rewrites is the per-example rewrite loop
-both share, iter_pairs makes each pair as its rewrite comes, and
-write_declaratives and write_pairs write the rows of each command as they
-are made. build_pairs and write_nli_jsonl are the same path with the
-pairs collected.
+qa2d and convert stream: iter_rewrites is the rewrite loop both share,
+iter_pairs makes each pair as its rewrite comes, and write_declaratives
+and write_pairs write the rows of each command as they are made.
+iter_rewrites works through the examples in batches of 64, one stage at a
+time, so rows come a batch at a time and memory stays bounded by one
+batch; an unexpected exception (not a skip) surfaces before the rows of
+the earlier examples of its batch are yielded. build_pairs and
+write_nli_jsonl are the same path with the pairs collected.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .analysis import analyze
@@ -52,6 +56,9 @@ __all__ = [
 
 SCHEMAS = ("span", "multichoice", "unanswerable")
 NEGATIVE_POLICIES = ("all", "one-random")
+# iter_rewrites runs each stage over this many examples before the next stage,
+# so that each stage's code and data stay in the CPU caches; gains stop at ~32.
+_BATCH = 64
 
 
 class Label(str, Enum):
@@ -221,7 +228,7 @@ def iter_rewrites(
     negatives: str = "all",
     seed: int = 0,
 ) -> Iterator[tuple[str, QAExample, Provenance, list[DeclarativeCandidate]]]:
-    """The one per-example rewrite loop, shared by qa2d and convert.
+    """The one rewrite loop, shared by qa2d and convert.
 
     For each answer rewritten it yields (pair id, example, provenance,
     ranked candidates). For an example or answer with no rewrite it appends
@@ -234,65 +241,99 @@ def iter_rewrites(
     skipped, so that no hypothesis is both entailed and not or written
     twice; pair ids count only the answers yielded.
 
+    The examples are taken 64 at a time: each batch is analyzed, planned
+    and realized whole, one stage after the other, before its skips and
+    rewrites are given out in input order, so at most one batch's plans
+    and candidates are held. The yields and skips are those of a loop that
+    rewrites one example at a time, but an unexpected exception (not a
+    skip) surfaces before the rows of the earlier examples of its batch
+    are yielded.
+
     Raises:
         ValueError: negatives is not one of NEGATIVE_POLICIES, at the first
             step of the iteration.
     """
     if negatives not in NEGATIVE_POLICIES:
         raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
-    for example in examples:
-        if example.parse is None:
-            skips.append(SkipRecord(example.id, "parse", "no dependency parse for this id"))
-            continue
-        try:
-            analysis = analyze(example.parse)
-        except (NotWhQuestionError, AnalysisError) as exc:
-            skips.append(SkipRecord(example.id, "analysis", str(exc)))
-            continue
-
-        if example.answerable:
-            correct = example.correct_options
-            if not correct:
-                skips.append(SkipRecord(example.id, "options", "no correct answer"))
+    examples = iter(examples)
+    while batch := list(islice(examples, _BATCH)):
+        # steps[i] is example i's SkipRecord or, pass by pass, its analysis,
+        # then (plan, answers), then its answers zipped with their outcomes.
+        # 1. analyze each question, or say why not
+        steps: list = []
+        for example in batch:
+            if example.parse is None:
+                steps.append(SkipRecord(example.id, "parse", "no dependency parse for this id"))
                 continue
-            wrong = example.incorrect_options
-            if wrong and negatives == "one-random":
-                wrong = (random.Random(f"{seed}:{example.id}").choice(wrong),)
-            todo = [(correct[0], Provenance.CORRECT_ANSWER)]
-            todo += [(o, Provenance.INCORRECT_OPTION) for o in wrong]
-        elif example.options:
-            todo = [(example.options[0], Provenance.UNANSWERABLE)]
-        else:
-            skips.append(
-                SkipRecord(example.id, "options", "unanswerable without a plausible answer")
-            )
-            continue
-        try:
-            plan = plan_question(analysis, config)
-        except TransformError as exc:  # the question itself cannot be rewritten
-            skips.append(SkipRecord(example.id, "transform", str(exc)))
-            continue
-
-        n = 0
-        yielded: dict[str, AnswerOption] = {}  # rank-1 text -> the answer yielded with it
-        for option, provenance in todo:
             try:
-                candidates = plan.realize(option.text)
-            except TransformError as exc:
-                skips.append(SkipRecord(example.id, "transform", str(exc), option=option.text))
+                steps.append(analyze(example.parse))
+            except (NotWhQuestionError, AnalysisError) as exc:
+                steps.append(SkipRecord(example.id, "analysis", str(exc)))
+
+        # 2. pick the answers and plan each question, or say why not
+        for i, (example, analysis) in enumerate(zip(batch, steps)):
+            if isinstance(analysis, SkipRecord):
                 continue
-            text = candidates[0].text
-            earlier = yielded.get(text)
-            if earlier is not None:  # one hypothesis twice, or under both labels
-                if earlier.correct:
-                    reason = "same hypothesis as the correct answer"
-                else:
-                    reason = f"same hypothesis as option {earlier.text!r}"
-                skips.append(SkipRecord(example.id, "options", reason, option=option.text))
+            if example.answerable:
+                correct = example.correct_options
+                if not correct:
+                    steps[i] = SkipRecord(example.id, "options", "no correct answer")
+                    continue
+                wrong = example.incorrect_options
+                if wrong and negatives == "one-random":
+                    wrong = (random.Random(f"{seed}:{example.id}").choice(wrong),)
+                todo = [(correct[0], Provenance.CORRECT_ANSWER)]
+                todo += [(o, Provenance.INCORRECT_OPTION) for o in wrong]
+            elif example.options:
+                todo = [(example.options[0], Provenance.UNANSWERABLE)]
+            else:
+                steps[i] = SkipRecord(
+                    example.id, "options", "unanswerable without a plausible answer"
+                )
                 continue
-            yielded[text] = option
-            yield f"{example.id}:{n}", example, provenance, candidates
-            n += 1
+            try:
+                steps[i] = plan_question(analysis, config), todo
+            except TransformError as exc:  # the question itself cannot be rewritten
+                steps[i] = SkipRecord(example.id, "transform", str(exc))
+
+        # 3. realize every answer, keeping each TransformError
+        for i, step in enumerate(steps):
+            if isinstance(step, SkipRecord):
+                continue
+            plan, todo = step
+            outcomes: list = []
+            for option, _ in todo:
+                try:
+                    outcomes.append(plan.realize(option.text))
+                except TransformError as exc:
+                    outcomes.append(exc)
+            steps[i] = zip(todo, outcomes)
+
+        # 4. report each skip and yield each rewrite, in input order
+        for example, step in zip(batch, steps):
+            if isinstance(step, SkipRecord):
+                skips.append(step)
+                continue
+            n = 0
+            yielded: dict[str, AnswerOption] = {}  # rank-1 text -> the answer yielded with it
+            for (option, provenance), candidates in step:
+                if isinstance(candidates, TransformError):
+                    skips.append(
+                        SkipRecord(example.id, "transform", str(candidates), option=option.text)
+                    )
+                    continue
+                text = candidates[0].text
+                earlier = yielded.get(text)
+                if earlier is not None:  # one hypothesis twice, or under both labels
+                    if earlier.correct:
+                        reason = "same hypothesis as the correct answer"
+                    else:
+                        reason = f"same hypothesis as option {earlier.text!r}"
+                    skips.append(SkipRecord(example.id, "options", reason, option=option.text))
+                    continue
+                yielded[text] = option
+                yield f"{example.id}:{n}", example, provenance, candidates
+                n += 1
 
 
 def iter_pairs(

@@ -2,9 +2,11 @@
 
 Deliberately written the slow, obvious way (list scans, no Counter, no
 shared helpers with the package) so that agreement with the package is
-meaningful. The one exception is oracle_plan_realize, which takes the
+meaningful. The two exceptions are oracle_plan_realize, which takes the
 answer cleanup and preposition choice from the package and redoes only
-the splicing and joining, token by token. Run as a script to print the
+the splicing and joining, token by token, and oracle_iter_rewrites, which
+takes analysis, planning and realization from the package and redoes only
+their order, one example at a time. Run as a script to print the
 constants frozen in the metric tests:
 
     python3 tests/oracles.py
@@ -317,6 +319,74 @@ def oracle_plan_realize(plan, answer):
             tokens, extra = splice(answer_tokens, prep)
             candidates.append(candidate(tokens, rules + extra, len(candidates) + 1))
     return candidates
+
+
+def oracle_iter_rewrites(examples, config, skips, *, negatives="all", seed=0):
+    """The package's iter_rewrites before it worked in batches, kept verbatim:
+    analyze, plan and realize one example at a time, then the next."""
+    import random
+
+    from qa2nli.analysis import analyze
+    from qa2nli.engine import plan_question
+    from qa2nli.errors import AnalysisError, NotWhQuestionError, TransformError
+    from qa2nli.nli import NEGATIVE_POLICIES, AnswerOption, Provenance, SkipRecord
+
+    if negatives not in NEGATIVE_POLICIES:
+        raise ValueError(f"negatives must be one of {NEGATIVE_POLICIES}, got {negatives!r}")
+    for example in examples:
+        if example.parse is None:
+            skips.append(SkipRecord(example.id, "parse", "no dependency parse for this id"))
+            continue
+        try:
+            analysis = analyze(example.parse)
+        except (NotWhQuestionError, AnalysisError) as exc:
+            skips.append(SkipRecord(example.id, "analysis", str(exc)))
+            continue
+
+        if example.answerable:
+            correct = example.correct_options
+            if not correct:
+                skips.append(SkipRecord(example.id, "options", "no correct answer"))
+                continue
+            wrong = example.incorrect_options
+            if wrong and negatives == "one-random":
+                wrong = (random.Random(f"{seed}:{example.id}").choice(wrong),)
+            todo = [(correct[0], Provenance.CORRECT_ANSWER)]
+            todo += [(o, Provenance.INCORRECT_OPTION) for o in wrong]
+        elif example.options:
+            todo = [(example.options[0], Provenance.UNANSWERABLE)]
+        else:
+            skips.append(
+                SkipRecord(example.id, "options", "unanswerable without a plausible answer")
+            )
+            continue
+        try:
+            plan = plan_question(analysis, config)
+        except TransformError as exc:  # the question itself cannot be rewritten
+            skips.append(SkipRecord(example.id, "transform", str(exc)))
+            continue
+
+        n = 0
+        yielded: dict[str, AnswerOption] = {}  # rank-1 text -> the answer yielded with it
+        for option, provenance in todo:
+            try:
+                candidates = plan.realize(option.text)
+            except TransformError as exc:
+                skips.append(SkipRecord(example.id, "transform", str(exc), option=option.text))
+                continue
+            text = candidates[0].text
+            earlier = yielded.get(text)
+            if earlier is not None:  # one hypothesis twice, or under both labels
+                if earlier.correct:
+                    reason = "same hypothesis as the correct answer"
+                else:
+                    reason = f"same hypothesis as option {earlier.text!r}"
+                skips.append(SkipRecord(example.id, "options", reason, option=option.text))
+                continue
+            yielded[text] = option
+            yield f"{example.id}:{n}", example, provenance, candidates
+            n += 1
+
 
 # -- fixed cases --------------------------------------------------------------
 

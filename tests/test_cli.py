@@ -396,6 +396,10 @@ def test_convert_output_matches_library_writer(tmp_path, multichoice_examples):
 
 
 def test_convert_writes_each_pair_as_it_is_made(tmp_path, monkeypatch):
+    # iter_rewrites realizes a batch of examples whole before it yields the
+    # batch's pairs; each pair must still reach the writer before any answer
+    # of the next batch is realized, not after every answer is
+    monkeypatch.setattr(nli, "_BATCH", 4)
     realized = []
     realize = QuestionPlan.realize
 
@@ -404,22 +408,27 @@ def test_convert_writes_each_pair_as_it_is_made(tmp_path, monkeypatch):
         realized.append(len(candidates))
         return candidates
 
-    realized_before_pair = []
+    realized_before_pair = []  # (example index, answers realized when its pair came)
     write_pairs = cli.write_pairs
+    position = {ex.id: i for i, ex in enumerate(load_qa_jsonl(MC_QA, "multichoice"))}
 
     def watching_write_pairs(pairs, out):
         def watched():
             for pair in pairs:
-                realized_before_pair.append(len(realized))
+                realized_before_pair.append((position[pair.id.split(":")[0]], len(realized)))
                 yield pair
         return write_pairs(watched(), out)
 
     monkeypatch.setattr(QuestionPlan, "realize", counting_realize)
     monkeypatch.setattr(cli, "write_pairs", watching_write_pairs)
     assert _convert(tmp_path / "pairs.jsonl", "--negatives", "all") == 0
-    # the k-th pair reaches the writer right after the k-th answer is realized
-    assert realized_before_pair == list(range(1, 81))
-    assert realized == [1] * 80  # rank 1 only
+    assert realized == [1] * 80  # rank 1 only, 4 answers for each of 20 examples
+    assert len(realized_before_pair) == 80
+    # each pair comes after the 4 answers of each of the 4 examples of its
+    # batch and of every earlier batch are realized, and before any later one
+    for example, answers in realized_before_pair:
+        assert answers == 4 * 4 * (example // 4 + 1), (example, answers)
+    assert realized_before_pair[0][1] < 80  # the pairs are not collected first
 
 
 def test_convert_span_schema(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qa2nli import nli
 from qa2nli.conllu import DepSentence, DepToken, index_by_sent_id, load_conllu
 from qa2nli.engine import EngineConfig, QuestionPlan, plan_question
@@ -517,3 +518,123 @@ def test_generated_labels_follow_provenance(fixtures_dir, stem, schema):
     assert {s.stage for s in result.skips} == {"analysis"}
     assert rewritten | skipped == set(by_id) and not rewritten & skipped
     assert len(result.pairs) == sum(len(by_id[i].options) for i in rewritten)
+
+
+# -- the batched rewrite loop against the one-example-at-a-time oracle ---------
+
+
+def _events(rewrite, examples, config, **policy):
+    """Each yield with the number of skips reported when it came, then the skips."""
+    skips = []
+    log = [(*rewrite_, len(skips)) for rewrite_ in rewrite(examples, config, skips, **policy)]
+    return log, skips
+
+
+def _parse(sid, *rows):
+    """A DepSentence from (form, lemma, upos, head, deprel) rows."""
+    tokens = tuple(
+        DepToken(id=i, form=form, lemma=lemma, upos=upos, xpos=None, head=head, deprel=deprel)
+        for i, (form, lemma, upos, head, deprel) in enumerate(rows, start=1)
+    )
+    return DepSentence(tokens=tokens, text=" ".join(r[0] for r in rows), sent_id=sid)
+
+
+def _skip_kinds():
+    """One example per way an example or an option can be skipped."""
+    who = _who_parse("k", "called", "Taylor")
+    yes_no = _parse(
+        "k", ("Did", "do", "AUX", 3, "aux"), ("Liz", "Liz", "PROPN", 3, "nsubj"),
+        ("call", "call", "VERB", 0, "root"), ("Taylor", "Taylor", "PROPN", 3, "obj"),
+        ("?", "?", "PUNCT", 3, "punct"),
+    )
+    what_d = _parse(  # "'d" has lemma "do" but tells no tense
+        "k", ("What", "what", "PRON", 4, "obj"), ("'d", "do", "AUX", 4, "aux"),
+        ("you", "you", "PRON", 4, "nsubj"), ("buy", "buy", "VERB", 0, "root"),
+        ("?", "?", "PUNCT", 4, "punct"),
+    )
+
+    def ex(kind, parse, *options, answerable=True):
+        return QAExample(f"skip-{kind}", "", f"passage {kind}",
+                         tuple(AnswerOption(t, c) for t, c in options), answerable, parse)
+
+    return [
+        ex("parse", None, ("Liz", True)),
+        ex("yes-no", yes_no, ("yes", True), ("no", False)),
+        ex("no-correct", who, ("Liz", False), ("Tom", False)),
+        ex("no-plausible", who, answerable=False),
+        ex("do-support", what_d, ("milk", True), ("bread", False)),
+        ex("empty-option", who, ("Liz", True), ("   ", False), ("Tom", False)),
+        ex("duplicate", who, ("Liz", True), ("Liz.", False), ("Tom", False), ("Tom.", False)),
+    ]
+
+
+def _crafted(multichoice_examples, pad):
+    """pad rewritable examples, then each skip kind followed by one more, so
+    every kind sits at and beside a batch boundary for some pad."""
+    good = itertools.cycle(multichoice_examples)
+    out = [next(good)._replace(id=f"pad{i}") for i in range(pad)]
+    for kind in _skip_kinds():
+        out += [kind, next(good)._replace(id=f"after-{kind.id}")]
+    return out
+
+
+def _fixture_corpora(fixtures_dir, qa2d_parses, multichoice_examples):
+    def load(name, schema, parses=qa2d_parses):
+        return attach_parses(load_qa_jsonl(fixtures_dir / name, schema), parses)
+
+    return {
+        "span": load("qa2d_fixtures.jsonl", "span"),
+        "multichoice": multichoice_examples,
+        "unanswerable": load("unanswerable_fixtures.jsonl", "unanswerable"),
+        **{stem: _generated(fixtures_dir, stem, schema) for stem, schema in GENERATED},
+    }
+
+
+_CONFIGS = [EngineConfig(), EngineConfig(emit_alternatives=3, copy_wh_phrase=True)]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 64])
+def test_iter_rewrites_equals_the_one_example_at_a_time_oracle(
+    monkeypatch, batch, fixtures_dir, qa2d_parses, multichoice_examples
+):
+    monkeypatch.setattr(nli, "_BATCH", batch)
+    corpora = _fixture_corpora(fixtures_dir, qa2d_parses, multichoice_examples)
+    # skip kind j sits at position pad + 2j: last in a batch for one pad, first for the next
+    for pad in range(max(batch - 2 * len(_skip_kinds()) + 1, 0), batch + 1):
+        corpora[f"crafted, pad {pad}"] = _crafted(multichoice_examples, pad)
+    for name, examples in corpora.items():
+        for config, negatives in itertools.product(_CONFIGS, nli.NEGATIVE_POLICIES):
+            policy = {"negatives": negatives, "seed": 3}
+            expected = _events(oracles.oracle_iter_rewrites, examples, config, **policy)
+            assert _events(nli.iter_rewrites, examples, config, **policy) == expected, (
+                name, config, negatives)
+
+
+def test_crafted_corpus_reaches_every_skip_kind(multichoice_examples):
+    _, skips = _events(oracles.oracle_iter_rewrites, _crafted(multichoice_examples, 0),
+                       EngineConfig())
+    assert [(s.example_id, s.stage, s.reason, s.option) for s in skips] == [
+        ("skip-parse", "parse", "no dependency parse for this id", None),
+        ("skip-yes-no", "analysis", "no wh word", None),
+        ("skip-no-correct", "options", "no correct answer", None),
+        ("skip-no-plausible", "options", "unanswerable without a plausible answer", None),
+        ("skip-do-support", "transform", "unsupported do-support form \"'d\"", None),
+        ("skip-empty-option", "transform", "answer is empty after trimming", "   "),
+        ("skip-duplicate", "options", "same hypothesis as the correct answer", "Liz."),
+        ("skip-duplicate", "options", "same hypothesis as option 'Tom'", "Tom."),
+    ]
+
+
+def test_iter_rewrites_holds_one_batch(monkeypatch, multichoice_examples):
+    # the examples are read a batch at a time, not all before the first yield
+    monkeypatch.setattr(nli, "_BATCH", 4)
+    taken = []
+
+    def examples():
+        for example in multichoice_examples:
+            taken.append(example.id)
+            yield example
+
+    rewrites = nli.iter_rewrites(examples(), EngineConfig(), [])
+    next(rewrites)
+    assert len(taken) == 4
