@@ -264,7 +264,10 @@ def _as_ud(sentence: DepSentence) -> DepSentence:
             labels[obj - 1] = (
                 "root" if gov == 0 else "nmod" if upos[gov - 1] in _NOMINAL_UPOS else "obl"
             )
-    columns = (sentence.form, sentence.lemma, upos, sentence.xpos, tuple(heads), tuple(labels))
+    columns = (
+        tuple(range(1, len(heads) + 1)), sentence.form, sentence.lemma, upos, sentence.xpos,
+        tuple(heads), tuple(labels),
+    )
     return DepSentence._columnar(columns, sentence.text, sentence.sent_id)
 
 

@@ -95,6 +95,22 @@ class _Record:
         return type(self), self._values(self._fields)
 
 
+class _Checked:
+    """Base of a NamedTuple whose __new__ checks its values, listed before
+    the fields class: _make, and so _replace, deepcopy and every pickle
+    protocol build through __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, values: Iterable):
+        return cls(*values)
+
+    def __reduce__(self):
+        # Pickle protocols 0 and 1 would otherwise rebuild the tuple unchecked.
+        return type(self), tuple(self)
+
+
 class _DepTokenFields(NamedTuple):
     id: int
     form: str
@@ -105,7 +121,7 @@ class _DepTokenFields(NamedTuple):
     deprel: str
 
 
-class DepToken(_DepTokenFields):
+class DepToken(_Checked, _DepTokenFields):
     """One syntactic word of a parsed sentence.
 
     lemma and xpos are None when the file carried "_" in that column.
@@ -133,16 +149,6 @@ class DepToken(_DepTokenFields):
         if not form:
             raise ValueError(f"token {id} has an empty form")
         return tuple.__new__(cls, (id, form, lemma, upos, xpos, head, deprel))
-
-    @classmethod
-    def _make(cls, values: Iterable) -> DepToken:
-        """Build through __new__, so that _replace keeps the checks."""
-        return cls(*values)
-
-    def __reduce__(self):
-        # Through __new__ on every pickle protocol: 0 and 1 would otherwise
-        # rebuild the tuple unchecked.
-        return type(self), tuple(self)
 
 
 class DepSentence(_Record):
@@ -177,28 +183,29 @@ class DepSentence(_Record):
         self, tokens: Iterable[DepToken], text: str | None = None, sent_id: str | None = None
     ) -> None:
         # No tokens give seven empty columns, which __post_init__ refuses.
-        ids, *columns = tuple(zip(*tokens)) or ((),) * 7
-        self._store(columns, text, sent_id)
-        if ids != tuple(range(1, len(ids) + 1)):
-            raise ConlluStructureError(
-                f"{self._name()}: token ids are not exactly 1..{len(ids)}: {list(ids)}"
-            )
+        self._store(tuple(zip(*tokens)) or ((),) * 7, text, sent_id)
         self.__post_init__()
 
     @classmethod
     def _columnar(
         cls, columns: Iterable[tuple], text: str | None, sent_id: str | None
     ) -> DepSentence:
-        """The sentence whose tokens 1..n hold these six columns, in
-        DepToken's field order after id; the values are taken as checked."""
+        """The sentence whose tokens hold these seven columns, in DepToken's
+        field order; each token's values are taken as checked, but not the
+        ids."""
         self = object.__new__(cls)
         self._store(columns, text, sent_id)
         self.__post_init__()
         return self
 
     def _store(self, columns: Iterable[tuple], text: str | None, sent_id: str | None) -> None:
+        ids, *columns = columns
         for name, value in zip(self.__slots__[:8], (*columns, text, sent_id), strict=True):
             object.__setattr__(self, name, value)
+        if ids != tuple(range(1, len(ids) + 1)):
+            raise ConlluStructureError(
+                f"{self._name()}: token ids are not exactly 1..{len(ids)}: {list(ids)}"
+            )
 
     def __post_init__(self) -> None:
         """Index the tree, or raise ConlluStructureError. A method of its
@@ -222,9 +229,12 @@ class DepSentence(_Record):
     @property
     def tokens(self) -> tuple[DepToken, ...]:
         """The tokens in id order, built on each read."""
-        ids = range(1, len(self.form) + 1)
+        return tuple(starmap(DepToken, self._rows()))
+
+    def _rows(self) -> Iterator[tuple]:
+        """Each token's values, in DepToken's field order, with no DepToken built."""
         columns = (self.form, self.lemma, self.upos, self.xpos, self.head, self.deprel)
-        return tuple(starmap(DepToken, zip(ids, *columns)))
+        return zip(range(1, len(self.form) + 1), *columns)
 
     def _token(self, token_id: int) -> DepToken:
         i = token_id - 1
@@ -383,12 +393,9 @@ def _parse_blocks(blocks: Iterable, path: str | None = None) -> list[DepSentence
         for line_no, line in enumerate(lines, first):
             if not line or line.isspace():
                 if rows:
-                    ids, *columns = zip(*rows)
                     text, sent_id = comments.get("text"), comments.get("sent_id")
                     try:
-                        if ids != tuple(range(1, len(ids) + 1)):  # DepSentence raises, naming them
-                            DepSentence(starmap(DepToken, rows), text, sent_id)
-                        sentences.append(DepSentence._columnar(columns, text, sent_id))
+                        sentences.append(DepSentence._columnar(zip(*rows), text, sent_id))
                     except ConlluStructureError as exc:
                         raise ConlluStructureError(str(exc), path=path) from None
                     rows = []
@@ -549,7 +556,7 @@ def to_conllu(sentence: DepSentence) -> str:
         for value in getattr(sentence, name):
             if value is not None:
                 _check_writable(name, value)
-    for token_id, form, lemma, upos, xpos, head, deprel in sentence.tokens:
+    for token_id, form, lemma, upos, xpos, head, deprel in sentence._rows():
         lemma = "_" if lemma is None else lemma
         xpos = "_" if xpos is None else xpos
         lines.append(f"{token_id}\t{form}\t{lemma}\t{upos}\t{xpos}\t_\t{head}\t{deprel}\t_\t_")

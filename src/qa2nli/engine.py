@@ -19,7 +19,10 @@ the words before, then the first word after (the second seam), appends the
 rest as it is, and capitalizes and ends the sentence as realize does. Its
 Python-level steps follow the answer's length, not the question's; each
 candidate still copies or scans the whole sentence once in C, for the
-capitalization, the '?' check and the tokens tuple.
+capitalization, the '?' check and the tokens tuple. The copular-flip
+candidate is the exception: under emit_alternatives > 1, each answer that
+can be flipped joins the whole flipped body anew (_frame(flip_body, 0)),
+so its steps follow the question's length.
 
 Where the answer lands depends on what the wh phrase was doing:
 
@@ -55,7 +58,7 @@ from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
-from .conllu import _Record
+from .conllu import _Checked, _Record
 from .errors import DatasetError, TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
 
@@ -92,7 +95,7 @@ class _CandidateFields(NamedTuple):
     rank: int
 
 
-class DeclarativeCandidate(_CandidateFields):
+class DeclarativeCandidate(_Checked, _CandidateFields):
     """One declarative rewrite, rank 1 being the engine's best guess."""
 
     __slots__ = ()
@@ -108,71 +111,42 @@ class DeclarativeCandidate(_CandidateFields):
             raise ValueError("candidate text must end with '.'")
         return tuple.__new__(cls, (text, tokens, applied_rules, rank))
 
-    @classmethod
-    def _make(cls, values: Iterable) -> DeclarativeCandidate:
-        """Build through __new__, so that _replace keeps the checks."""
-        return cls(*values)
 
-    def __reduce__(self):
-        return type(self), tuple(self)  # through __new__, as DepToken
-
-
-class PrepositionTable:
+class PrepositionTable(NamedTuple):
     """Word lists driving preposition selection, loaded from a TSV file.
 
     Rule application is first-match in the order coded in when_options /
     where_options; the file only supplies vocabulary. Matching is
     case-insensitive except article_orgs.
 
-    Each list is one of the attributes named in __slots__, and its key, in
-    the file and in the dict __init__ takes, is that name without the final
-    "s": lines keyed "month" fill months, "article_org" fills article_orgs.
+    A list's key in the file is its field name without the final "s":
+    lines keyed "month" fill months, "article_org" fills article_orgs.
     """
 
-    __slots__ = (
-        "prepositions",
-        "temporal_adverbs",
-        "place_adverbs",
-        "months",
-        "weekdays",
-        "seasons",
-        "time_words",
-        "motion_verbs",
-        "at_locations",
-        "article_orgs",
-    )
-
-    def __init__(self, lists: dict[str, frozenset[str]]):
-        unknown = set(lists).difference(name[:-1] for name in self.__slots__)
-        if unknown:
-            raise ValueError(f"unknown preposition-table keys: {sorted(unknown)}")
-        for name in self.__slots__:
-            setattr(self, name, lists.get(name[:-1], frozenset()))
+    prepositions: frozenset[str] = frozenset()
+    temporal_adverbs: frozenset[str] = frozenset()
+    place_adverbs: frozenset[str] = frozenset()
+    months: frozenset[str] = frozenset()
+    weekdays: frozenset[str] = frozenset()
+    seasons: frozenset[str] = frozenset()
+    time_words: frozenset[str] = frozenset()
+    motion_verbs: frozenset[str] = frozenset()
+    at_locations: frozenset[str] = frozenset()
+    article_orgs: frozenset[str] = frozenset()
 
     @classmethod
     def from_file(cls, path: str) -> "PrepositionTable":
         lists: dict[str, set[str]] = {}
         for line_no, key, value in _key_value_lines(path):
-            if key + "s" not in cls.__slots__:
+            name = key + "s"
+            if name not in cls._fields:
                 raise DatasetError(f"unknown preposition-table key {key!r}", line_no, path)
-            if key != "article_org":
-                value = value.lower()
-            lists.setdefault(key, set()).add(value)
-        return cls({k: frozenset(v) for k, v in lists.items()})
+            lists.setdefault(name, set()).add(value if name == "article_orgs" else value.lower())
+        return cls(**{name: frozenset(words) for name, words in lists.items()})
 
     @classmethod
     def bundled(cls) -> "PrepositionTable":
         return _load_bundled(cls, "prepositions.tsv")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and all(
-            getattr(other, name) == getattr(self, name) for name in self.__slots__
-        )
-
-    def __reduce__(self):
-        # Rebuilt from the dict __init__ takes, which every pickle protocol
-        # can save; 0 and 1 cannot save __slots__ alone.
-        return type(self), ({name[:-1]: getattr(self, name) for name in self.__slots__},)
 
     # -- rule blocks ------------------------------------------------------
 
@@ -322,7 +296,8 @@ def _deinverted(
 
     Raises:
         TransformError: a do-support auxiliary other than do/does/did
-            ("What'd you buy?"), whose tense cannot be told.
+            ("What'd you buy?"), whose tense cannot be told, or a blank verb
+            to inflect under do-support.
     """
     sent = analysis.question
     form, lemma = sent.form, sent.lemma
@@ -339,7 +314,10 @@ def _deinverted(
             raise TransformError(f"unsupported do-support form {form[target - 1]!r}")
         root = analysis.root
         seq.remove(target)
-        inflected = reinflect(lemma[root - 1] or form[root - 1], aux, lexicon)
+        verb = lemma[root - 1] or form[root - 1]
+        if not verb.strip():
+            raise TransformError(f"blank verb {verb!r} under do-support")
+        inflected = reinflect(verb, aux, lexicon)
         forms[root] = inflected
         rules.append(f"do_support:{aux}->{inflected}")
         return seq, forms, rules

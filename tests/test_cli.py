@@ -257,6 +257,46 @@ def test_qa2d_and_convert_classify_skips_alike(
     assert (skips["qa2d"]["id"], skips["qa2d"]["stage"]) == (item_id, stage)
 
 
+_WHAT_DID_LIZ_BUY = """# sent_id = {id}
+# text = What did Liz buy?
+1\tWhat\twhat\tPRON\tWP\t_\t4\tobj\t_\t_
+2\tdid\tdo\tAUX\tVBD\t_\t4\taux\t_\t_
+3\tLiz\tLiz\tPROPN\tNNP\t_\t4\tnsubj\t_\t_
+4\t{form}\t{lemma}\tVERB\tVB\t_\t0\troot\t_\t_
+5\t?\t?\tPUNCT\t.\t_\t4\tpunct\t_\t_
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(("form", "lemma"), [("buy", " "), (" ", "_")], ids=["lemma", "form"])
+def test_a_blank_verb_under_do_support_is_a_transform_skip(
+    tmp_path, capsys, forks, many_cpus, form, lemma, jobs
+):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(
+        "".join(
+            json.dumps({"id": i, "question": "What did Liz buy?", "passage": "p", "answer": "milk"})
+            + "\n" for i in "ab"
+        ),
+        encoding="utf-8",
+    )
+    parses = tmp_path / "parses.conllu"
+    parses.write_text(
+        _WHAT_DID_LIZ_BUY.format(id="a", form=form, lemma=lemma) + "\n"
+        + _WHAT_DID_LIZ_BUY.format(id="b", form="buy", lemma="buy"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    argv = ["qa2d", "--qa", str(qa), "--parses", str(parses), "--jobs", jobs]
+    assert main([*argv, "--output", str(out)]) == 0
+    skip = {"id": "a", "stage": "transform", "reason": "blank verb ' ' under do-support"}
+    assert capsys.readouterr().err == (
+        json.dumps(skip) + "\nqa2nli: 1 declaratives written, 1 skipped\n"
+    )
+    assert [(row["id"], row["declarative"]) for row in _rows(out)] == [("b", "Liz bought milk.")]
+    assert len(forks) == int(jobs) - 1
+
+
 # "?" hangs off "baby", so it is the subject's last token
 _BABY = """# sent_id = baby
 # text = Where was the baby found?

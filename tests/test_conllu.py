@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from qa2nli import conllu
 from qa2nli.conllu import (
     DepSentence,
     DepToken,
@@ -58,6 +59,15 @@ def test_reads_sentence_with_comments():
 def test_round_trip():
     sent = parse_conllu(GOOD)[0]
     assert parse_conllu(to_conllu(sent))[0] == sent
+
+
+def test_writing_and_checking_ids_build_no_token(monkeypatch):
+    sent = parse_conllu(GOOD)[0]
+    written = to_conllu(sent)
+    monkeypatch.setattr(conllu, "DepToken", None)
+    assert to_conllu(sent) == written
+    with pytest.raises(ConlluStructureError, match=re.escape("exactly 1..4: [1, 2, 3, 5]")):
+        parse_conllu(written.replace("\n4\t", "\n5\t"))
 
 
 def test_a_sentence_holds_its_columns_and_builds_a_plain_tuple_of_tokens():

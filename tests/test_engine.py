@@ -113,8 +113,8 @@ def test_insert_article_custom_exceptions():
 
 
 def test_table_rejects_unknown_keys(tmp_path):
-    with pytest.raises(ValueError, match="unknown preposition-table keys"):
-        PrepositionTable({"tuesdays": frozenset({"x"})})
+    with pytest.raises(TypeError, match="tuesdays"):
+        PrepositionTable(tuesdays=frozenset({"x"}))
     path = tmp_path / "prep.tsv"
     path.write_text("month\tMay\ntuesdays\tx\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
@@ -151,11 +151,11 @@ def test_table_survives_pickle_and_deepcopy(make):
 
 
 def test_table_has_only_its_lists():
-    table = PrepositionTable({"month": frozenset({"may"})})
+    table = PrepositionTable(months=frozenset({"may"}))
     with pytest.raises(AttributeError):
         table.month = frozenset({"june"})  # the list is months
     assert table.months == frozenset({"may"}) and table.weekdays == frozenset()
-    assert table != PrepositionTable({"month": frozenset({"june"})})
+    assert table != PrepositionTable(months=frozenset({"june"}))
 
 
 def test_when_and_where_options_tokenize_the_answer_once(monkeypatch, table):
@@ -842,8 +842,19 @@ def questions(draw, max_size=9, forms=_FORMS, deprels=_DEPRELS):
     return DepSentence(tokens=tuple(tokens))
 
 
+def _what_did_liz_buy(root_lemma):
+    """ "What did Liz buy?" with the given lemma on its root."""
+    rows = [("What", "what", 4, "obj"), ("did", "do", 4, "aux"), ("Liz", "Liz", 4, "nsubj"),
+            ("buy", root_lemma, 0, "root"), ("?", "?", 4, "punct")]
+    return DepSentence(tuple(
+        DepToken(tid, form, lemma, "X", None, head, deprel)
+        for tid, (form, lemma, head, deprel) in enumerate(rows, 1)
+    ))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(questions(), st.sampled_from(["Paris", "in 1945", "Monday", "UN", "a draw", "?"]))
+@example(_what_did_liz_buy(" "), "milk")  # a blank verb under do-support
 def test_rewrite_fails_only_with_its_own_errors(sent, answer):
     try:
         a = analyze(sent)

@@ -9,6 +9,8 @@ tests need nothing outside `tests/`. The files under `fixtures/golden/`
 hold the pinned outputs; a mismatch reports the first line that differs
 from them. `qa2d` and `convert` runs also pin their stderr (skip lines and
 summary) exactly, and `eval` and `analyze` runs write nothing to stderr.
+Each rewrite case runs again with `--jobs 2`, which forks a worker after
+loading when two CPUs are usable, and must give the same bytes.
 
 The `*_clearnlp.conllu` fixtures are the UD parses relabelled in ClearNLP
 style by `tests/clearnlp.py`; each rewrite run reading a UD parse file runs
@@ -173,11 +175,23 @@ def test_analyze_scoring_pairs_golden(tmp_path):
     _check_quiet(name, _run(tmp_path, name, argv))
 
 
-@pytest.mark.parametrize("name", sorted(REWRITES))
-def test_rewrite_golden(tmp_path, name):
-    stdout, stderr = _run(tmp_path, name, REWRITES[name])
+def _check_rewrite(workdir: Path, name: str, argv: list[str]) -> None:
+    """A rewrite run's output is the golden name, and its stderr name.stderr."""
+    stdout, stderr = _run(workdir, name, argv)
     _check(name, stdout)
     assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REWRITES))
+def test_rewrite_golden(tmp_path, name):
+    _check_rewrite(tmp_path, name, REWRITES[name])
+
+
+@pytest.mark.parametrize("name", sorted(REWRITES))
+def test_rewrite_golden_with_two_jobs(tmp_path, name):
+    """With two usable CPUs, --jobs 2 forks a worker after loading, and the
+    run still writes the golden output and stderr."""
+    _check_rewrite(tmp_path, name, [*REWRITES[name], "--jobs", "2"])
 
 
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
@@ -190,9 +204,7 @@ def test_line_endings_leave_output_unchanged(tmp_path, name, ending):
         copy.write_bytes((FIXTURES / fixture).read_bytes().replace(b"\n", ending))
         copies += [flag, str(copy)]
     command, rest = REWRITES[name][0], REWRITES[name][1 + len(QA2D_FIXTURES):]
-    stdout, stderr = _run(tmp_path, name, [command, *copies, *rest])
-    _check(name, stdout)
-    assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+    _check_rewrite(tmp_path, name, [command, *copies, *rest])
 
 
 @pytest.mark.parametrize("name", CLEARNLP)
@@ -206,7 +218,4 @@ def test_clearnlp_copy_is_the_script_output(name):
     "name", sorted(n for n, argv in REWRITES.items() if _TO_CLEARNLP.keys() & set(argv))
 )
 def test_clearnlp_parses_give_the_ud_golden(tmp_path, name):
-    argv = [_TO_CLEARNLP.get(arg, arg) for arg in REWRITES[name]]
-    stdout, stderr = _run(tmp_path, name, argv)
-    _check(name, stdout)
-    assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+    _check_rewrite(tmp_path, name, [_TO_CLEARNLP.get(arg, arg) for arg in REWRITES[name]])

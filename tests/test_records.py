@@ -1,6 +1,6 @@
 """The contract of the package's immutable records.
 
-Sixteen records are NamedTuples: each keeps its constructor (field order,
+Seventeen records are NamedTuples: each keeps its constructor (field order,
 keywords, defaults), its repr text, equality by value and immutability.
 DepToken and DeclarativeCandidate check their values, and so do
 DepSentence and EngineConfig, which are not tuples: DepSentence keeps an
@@ -93,6 +93,12 @@ RECORDS = [
     (VerbLexicon, {"irregular_past": {"go": "went"}},
      {"irregular_third_singular": {}},  # read-only: mappingproxy({}) == {}
      "VerbLexicon(irregular_past={'go': 'went'}, irregular_third_singular=mappingproxy({}))"),
+    (PrepositionTable, {"prepositions": frozenset({"in"})},
+     dict.fromkeys(PrepositionTable._fields[1:], frozenset()),
+     "PrepositionTable(prepositions=frozenset({'in'}), temporal_adverbs=frozenset(), "
+     "place_adverbs=frozenset(), months=frozenset(), weekdays=frozenset(), seasons=frozenset(), "
+     "time_words=frozenset(), motion_verbs=frozenset(), at_locations=frozenset(), "
+     "article_orgs=frozenset())"),
     (DepToken, {"id": 2, "form": "bought", "lemma": "buy", "upos": "VERB", "xpos": "VBD",
                 "head": 0, "deprel": "root"}, {},
      "DepToken(id=2, form='bought', lemma='buy', upos='VERB', xpos='VBD', head=0, deprel='root')"),
