@@ -14,14 +14,25 @@ artifacts.analyze_corpus. Importing this module imports the rewrite stack;
 eval and analyze import metrics and artifacts when they run, so qa2d and
 convert never load the scoring code.
 
-qa2d and convert read and check all their input first. With --jobs N
-(N > 1, on a platform with os.fork) they then cut the examples into up to
-N contiguous slices, no more than there are examples or usable CPUs, and
-fork one worker process per slice after the first. This process rewrites
-the first slice into the output while each worker writes its rows to an
-anonymous temporary file; the workers' rows follow in slice order, then
-every skip in input order and one summary line. Stdout, stderr and the
-exit status are those of --jobs 1, the default, which is one serial pass.
+qa2d and convert read and check the QA file first. With --jobs 1, the
+default, they then load the whole CoNLL-U file and rewrite in one serial
+pass. With --jobs N (N > 1, on a platform with os.fork) they cut the
+examples into up to N contiguous slices, no more than there are examples
+or usable CPUs, and the CoNLL-U file into as many byte ranges, each
+starting at the sentence that names its slice's first example. One
+worker process is forked per slice after the first, before any parse is
+read; each process, this one included, parses its own range and rewrites
+its own slice. The output is opened only once every range has parsed
+cleanly, no sent_id occurs twice, and every parse that names an example
+lies in that example's slice. Otherwise (a range that does not parse,
+parses in another order than the QA file, a cut at a sentence that names
+no example, a CoNLL-U file that is a pipe) the workers are killed and the
+CoNLL-U file is loaded serially, which reports any input error as
+--jobs 1 does, and the slices are rewritten in forked workers as before.
+This process writes its own rows to the output while each worker writes
+its rows to an anonymous temporary file; the workers' rows follow in
+slice order, then every skip in input order and one summary line.
+Stdout, stderr and the exit status are those of --jobs 1.
 
 Data problems (unreadable files, schema violations, unknown ids) and bad
 flag values exit with status 2. A reader that closes standard output
@@ -36,13 +47,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
 from collections import Counter
 from typing import Callable, Iterator, Sequence, TextIO
 
-from .conllu import index_by_sent_id, load_conllu
+from .conllu import index_by_sent_id, load_conllu, sentence_starts
 from .engine import EngineConfig
 from .errors import DatasetError, PipelineError
 from .nli import (
@@ -60,6 +72,9 @@ from .nli import (
 )
 
 __all__ = ["main"]
+
+# The status byte of a worker whose slice loaded; the sent_ids follow.
+_LOADED = b"+"
 
 
 @contextlib.contextmanager
@@ -106,14 +121,14 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-def _load_examples(args: argparse.Namespace, schema: str):
-    examples = load_qa_jsonl(args.qa, schema)
-    sentences = load_conllu(args.parses)
+def _attached(examples: list[QAExample], parses: str) -> list[QAExample]:
+    """The examples with their parses, loaded serially from the whole file."""
+    sentences = load_conllu(parses)
     try:
-        parses = index_by_sent_id(sentences)
+        found = index_by_sent_id(sentences)
     except ValueError as exc:  # a duplicate sent_id; the library does not know the path
-        raise DatasetError(str(exc), path=args.parses) from exc
-    return attach_parses(examples, parses)
+        raise DatasetError(str(exc), path=parses) from exc
+    return attach_parses(examples, found)
 
 
 def _usable_cpus() -> int:
@@ -125,41 +140,116 @@ def _usable_cpus() -> int:
 def _in_slices(
     work: Callable[[list[QAExample], TextIO, list[SkipRecord]], object],
     examples: list[QAExample],
+    parses: str,
     jobs: int,
-    out: TextIO,
+    output: str,
 ) -> tuple[list, list[SkipRecord]]:
-    """Run work(part, out, skips) over the examples; return the result of
-    each call and every skip, both in input order.
+    """Attach their parses from the CoNLL-U file parses to the examples, and
+    run work(part, out, skips) over them with out open on output; return the
+    result of each call and every skip, both in input order.
 
     work rewrites the examples of part, writes their rows to out and appends
-    their skips to skips. It is called once on all the examples when jobs,
-    the examples or the usable CPUs number fewer than 2, without os.fork,
-    and while another thread runs (a forked child holds only the calling
-    thread, and a lock another thread held stays locked in it). Otherwise
-    the examples are cut into that many contiguous slices, and a forked
-    worker runs work on each slice after the first, writing to an anonymous
-    temporary file opened before the fork. This process runs the first
-    slice straight into out, then reaps the workers in slice order and
-    copies each one's rows to out in blocks of text, so out gets the bytes
-    of the one call in its own encoding. Workers
-    leave through os._exit; every worker not yet reaped when this function
-    exits, by any path, is killed and reaped.
+    their skips to skips. It is called once on all the examples, after a
+    serial load of parses, when jobs, the examples or the usable CPUs number
+    fewer than 2, without os.fork, and while another thread runs (a forked
+    child holds only the calling thread, and a lock another thread held
+    stays locked in it). Otherwise the examples are cut into that many
+    contiguous slices, and each process of _forked, as the module docstring
+    tells, parses its slice's byte range of parses (_parsed_slice). When a
+    cut is not found, the first examples of the cuts' sentences do not
+    strictly increase, or a slice's parse fails or does not line up, the
+    parses are loaded serially, which raises any input error, and _forked
+    runs again on even slices of the examples.
+
+    Raises:
+        DatasetError: from the serial load, for the first error in parses.
+        ChildProcessError: a worker exited with a status other than 0.
+    """
+    n = min(jobs, len(examples), _usable_cpus())
+    threading = sys.modules.get("threading")  # not imported: no thread was started
+    if n < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        examples = _attached(examples, parses)
+        skips: list[SkipRecord] = []
+        with _open_out(output) as out:
+            return [work(examples, out, skips)], skips
+    index = {example.id: i for i, example in enumerate(examples)}
+    try:
+        starts = sentence_starts(parses, n)
+    except (OSError, DatasetError):  # the serial load reports it
+        starts = None
+    if starts:
+        offsets = [0, *(offset for offset, _ in starts), None]
+        bounds = [0, *(index.get(sent_id, -1) for _, sent_id in starts), len(examples)]
+        if all(a < b for a, b in zip(bounds, bounds[1:])):
+            done = _forked(
+                work, n, functools.partial(_parsed_slice, examples, index, parses, offsets, bounds),
+                output,
+            )
+            if done:
+                return done
+    examples = _attached(examples, parses)
+    bounds = [len(examples) * i // n for i in range(n + 1)]
+    return _forked(work, n, lambda i: (examples[bounds[i] : bounds[i + 1]], ()), output)
+
+
+def _parsed_slice(
+    examples: list[QAExample],
+    index: dict[str, int],
+    parses: str,
+    offsets: list,
+    bounds: list[int],
+    i: int,
+) -> tuple[list[QAExample], list[str]] | None:
+    """Slice i, examples[bounds[i]:bounds[i + 1]], with the parses of byte
+    range i of the file parses, and the sent_ids of that range that name no
+    example (index maps each example's id to its place); or None when the
+    range does not parse, holds a sent_id twice, or holds the parse of an
+    example of another slice."""
+    try:
+        found = index_by_sent_id(load_conllu(parses, offsets[i], offsets[i + 1]))
+    except (PipelineError, OSError, ValueError):  # the serial load reports it
+        return None
+    orphans = []
+    for sent_id in found:
+        j = index.get(sent_id)
+        if j is None:
+            orphans.append(sent_id)
+        elif not bounds[i] <= j < bounds[i + 1]:
+            return None
+    return attach_parses(examples[bounds[i] : bounds[i + 1]], found), orphans
+
+
+def _forked(
+    work: Callable[[list[QAExample], TextIO, list[SkipRecord]], object],
+    n: int,
+    load: Callable[[int], tuple[list[QAExample], Sequence[str]] | None],
+    output: str,
+) -> tuple[list, list[SkipRecord]] | None:
+    """Run work over n slices, each in its own process, as _in_slices does;
+    or return None, having written nothing, when a load fails.
+
+    load(i) gives slice i's examples and the sent_ids of its parses that
+    name no example, or None when it fails; it runs in the process that
+    rewrites the slice. A forked worker runs each slice after the first,
+    writing to anonymous temporary files opened before the fork, and first
+    reports over a pipe one status byte and those sent_ids; no parse crosses
+    between processes. This process loads the first slice, reads every
+    report, and opens output only when every load succeeded and no sent_id
+    was reported twice. It then runs the first slice straight into out,
+    reaps the workers in slice order and copies each one's rows to out in
+    blocks of text, so out gets the bytes of one serial call in its own
+    encoding. Workers leave through os._exit; every worker not yet reaped
+    when this function exits, by any path, is killed and reaped.
 
     Raises:
         ChildProcessError: a worker exited with a status other than 0.
     """
-    n = min(jobs, len(examples), _usable_cpus())
-    skips: list[SkipRecord] = []
-    threading = sys.modules.get("threading")  # not imported: no thread was started
-    if n < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        return [work(examples, out, skips)], skips
     import pickle
     import shutil
     import signal
     import tempfile
 
-    cuts = [len(examples) * i // n for i in range(n + 1)]
-    workers = []  # (pid, rows file, pickled result file), one per slice after the first
+    workers = []  # (pid, report, rows file, pickled result file), one per slice after the first
     running = set()  # pids not yet reaped
     sys.stdout.flush()  # a forked worker holds a copy of any unwritten buffer
     sys.stderr.flush()
@@ -170,44 +260,70 @@ def _in_slices(
                     tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
                 )
                 result = files.enter_context(tempfile.TemporaryFile())
+                read_end, write_end = os.pipe()
+                report = files.enter_context(open(read_end, "rb"))
+                reporting = files.enter_context(open(write_end, "wb"))
                 pid = os.fork()
                 if pid == 0:  # the worker; it leaves only through os._exit
                     status = 1
                     try:
-                        part_skips: list[SkipRecord] = []
-                        value = work(examples[cuts[i] : cuts[i + 1]], rows, part_skips)
-                        rows.flush()
-                        pickle.dump((value, part_skips), result)
-                        result.flush()
+                        loaded = load(i)
+                        if loaded is not None:  # else the report is empty
+                            part, orphans = loaded
+                            reporting.write(_LOADED + "\n".join(orphans).encode("utf-8"))
+                            reporting.close()
+                            part_skips: list[SkipRecord] = []
+                            value = work(part, rows, part_skips)
+                            rows.flush()
+                            pickle.dump((value, part_skips), result)
+                            result.flush()
                         status = 0
                     except Exception:
                         sys.excepthook(*sys.exc_info())
                         sys.stderr.flush()
                     finally:
                         os._exit(status)
+                reporting.close()
                 running.add(pid)
-                workers.append((pid, rows, result))
-            results = [work(examples[: cuts[1]], out, skips)]
-            for i, (pid, rows, result) in enumerate(workers, start=1):
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                running.discard(pid)
-                if status:
-                    raise ChildProcessError(f"worker {i} (pid {pid}) exited with status {status}")
-                result.seek(0)
-                value, part_skips = pickle.load(result)
-                rows.seek(0)
-                shutil.copyfileobj(rows, out)
-                results.append(value)
-                skips += part_skips
+                workers.append((pid, report, rows, result))
+            loaded = load(0)
+            if loaded is None:
+                return None
+            part, orphans = loaded
+            seen = set(orphans)
+            for _, report, _, _ in workers:
+                data = report.read()  # to the end: the worker has closed its side
+                if data[:1] != _LOADED:
+                    return None
+                orphans = data[1:].decode("utf-8").split("\n") if data[1:] else ()
+                if seen.intersection(orphans):  # a sent_id in two slices
+                    return None
+                seen.update(orphans)
+            skips: list[SkipRecord] = []
+            with _open_out(output) as out:
+                results = [work(part, out, skips)]
+                for i, (pid, _, rows, result) in enumerate(workers, start=1):
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    running.discard(pid)
+                    if status:
+                        raise ChildProcessError(
+                            f"worker {i} (pid {pid}) exited with status {status}"
+                        )
+                    result.seek(0)
+                    value, part_skips = pickle.load(result)
+                    rows.seek(0)
+                    shutil.copyfileobj(rows, out)
+                    results.append(value)
+                    skips += part_skips
+            return results, skips
         finally:
             for pid in running:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return results, skips
 
 
 def _cmd_qa2d(args: argparse.Namespace) -> int:
-    examples = _load_examples(args, "span")
+    examples = load_qa_jsonl(args.qa, "span")
     config = _engine_config(args)
 
     def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> int:
@@ -216,22 +332,20 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
             written += write_declaratives(out, example.id, candidates)
         return written
 
-    with _open_out(args.output) as out:
-        written, skips = _in_slices(rewrite, examples, args.jobs, out)
+    written, skips = _in_slices(rewrite, examples, args.parses, args.jobs, args.output)
     _report_skips(skips, f"{sum(written)} declaratives written")
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    examples = _load_examples(args, args.schema)
+    examples = load_qa_jsonl(args.qa, args.schema)
     config = _engine_config(args)
 
     def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> dict:
         pairs = iter_pairs(part, config, skips, negatives=args.negatives, seed=args.seed)
         return write_pairs(pairs, out)
 
-    with _open_out(args.output) as out:
-        counts, skips = _in_slices(rewrite, examples, args.jobs, out)
+    counts, skips = _in_slices(rewrite, examples, args.parses, args.jobs, args.output)
     by_provenance: Counter = Counter()
     for part_counts in counts:
         by_provenance.update(part_counts)
@@ -285,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="rewrite in up to N processes, forked after the input is read "
-        "(at most one per usable CPU and per example); output is that of --jobs 1",
+        help="parse and rewrite in up to N processes, each on its own slice of the "
+        "input (at most one per usable CPU and per example); output is that of --jobs 1",
     )
 
     qa2d = sub.add_parser(

@@ -2,10 +2,13 @@
 which every input file of the package is read, and the JSONL reader built on
 it.
 
-The reader hands out a file in blocks of whole lines: _BLOCK_CHARS
-characters, then the rest of the last line, each block split at "\n" once
-and checked to be UTF-8 once. The CoNLL-U parser runs one loop over each
-block's lines; read_jsonl and the word-list readers number the same lines.
+The reader hands out a file, or one byte range of it, in blocks of whole
+lines: _BLOCK_BYTES bytes, then the rest of the last line, each block
+decoded from UTF-8 once and split at "\n" once. The CoNLL-U parser runs one
+loop over each block's lines; read_jsonl and the word-list readers number
+the same lines. The command line's --jobs cuts a CoNLL-U file into byte
+ranges that each start a sentence (sentence_starts) and parses each range
+in its own process (load_conllu with a start and a stop).
 
 Reads the 10-column tab-separated format: '#' lines are comments (sent_id and
 text comments are captured), blank lines separate sentences. Multiword token
@@ -32,7 +35,9 @@ children, so a DepSentence answers `children` and `root` in O(1) and
 from __future__ import annotations
 
 import io
+import os
 import re
+import sys
 from functools import cache
 from itertools import chain, starmap
 from typing import Iterable, Iterator, NamedTuple
@@ -45,12 +50,14 @@ __all__ = [
     "index_by_sent_id",
     "load_conllu",
     "parse_conllu",
+    "sentence_starts",
     "to_conllu",
 ]
 
 _COLUMNS = 10
-# Characters per read of an input file; a longer line spans several reads.
-_BLOCK_CHARS = 1 << 16
+# Bytes per read of an input file, before the rest of its last line.
+_BLOCK_BYTES = 1 << 16
+_BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 
 
 class _Record:
@@ -169,6 +176,9 @@ class DepSentence(_Record):
         "form", "lemma", "upos", "xpos", "head", "deprel", "text", "sent_id", "_children",
     )
     _fields = _shown = ("tokens", "text", "sent_id")
+    # What == and hash read: the same values as tokens, whose ids are always
+    # 1..n, with no DepToken built.
+    _compared = __slots__[:8]
     form: tuple[str, ...]
     lemma: tuple[str | None, ...]
     upos: tuple[str, ...]
@@ -222,6 +232,14 @@ class DepSentence(_Record):
         if self.form:
             return f"sentence starting {' '.join(self.form[:4])!r}"
         return "empty sentence"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self._compared) == other._values(self._compared)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._compared))
 
     def __len__(self) -> int:
         return len(self.form)
@@ -402,11 +420,7 @@ def _parse_blocks(blocks: Iterable, path: str | None = None) -> list[DepSentence
                 comments = {}
                 continue
             if line[0] == "#":
-                # Spaces around the key and value are optional; a value that
-                # is only whitespace is no value.
-                key, _, value = line[1:].partition("=")
-                if value := value.strip():
-                    comments[key.strip()] = value
+                _read_comment(line, comments)
                 continue
             cols = line.split("\t")
             # The quick check passes every ordinary row; _check_row sorts out
@@ -433,7 +447,16 @@ def _parse_blocks(blocks: Iterable, path: str | None = None) -> list[DepSentence
     return sentences
 
 
-def load_conllu(path: str) -> list[DepSentence]:
+def _read_comment(line: str, comments: dict[str, str]) -> None:
+    """Keep the key and value of a "# key = value" comment line in comments."""
+    # Spaces around the key and value are optional; a value that is only
+    # whitespace is no value.
+    key, _, value = line[1:].partition("=")
+    if value := value.strip():
+        comments[key.strip()] = value
+
+
+def load_conllu(path: str, start: int = 0, stop: int | None = None) -> list[DepSentence]:
     """Parse a CoNLL-U file from disk (UTF-8), one block of lines at a time.
 
     Lines split as in parse_conllu. Errors are those of parse_conllu, raised
@@ -441,39 +464,100 @@ def load_conllu(path: str) -> list[DepSentence]:
     malformed line, "<path>: sentence ...: ..." for a sentence that is not a
     tree), or a DatasetError for a line that is not valid UTF-8
     ("<path>: line N: not valid UTF-8"), each for the first bad line.
+
+    With start and stop, only the bytes from offset start up to stop (None:
+    the end) are parsed, and lines are numbered from 1 at start. Offsets
+    that sentence_starts gives cut the file into ranges that parse to the
+    sentences of the whole file, in order.
     """
-    return _parse_blocks(_read_blocks(path), path)
+    return _parse_blocks(_read_blocks(path, start, stop), path)
 
 
-def _read_blocks(path: str) -> Iterator[tuple[int, list[str]]]:
+def sentence_starts(path: str, parts: int) -> list[tuple[int, str | None]] | None:
+    """The offsets that cut a CoNLL-U file into parts byte ranges of about
+    equal size, each with the sent_id of the sentence that opens its range;
+    None when the file is not a regular file or a cut finds no
+    whitespace-only line after it.
+
+    Cut i seeks to byte size*i//parts, passes the rest of the line it lands
+    in, and falls just after the next whitespace-only line. A parse of the
+    whole file starts afresh there too, so the ranges parse to the
+    sentences of the whole file, in order. The sent_id is the one the
+    comment lines at the cut give before the first row, or None when they
+    give none or no row follows. The file is read a line at a time, never
+    whole.
+
+    Raises:
+        OSError: the file cannot be read.
+        DatasetError: the lines read at a cut are not valid UTF-8.
+    """
+    if not os.path.isfile(path):  # reading a pipe would use up its data
+        return None
+    size = os.path.getsize(path)
+    starts = []
+    with open(path, "rb") as fh:
+        for i in range(1, parts):
+            fh.seek(size * i // parts)
+            fh.readline()
+            while not (line := fh.readline()).isspace():
+                if not line:
+                    return None
+            starts.append((fh.tell(), _opening_sent_id(path, fh.tell())))
+    return starts
+
+
+def _opening_sent_id(path: str, offset: int) -> str | None:
+    """The sent_id of the comment lines that open the sentence at offset."""
+    comments: dict[str, str] = {}
+    for _, lines in _read_blocks(path, offset, None):
+        for line in lines:
+            if line[:1] != "#":
+                return None if not line or line.isspace() else comments.get("sent_id")
+            _read_comment(line, comments)
+    return None
+
+
+def _read_blocks(
+    path: str, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, list[str]]]:
     r"""Yield (first line number, lines) for each block of whole lines of a
-    UTF-8 text file; the lines hold no "\n".
+    UTF-8 text file, or of its bytes from start to stop (None: the end);
+    the lines hold no "\n".
 
-    Every input file of the package is read here: _BLOCK_CHARS characters at
-    a time, and then the rest of the last line. Lines split only at "\n",
-    "\r\n" and "\r", as in text-mode reading. A byte-order mark (U+FEFF)
-    that starts the file is skipped; one anywhere else is data.
+    Every input file of the package is read here: _BLOCK_BYTES bytes at a
+    time, and then the rest of the last line. Lines split only at "\n",
+    "\r\n" and "\r", as in text-mode reading, and are numbered from 1 at
+    start. start and stop fall at the start of a line, just after a "\n",
+    so no range splits a line or a UTF-8 sequence. A byte-order mark
+    (U+FEFF) at offset 0 is skipped; one anywhere else is data.
 
     Raises:
         DatasetError: a line is not valid UTF-8, with the path and line,
             after the lines before it are yielded.
     """
     line_no = 1
-    # A bad byte decodes to a lone surrogate, which does not encode back.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        # Not "utf-8-sig": its codec is one more import on every start-up.
-        block = fh.read(_BLOCK_CHARS).removeprefix("\ufeff")
-        while block := block + fh.readline():
+    left = sys.maxsize if stop is None else stop - start  # bytes not yet read
+    with open(path, "rb") as fh:
+        if start:  # a pipe, which cannot seek, is read from its start
+            fh.seek(start)
+        while block := fh.read(min(_BLOCK_BYTES, left)):
+            block += fh.readline(left - len(block))
+            left -= len(block)
+            if line_no == 1 and not start:  # the first line is whole in the first block
+                block = block.removeprefix(_BOM)
+                if not block:
+                    break  # the file is the mark alone
+            if b"\r" in block:  # a block ends at "\n" or at the end, never inside "\r\n"
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             try:
-                block.isascii() or block.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                whole = block[: block.rfind("\n", 0, exc.start) + 1]
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                whole = block[: block.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
                 yield line_no, whole.split("\n")[:-1]
                 raise DatasetError("not valid UTF-8", line_no + whole.count("\n"), path) from None
-            lines = block.removesuffix("\n").split("\n")
+            lines = text.removesuffix("\n").split("\n")
             yield line_no, lines
             line_no += len(lines)
-            block = fh.read(_BLOCK_CHARS)
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:

@@ -7,6 +7,7 @@ module entry point works end to end.
 import io
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qa2nli import artifacts, cli, nli
+from qa2nli import artifacts, cli, conllu, nli
 from qa2nli.cli import main
 from qa2nli.conllu import index_by_sent_id, load_conllu
 from qa2nli.engine import DeclarativeCandidate, QuestionPlan
@@ -915,8 +916,11 @@ _BAD_INPUTS = {  # name -> (the bad input, what follows its good copy; None repe
 @pytest.mark.parametrize("bad", list(_BAD_INPUTS))
 @pytest.mark.parametrize("command", ["qa2d", "convert"])
 def test_input_error_leaves_no_output(tmp_path, capsys, forks, many_cpus, command, bad):
-    """Both row commands read and check all input before they open the output,
-    and with --jobs 2 before they fork a worker."""
+    """Both row commands read and check all input before they open the output.
+    An error in the QA file stops them before they fork a worker. At --jobs 2
+    an error in the CoNLL-U file may be met by the workers that parse its
+    slices; the run then writes the stderr of --jobs 1 byte for byte, and
+    leaves no output file, no live worker and no temporary file."""
     which, tail = _BAD_INPUTS[bad]
     qa, parses = (QA, PARSES) if command == "qa2d" else (MC_QA, MC_PARSES)
     files = {name: Path(path).read_bytes().rstrip() + b"\n\n"
@@ -926,12 +930,19 @@ def test_input_error_leaves_no_output(tmp_path, capsys, forks, many_cpus, comman
         (tmp_path / name).write_bytes(data)
     argv = ["qa2d"] if command == "qa2d" else ["convert", "--schema", "multichoice"]
     out = tmp_path / "out.jsonl"
+    errors = []
     for jobs in ("1", "2"):
         assert main([*argv, "--qa", str(tmp_path / "qa"), "--parses", str(tmp_path / "parses"),
                      "--output", str(out), "--jobs", jobs]) == 2
-        assert capsys.readouterr().err.startswith(f"qa2nli: error: {tmp_path / which}: ")
+        errors.append(capsys.readouterr().err)
         assert not out.exists()
-        assert not forks
+        assert list(Path(tempfile.gettempdir()).iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if which == "qa":
+            assert not forks
+    assert errors[0].startswith(f"qa2nli: error: {tmp_path / which}: ")
+    assert errors[1] == errors[0]
 
 
 # command -> argv; each fixture name stands for that input file
@@ -1181,6 +1192,235 @@ def test_jobs_without_fork_is_one_serial_pass(monkeypatch, tmp_path, capsys, man
     serial = _outcome(argv, output, capsys)
     monkeypatch.delattr(os, "fork")
     assert _outcome([*argv, "--jobs", "4"], output, capsys) == serial
+
+
+@pytest.fixture()
+def loads(monkeypatch):
+    """What this process parses: "whole" for each serial load of a CoNLL-U
+    file, (start, stop) for each byte range."""
+    calls = []
+    load = cli.load_conllu
+
+    def counted(path, *byte_range):
+        calls.append(byte_range or "whole")
+        return load(path, *byte_range)
+
+    monkeypatch.setattr(cli, "load_conllu", counted)
+    return calls
+
+
+# (fixture QA, its parses, argv head), each QA file in the order of its parses
+_IN_ORDER = {
+    "qa2d-fixtures": ("qa2d_fixtures.jsonl", "qa2d_fixtures.conllu", ["qa2d"]),
+    "multichoice-fixtures": ("multichoice_20.jsonl", "multichoice_20.conllu",
+                             ["convert", "--schema", "multichoice"]),
+    "gen-qa2d-long": ("gen_qa2d_long_100.jsonl", "gen_qa2d_long_100.conllu",
+                      ["qa2d", "--alternatives", "3", "--copy-wh-phrase"]),
+    "gen-convert-mc": ("gen_convert_mc_200.jsonl", "gen_convert_mc_200.conllu",
+                       ["convert", "--schema", "multichoice", "--negatives", "all"]),
+}
+
+
+@pytest.mark.parametrize("corpus", list(_IN_ORDER))
+def test_each_process_parses_only_its_own_slice(
+    tmp_path, capsys, forks, many_cpus, loads, corpus
+):
+    """With the parses in QA order, this process never loads the whole
+    CoNLL-U file: it parses the first byte range and each worker the next."""
+    qa, parses, head = _IN_ORDER[corpus]
+    argv = [*head, "--qa", str(_FIXTURES / qa), "--parses", str(_FIXTURES / parses)]
+    output = tmp_path / "out.jsonl"
+    serial = _outcome([*argv, "--jobs", "1"], output, capsys)
+    assert serial[0] == 0 and loads == ["whole"]
+    for jobs in (2, 3, 4):
+        loads.clear()
+        assert _outcome([*argv, "--jobs", str(jobs)], output, capsys) == serial, jobs
+        assert len(forks) == jobs - 1, jobs
+        assert len(loads) == 1 and loads[0][0] == 0 and 0 < loads[0][1], (jobs, loads)
+        forks.clear()
+
+
+def _blocks(name):
+    """The sentences of a fixture CoNLL-U file, each without its blank line."""
+    return (_FIXTURES / name).read_text(encoding="utf-8").strip("\n").split("\n\n")
+
+
+def _joined(blocks):
+    return "".join(block + "\n\n" for block in blocks)
+
+
+def _renamed(block, sent_id):
+    return re.sub("(?m)^# sent_id = .*$", f"# sent_id = {sent_id}", block)
+
+
+def _at_cuts(blocks):
+    """The places of the sentences that open a byte range at --jobs 2, 3 and 4."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "parses.conllu")
+        Path(path).write_text(_joined(blocks), encoding="utf-8")
+        ids = [re.search("(?m)^# sent_id = (.*)$", block)[1] for block in blocks]
+        return sorted({ids.index(sent_id)
+                       for n in (2, 3, 4) for _, sent_id in conllu.sentence_starts(path, n)})
+
+
+def _at_each_cut(blocks, change):
+    """blocks with change(block, k) in place of the block at each cut k."""
+    cuts = _at_cuts(blocks)
+    return [block for k, one in enumerate(blocks)
+            for block in (change(one, k) if k in cuts else [one])]
+
+
+_BAD_BYTE = "# café comment\n".encode("latin-1")
+
+# name -> (QA lines, sentence blocks) -> (QA lines, CoNLL-U bytes); and whether
+# the parses are loaded in slices ("slices"), serially after the cut or the
+# slices fail ("serial"), or either, depending on where the cuts fall (None)
+_SLICED_CASES = {
+    "in-order": (lambda qa, blocks: (qa, _joined(blocks).encode()), "slices"),
+    "qa-reversed": (lambda qa, blocks: (qa[::-1], _joined(blocks).encode()), "serial"),
+    "duplicate-first-and-last": (
+        lambda qa, blocks: (qa, _joined([*blocks[:-1], _renamed(blocks[-1], "q000000")]).encode()),
+        "serial"),
+    "duplicate-without-example-first-and-last": (
+        lambda qa, blocks: (
+            qa, _joined([_renamed(blocks[0], "zz"), *blocks, _renamed(blocks[1], "zz")]).encode()),
+        "serial"),
+    "duplicate-before-each-cut": (
+        lambda qa, blocks: (qa, _joined(_at_each_cut(blocks, lambda b, k: [b, b])).encode()),
+        "serial"),
+    "duplicate-without-example-around-each-cut": (
+        lambda qa, blocks: (qa, _joined(_at_each_cut(
+            blocks, lambda b, k: [_renamed(b, f"zz{k}"), _renamed(b, f"zz{k}")])).encode()),
+        "serial"),
+    "squeezed-sent-id": (
+        lambda qa, blocks: (qa, _joined(blocks).replace("# sent_id = ", "#sent_id=").encode()),
+        "slices"),
+    "crlf": (lambda qa, blocks: (qa, _joined(blocks).replace("\n", "\r\n").encode()), "slices"),
+    "byte-order-mark": (lambda qa, blocks: (qa, ("\ufeff" + _joined(blocks)).encode()), "slices"),
+    "cr-only": (lambda qa, blocks: (qa, _joined(blocks).replace("\n", "\r").encode()), "serial"),
+    "bad-byte-in-last-slice": (
+        lambda qa, blocks: (qa, _joined(blocks[:-1]).encode() + _BAD_BYTE
+                            + _joined(blocks[-1:]).encode()),
+        "serial"),
+    "not-a-tree-in-last-slice": (
+        lambda qa, blocks: (qa, (_joined(blocks) + _conllu((1, "a", 2), (2, "b", 1))).encode()),
+        "serial"),
+    "malformed-row-in-last-slice": (
+        lambda qa, blocks: (qa, (_joined(blocks) + "# sent_id = zz\n1\tWho\n").encode()),
+        "serial"),
+    "no-sent-ids": (
+        lambda qa, blocks: (qa, re.sub("(?m)^# sent_id = .*\n", "", _joined(blocks)).encode()),
+        "serial"),
+    "every-seventh-without-sent-id": (
+        lambda qa, blocks: (qa, _joined(
+            [re.sub("(?m)^# sent_id = .*\n", "", b) if k % 7 == 3 else b
+             for k, b in enumerate(blocks)]).encode()),
+        None),
+    "parses-without-example": (
+        lambda qa, blocks: ([line for k, line in enumerate(qa) if k % 3], _joined(blocks).encode()),
+        None),
+    "no-parse-at-each-cut": (
+        lambda qa, blocks: (qa, _joined(_at_each_cut(blocks, lambda b, k: [])).encode()),
+        None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SLICED_CASES))
+def test_sliced_loads_give_the_bytes_of_one_serial_pass(
+    tmp_path, capsys, forks, many_cpus, loads, case
+):
+    make, loaded = _SLICED_CASES[case]
+    qa_lines = (_FIXTURES / "gen_qa2d_long_100.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    qa_lines, data = make(qa_lines, _blocks("gen_qa2d_long_100.conllu"))
+    qa, parses = tmp_path / "qa.jsonl", tmp_path / "parses.conllu"
+    qa.write_text("".join(qa_lines), encoding="utf-8")
+    parses.write_bytes(data)
+    argv = ["qa2d", "--qa", str(qa), "--parses", str(parses)]
+    output = tmp_path / "out.jsonl"
+
+    def outcome(jobs):
+        """As _outcome, with None written where the run leaves no output file."""
+        code = main([*argv, "--jobs", str(jobs), "--output", str(output)])
+        written = output.read_bytes() if output.exists() else None
+        output.unlink(missing_ok=True)
+        return code, written, *capsys.readouterr()
+
+    serial = outcome(1)
+    for jobs in (2, 3, 4):
+        loads.clear()
+        assert outcome(jobs) == serial, jobs
+        if loaded == "slices":
+            assert "whole" not in loads and len(forks) == jobs - 1, (jobs, loads)
+        elif loaded == "serial":
+            assert loads[-1] == "whole", jobs
+        assert list(Path(tempfile.gettempdir()).iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        forks.clear()
+    bad_line = data[: data.find(_BAD_BYTE)].count(b"\n") + 1
+    errors = {"bad-byte-in-last-slice": f": line {bad_line}: not valid UTF-8\n",
+              "not-a-tree-in-last-slice": ": sentence 'q1': expected exactly one root",
+              "malformed-row-in-last-slice": ": expected 10 tab-separated columns, got 2\n"}
+    if case in errors or case.startswith("duplicate"):
+        assert serial[:3] == (2, None, "") and serial[3].startswith(f"qa2nli: error: {parses}")
+        assert errors.get(case, ": duplicate sent_id") in serial[3]
+    else:
+        assert serial[0] == 0 and serial[1] is not None
+
+
+def test_no_parse_crosses_between_processes(
+    monkeypatch, tmp_path, capsys, forks, many_cpus, loads
+):
+    def refuse(self):
+        raise AssertionError("a parse was pickled")
+
+    monkeypatch.setattr(conllu.DepSentence, "__reduce__", refuse)
+    with pytest.raises(AssertionError, match="a parse was pickled"):
+        pickle.dumps(load_conllu(PARSES)[0])
+    for argv in (["qa2d", "--qa", QA, "--parses", PARSES, "--alternatives", "3"],
+                 ["convert", "--qa", MC_QA, "--parses", MC_PARSES, "--schema", "multichoice"]):
+        output = tmp_path / "out.jsonl"
+        serial = _outcome([*argv, "--jobs", "1"], output, capsys)
+        loads.clear()
+        assert _outcome([*argv, "--jobs", "3"], output, capsys) == serial
+        assert "whole" not in loads and len(forks) == 2
+        forks.clear()
+
+
+def test_a_named_pipe_of_parses_is_read_once(tmp_path, capsys, forks, many_cpus, loads):
+    """A pipe cannot be cut into byte ranges: its parses are loaded serially,
+    and nothing reads the pipe before that load."""
+    fifo = tmp_path / "parses.fifo"
+    os.mkfifo(fifo)
+    output = tmp_path / "out.jsonl"
+    argv = ["qa2d", "--qa", QA, "--parses", str(fifo)]
+    outcomes = []
+
+    def waited_too_long(signum, frame):  # a read that used up the pipe's data
+        raise TimeoutError("no writer left for the pipe")
+
+    previous = signal.signal(signal.SIGALRM, waited_too_long)
+    try:
+        for jobs in ("1", "3"):
+            with subprocess.Popen([sys.executable, "-c", _FEED, PARSES, str(fifo)]) as writer:
+                signal.alarm(30)
+                try:
+                    outcomes.append(_outcome([*argv, "--jobs", jobs], output, capsys))
+                except BaseException:
+                    writer.kill()  # it may still wait for a reader
+                    raise
+                finally:
+                    signal.alarm(0)
+                assert writer.wait(timeout=30) == 0
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes[0][0] == 0 and outcomes[1] == outcomes[0]
+    assert loads == ["whole", "whole"] and len(forks) == 2
+
+
+# Copies the file named first into the named pipe named second.
+_FEED = "import sys\nopen(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())\n"
 
 
 def test_jobs_beside_another_thread_is_one_serial_pass(monkeypatch, tmp_path, capsys, many_cpus):

@@ -70,6 +70,27 @@ def test_writing_and_checking_ids_build_no_token(monkeypatch):
         parse_conllu(written.replace("\n4\t", "\n5\t"))
 
 
+def test_comparing_and_hashing_sentences_build_no_token(monkeypatch):
+    sent = parse_conllu(GOOD)[0]
+    twin = parse_conllu(GOOD)[0]
+    others = [
+        parse_conllu(GOOD.replace("Taylor\tTaylor", "Tyler\tTaylor"))[0],  # a form
+        parse_conllu(GOOD.replace("call\tVERB", "calls\tVERB"))[0],  # a lemma
+        parse_conllu(GOOD.replace("\tWP\t", "\t_\t"))[0],  # an xpos
+        parse_conllu(GOOD.replace("\t2\tobj", "\t4\tobj"))[0],  # a head
+        parse_conllu(GOOD.replace("\tobj\t", "\tiobj\t"))[0],  # a deprel
+        parse_conllu(GOOD.replace("# text = Who called Taylor?\n", ""))[0],
+        parse_conllu(GOOD.replace("sent_id = q1", "sent_id = q2"))[0],
+        parse_conllu(GOOD.replace("\n4\t?\t?\tPUNCT\t_\t_\t2\tpunct\t_\t_", ""))[0],
+    ]
+    monkeypatch.setattr(conllu, "DepToken", None)
+    assert twin == sent and twin is not sent and hash(twin) == hash(sent)
+    assert not twin != sent
+    for other in others:
+        assert other != sent and hash(other) != hash(sent)
+    assert len({sent, twin, *others}) == 1 + len(others)
+
+
 def test_a_sentence_holds_its_columns_and_builds_a_plain_tuple_of_tokens():
     parsed = parse_conllu(GOOD)[0]
     built = DepSentence(parsed.tokens, parsed.text, parsed.sent_id)

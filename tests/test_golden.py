@@ -9,8 +9,9 @@ tests need nothing outside `tests/`. The files under `fixtures/golden/`
 hold the pinned outputs; a mismatch reports the first line that differs
 from them. `qa2d` and `convert` runs also pin their stderr (skip lines and
 summary) exactly, and `eval` and `analyze` runs write nothing to stderr.
-Each rewrite case runs again with `--jobs 2`, which forks a worker after
-loading when two CPUs are usable, and must give the same bytes.
+Each rewrite case runs again with `--jobs 2` and `--jobs 3`, which cut the
+input into two and three slices that each process parses and rewrites on
+its own, and must give the same bytes.
 
 The `*_clearnlp.conllu` fixtures are the UD parses relabelled in ClearNLP
 style by `tests/clearnlp.py`; each rewrite run reading a UD parse file runs
@@ -34,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from clearnlp import relabel
+from qa2nli import cli
 from qa2nli.cli import main
 
 CLI = os.environ.get("QA2NLI_CLI")
@@ -188,10 +190,15 @@ def test_rewrite_golden(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(REWRITES))
-def test_rewrite_golden_with_two_jobs(tmp_path, name):
-    """With two usable CPUs, --jobs 2 forks a worker after loading, and the
-    run still writes the golden output and stderr."""
-    _check_rewrite(tmp_path, name, [*REWRITES[name], "--jobs", "2"])
+def test_rewrite_golden_with_two_jobs(monkeypatch, tmp_path, name):
+    """--jobs 2 and then --jobs 3 cut the input into two and three slices,
+    each parsed and rewritten in its own process, and the run still writes
+    the golden output and stderr. An in-process run counts three usable
+    CPUs; a QA2NLI_CLI script makes no more slices than its machine has
+    usable CPUs."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    for jobs in ("2", "3"):
+        _check_rewrite(tmp_path, name, [*REWRITES[name], "--jobs", jobs])
 
 
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])

@@ -46,22 +46,13 @@ MIXED = "".join([
 
 @pytest.fixture
 def block_size(monkeypatch):
-    """set(n) makes the reader read n characters a block and, unless
-    small_chunks is false, from a text layer that decodes n bytes at a time;
-    set(None) restores both."""
-    opened = open
+    """set(n) makes the reader read n bytes a block, before the rest of the
+    last line; set(None) restores the size."""
 
-    def with_small_chunks(*args, **kwargs):
-        fh = opened(*args, **kwargs)
-        fh._CHUNK_SIZE = conllu._BLOCK_CHARS
-        return fh
-
-    def set_size(n, small_chunks=True):
+    def set_size(n):
         monkeypatch.undo()
         if n is not None:
-            monkeypatch.setattr(conllu, "_BLOCK_CHARS", n)
-        if n is not None and small_chunks:
-            monkeypatch.setattr(conllu, "open", with_small_chunks, raising=False)
+            monkeypatch.setattr(conllu, "_BLOCK_BYTES", n)
 
     return set_size
 
@@ -94,9 +85,8 @@ def test_every_parse_loads_alike_at_every_block_size(tmp_path, block_size):
     assert expected[mixed] == parse_conllu(MIXED.decode("utf-8"))
     assert [sent.text for sent in expected[mixed]] == ["Liz 😀 left", "Zoë stayed"]
     for n in SIZES:
+        block_size(n)
         for path in paths:
-            # Decoding the large files a few bytes at a time is slow.
-            block_size(n, small_chunks=path.stat().st_size < 20_000)
             assert load_conllu(path) == expected[path], (n, path.name)
 
 
@@ -104,8 +94,8 @@ def test_every_jsonl_file_reads_alike_at_every_block_size(block_size):
     paths = sorted(FIXTURES.glob("*.jsonl"))
     expected = {path: list(read_jsonl(path)) for path in paths}
     for n in SIZES:
+        block_size(n)
         for path in paths:
-            block_size(n, small_chunks=path.stat().st_size < 20_000)
             assert list(read_jsonl(path)) == expected[path], (n, path.name)
 
 
@@ -125,8 +115,8 @@ def test_a_leading_byte_order_mark_is_skipped_at_every_block_size(tmp_path, bloc
     for path in plain:
         (marked / path.name).write_bytes(BOM + path.read_bytes())
     for n in (None, *SIZES):
+        block_size(n)
         for path in plain:
-            block_size(n, small_chunks=path.stat().st_size < 20_000)
             read = readers[path.suffix]
             assert read(marked / path.name) == read(path), (n, path.name)
 
@@ -252,7 +242,7 @@ def test_read_jsonl_reads_back_what_the_writers_wrote(pairs, items, size):
         for c in candidates
     ]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conllu, "_BLOCK_CHARS", size)
+        mp.setattr(conllu, "_BLOCK_BYTES", size)
         pairs_path, decl_path = os.path.join(tmp, "pairs.jsonl"), os.path.join(tmp, "decl.jsonl")
         with open(pairs_path, "w", encoding="utf-8") as out:
             nli.write_pairs(pairs, out)
