@@ -14,25 +14,39 @@ artifacts.analyze_corpus. Importing this module imports the rewrite stack;
 eval and analyze import metrics and artifacts when they run, so qa2d and
 convert never load the scoring code.
 
-qa2d and convert read and check the QA file first. With --jobs 1, the
-default, they then load the whole CoNLL-U file and rewrite in one serial
-pass. With --jobs N (N > 1, on a platform with os.fork) they cut the
-examples into up to N contiguous slices, no more than there are examples
-or usable CPUs, and the CoNLL-U file into as many byte ranges, each
-starting at the sentence that names its slice's first example. One
-worker process is forked per slice after the first, before any parse is
-read; each process, this one included, parses its own range and rewrites
-its own slice. The output is opened only once every range has parsed
-cleanly, no sent_id occurs twice, and every parse that names an example
-lies in that example's slice. Otherwise (a range that does not parse,
-parses in another order than the QA file, a cut at a sentence that names
-no example, a CoNLL-U file that is a pipe) the workers are killed and the
-CoNLL-U file is loaded serially, which reports any input error as
---jobs 1 does, and the slices are rewritten in forked workers as before.
-This process writes its own rows to the output while each worker writes
-its rows to an anonymous temporary file; the workers' rows follow in
-slice order, then every skip in input order and one summary line.
-Stdout, stderr and the exit status are those of --jobs 1.
+qa2d and convert read and check the QA file first, and then run through
+one routine, _forked, at every --jobs. --jobs N cuts the examples into up
+to N contiguous slices, no more than there are examples or usable CPUs.
+There is one slice where Python has no os.fork and while another thread
+runs (a forked child holds only the calling thread, and a lock another
+thread held stays locked in it). One slice forks nothing: the whole
+CoNLL-U file is loaded serially and the examples are rewritten straight
+into the output.
+
+With N > 1 slices the CoNLL-U file is cut into as many byte ranges
+(conllu.sentence_starts), and the sent_id of the sentence at cut i names
+the example that opens slice i. One worker process is forked per slice
+after the first, before any parse is read; each process, this one
+included, parses its own range and rewrites its own slice. A worker first
+reports over a pipe one status byte and the sent_ids of its range that
+name no example (nothing when its range did not load), then writes its
+rows to one anonymous temporary file and its result and skips, pickled,
+to another; no parse crosses between processes. The output is opened
+only once every range has parsed cleanly, no sent_id occurs twice, and
+every parse that names an example lies in that example's slice;
+otherwise the workers are killed and reaped. Then, and when there are no
+such cuts (a CoNLL-U file that is not a regular file, such as a pipe,
+whose data one read uses up; a cut with no whitespace-only line after
+it; a cut at a sentence that names no example, or the examples out of
+order), the CoNLL-U file is loaded serially, which reports any input
+error as --jobs 1 does, and even slices of the examples are rewritten in
+forked workers. So a pipe is read once, before anything is forked. This
+process writes its own slice's rows to the output and then, reaping each
+worker in slice order, appends that worker's rows as text, so the output
+gets the bytes of one serial pass in its own encoding; every skip follows
+in input order, then one summary line of the slices' results summed.
+Stdout, stderr and the exit status are those of --jobs 1. Every worker
+not yet reaped when the run ends, by any path, is killed and reaped.
 
 Data problems (unreadable files, schema violations, unknown ids) and bad
 flag values exit with status 2. A reader that closes standard output
@@ -47,12 +61,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import math
 import os
 import sys
 from collections import Counter
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .conllu import index_by_sent_id, load_conllu, sentence_starts
 from .engine import EngineConfig
@@ -138,121 +151,92 @@ def _usable_cpus() -> int:
 
 
 def _in_slices(
-    work: Callable[[list[QAExample], TextIO, list[SkipRecord]], object],
+    work: Callable[[list[QAExample], TextIO, list[SkipRecord]], Any],
     examples: list[QAExample],
     parses: str,
     jobs: int,
     output: str,
-) -> tuple[list, list[SkipRecord]]:
+) -> tuple[Any, list[SkipRecord]]:
     """Attach their parses from the CoNLL-U file parses to the examples, and
-    run work(part, out, skips) over them with out open on output; return the
-    result of each call and every skip, both in input order.
+    run work(part, out, skips) over slices of them in up to jobs processes,
+    with out open on output; return the slices' results summed with +=, and
+    every skip in input order.
 
     work rewrites the examples of part, writes their rows to out and appends
-    their skips to skips. It is called once on all the examples, after a
-    serial load of parses, when jobs, the examples or the usable CPUs number
-    fewer than 2, without os.fork, and while another thread runs (a forked
-    child holds only the calling thread, and a lock another thread held
-    stays locked in it). Otherwise the examples are cut into that many
-    contiguous slices, and each process of _forked, as the module docstring
-    tells, parses its slice's byte range of parses (_parsed_slice). When a
-    cut is not found, the first examples of the cuts' sentences do not
-    strictly increase, or a slice's parse fails or does not line up, the
-    parses are loaded serially, which raises any input error, and _forked
-    runs again on even slices of the examples.
+    their skips to skips.
 
     Raises:
         DatasetError: from the serial load, for the first error in parses.
         ChildProcessError: a worker exited with a status other than 0.
     """
-    n = min(jobs, len(examples), _usable_cpus())
+    n = max(min(jobs, len(examples), _usable_cpus()), 1)
     threading = sys.modules.get("threading")  # not imported: no thread was started
-    if n < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        examples = _attached(examples, parses)
-        skips: list[SkipRecord] = []
-        with _open_out(output) as out:
-            return [work(examples, out, skips)], skips
-    index = {example.id: i for i, example in enumerate(examples)}
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        n = 1
     try:
-        starts = sentence_starts(parses, n)
+        starts = sentence_starts(parses, n) if n > 1 else None
     except (OSError, DatasetError):  # the serial load reports it
         starts = None
     if starts:
+        index = {example.id: i for i, example in enumerate(examples)}
         offsets = [0, *(offset for offset, _ in starts), None]
         bounds = [0, *(index.get(sent_id, -1) for _, sent_id in starts), len(examples)]
+
+        def parsed_slice(i: int) -> tuple[list[QAExample], list[str]] | None:
+            """Slice i with the parses of byte range i, and the sent_ids of
+            that range that name no example; or None when the range does not
+            parse, holds a sent_id twice, or holds the parse of an example of
+            another slice."""
+            try:
+                found = index_by_sent_id(load_conllu(parses, offsets[i], offsets[i + 1]))
+            except (PipelineError, OSError, ValueError):  # the serial load reports it
+                return None
+            orphans = []
+            for sent_id in found:
+                j = index.get(sent_id)
+                if j is None:
+                    orphans.append(sent_id)
+                elif not bounds[i] <= j < bounds[i + 1]:
+                    return None
+            return attach_parses(examples[bounds[i] : bounds[i + 1]], found), orphans
+
         if all(a < b for a, b in zip(bounds, bounds[1:])):
-            done = _forked(
-                work, n, functools.partial(_parsed_slice, examples, index, parses, offsets, bounds),
-                output,
-            )
+            done = _forked(work, n, parsed_slice, output)
             if done:
                 return done
-    examples = _attached(examples, parses)
-    bounds = [len(examples) * i // n for i in range(n + 1)]
-    return _forked(work, n, lambda i: (examples[bounds[i] : bounds[i + 1]], ()), output)
-
-
-def _parsed_slice(
-    examples: list[QAExample],
-    index: dict[str, int],
-    parses: str,
-    offsets: list,
-    bounds: list[int],
-    i: int,
-) -> tuple[list[QAExample], list[str]] | None:
-    """Slice i, examples[bounds[i]:bounds[i + 1]], with the parses of byte
-    range i of the file parses, and the sent_ids of that range that name no
-    example (index maps each example's id to its place); or None when the
-    range does not parse, holds a sent_id twice, or holds the parse of an
-    example of another slice."""
-    try:
-        found = index_by_sent_id(load_conllu(parses, offsets[i], offsets[i + 1]))
-    except (PipelineError, OSError, ValueError):  # the serial load reports it
-        return None
-    orphans = []
-    for sent_id in found:
-        j = index.get(sent_id)
-        if j is None:
-            orphans.append(sent_id)
-        elif not bounds[i] <= j < bounds[i + 1]:
-            return None
-    return attach_parses(examples[bounds[i] : bounds[i + 1]], found), orphans
+    attached = _attached(examples, parses)
+    even = [len(attached) * i // n for i in range(n + 1)]
+    return _forked(work, n, lambda i: (attached[even[i] : even[i + 1]], ()), output)
 
 
 def _forked(
-    work: Callable[[list[QAExample], TextIO, list[SkipRecord]], object],
+    work: Callable[[list[QAExample], TextIO, list[SkipRecord]], Any],
     n: int,
     load: Callable[[int], tuple[list[QAExample], Sequence[str]] | None],
     output: str,
-) -> tuple[list, list[SkipRecord]] | None:
-    """Run work over n slices, each in its own process, as _in_slices does;
-    or return None, having written nothing, when a load fails.
+) -> tuple[Any, list[SkipRecord]] | None:
+    """Run work over n slices, each after the first in a forked worker, with
+    out open on output; return the slices' results summed with += and every
+    skip, both in input order, or None, having opened no output, when a load
+    fails.
 
     load(i) gives slice i's examples and the sent_ids of its parses that
     name no example, or None when it fails; it runs in the process that
-    rewrites the slice. A forked worker runs each slice after the first,
-    writing to anonymous temporary files opened before the fork, and first
-    reports over a pipe one status byte and those sent_ids; no parse crosses
-    between processes. This process loads the first slice, reads every
-    report, and opens output only when every load succeeded and no sent_id
-    was reported twice. It then runs the first slice straight into out,
-    reaps the workers in slice order and copies each one's rows to out in
-    blocks of text, so out gets the bytes of one serial call in its own
-    encoding. Workers leave through os._exit; every worker not yet reaped
-    when this function exits, by any path, is killed and reaped.
+    rewrites the slice.
 
     Raises:
         ChildProcessError: a worker exited with a status other than 0.
     """
-    import pickle
-    import shutil
-    import signal
-    import tempfile
+    if n > 1:  # one slice forks nothing, so it needs none of these
+        import pickle
+        import shutil
+        import signal
+        import tempfile
 
+        sys.stdout.flush()  # a forked worker holds a copy of any unwritten buffer
+        sys.stderr.flush()
     workers = []  # (pid, report, rows file, pickled result file), one per slice after the first
     running = set()  # pids not yet reaped
-    sys.stdout.flush()  # a forked worker holds a copy of any unwritten buffer
-    sys.stderr.flush()
     with contextlib.ExitStack() as files:
         try:
             for i in range(1, n):
@@ -301,7 +285,7 @@ def _forked(
                 seen.update(orphans)
             skips: list[SkipRecord] = []
             with _open_out(output) as out:
-                results = [work(part, out, skips)]
+                total = work(part, out, skips)
                 for i, (pid, _, rows, result) in enumerate(workers, start=1):
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     running.discard(pid)
@@ -313,9 +297,9 @@ def _forked(
                     value, part_skips = pickle.load(result)
                     rows.seek(0)
                     shutil.copyfileobj(rows, out)
-                    results.append(value)
+                    total += value
                     skips += part_skips
-            return results, skips
+            return total, skips
         finally:
             for pid in running:
                 os.kill(pid, signal.SIGKILL)
@@ -333,7 +317,7 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
         return written
 
     written, skips = _in_slices(rewrite, examples, args.parses, args.jobs, args.output)
-    _report_skips(skips, f"{sum(written)} declaratives written")
+    _report_skips(skips, f"{written} declaratives written")
     return 0
 
 
@@ -341,14 +325,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     examples = load_qa_jsonl(args.qa, args.schema)
     config = _engine_config(args)
 
-    def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> dict:
+    def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> Counter:
         pairs = iter_pairs(part, config, skips, negatives=args.negatives, seed=args.seed)
-        return write_pairs(pairs, out)
+        return Counter(write_pairs(pairs, out))
 
-    counts, skips = _in_slices(rewrite, examples, args.parses, args.jobs, args.output)
-    by_provenance: Counter = Counter()
-    for part_counts in counts:
-        by_provenance.update(part_counts)
+    by_provenance, skips = _in_slices(rewrite, examples, args.parses, args.jobs, args.output)
     breakdown = " ".join(f"{k.value}={v}" for k, v in sorted(by_provenance.items()))
     _report_skips(skips, f"{sum(by_provenance.values())} pairs written ({breakdown or 'none'})")
     return 0

@@ -1555,17 +1555,36 @@ def test_a_closed_pipe_kills_and_reaps_every_worker(monkeypatch, capsys, forks, 
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_cli_import_loads_none_of_the_worker_modules(child_env):
+def test_cli_import_loads_none_of_the_worker_modules(tmp_path, child_env):
     """--jobs N > 1 imports its temporary-file, serialization and signal
-    modules when it runs, so no other run pays for them."""
+    modules only when it forks, so neither importing the CLI nor a run of one
+    slice (--jobs 1, or --jobs 4 on one example) pays for them. Only modules
+    added after start-up count: site may load tempfile. shutil, which the
+    forked runs import too, is not checked: argparse imports it to size its
+    help whenever a parser gets an argument."""
+    one = tmp_path / "one.jsonl"
+    one.write_text(Path(QA).read_text(encoding="utf-8").splitlines(keepends=True)[0],
+                   encoding="utf-8")
+    runs = [
+        ["qa2d", "--qa", QA, "--parses", PARSES, "--jobs", "1", "--output", str(tmp_path / "1")],
+        ["qa2d", "--qa", str(one), "--parses", PARSES, "--jobs", "4",
+         "--output", str(tmp_path / "4")],
+    ]
     script = (
         "import sys\nbefore = set(sys.modules)\nimport qa2nli.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert qa2nli.cli.main(argv.split('\\n')) == 0\n"
+        "    print(*sorted(set(sys.modules) - before))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8",
-        env=child_env, check=True,
+        [sys.executable, "-c", script, *("\n".join(argv) for argv in runs)],
+        capture_output=True, text=True, encoding="utf-8", env=child_env, check=True,
     )
-    loaded = set(proc.stdout.split())
-    assert "qa2nli.cli" in loaded
-    assert not loaded & {"pickle", "signal", "tempfile"}, loaded & {"pickle", "signal", "tempfile"}
+    at_import, *after_runs = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "qa2nli.cli" in at_import and len(after_runs) == len(runs)
+    assert (tmp_path / "1").read_bytes() == (_FIXTURES / "golden/qa2d_fixtures.jsonl").read_bytes()
+    assert (tmp_path / "4").read_text(encoding="utf-8").count("\n") == 1
+    worker_modules = {"pickle", "signal", "tempfile"}
+    for loaded in (at_import, *after_runs):
+        assert not loaded & worker_modules, loaded & worker_modules

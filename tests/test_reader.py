@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 
 from qa2nli import conllu, nli
-from qa2nli.conllu import load_conllu, parse_conllu, read_jsonl
+from qa2nli.conllu import load_conllu, parse_conllu, read_jsonl, sentence_starts
 from qa2nli.engine import DeclarativeCandidate
 from qa2nli.errors import ConlluFormatError, DatasetError
 from qa2nli.nli import Label, NliPair, Provenance
@@ -181,6 +181,110 @@ def test_a_malformed_row_before_a_bad_byte_in_its_block_is_reported(tmp_path, bl
         with pytest.raises(DatasetError) as err:
             list(read_jsonl(qa))
         assert str(err.value) == f"{qa}: line 2: invalid JSON (Expecting value)"
+
+
+# -- byte ranges of a CoNLL-U file ----------------------------------------------
+
+RANGE_SIZES = (None, 1, 5, 12)
+RANGED = ["qa2d_fixtures.conllu", "gen_qa2d_long_100.conllu", "multichoice_20.conllu"]
+
+
+def _ranges(path, parts):
+    """(the cuts of sentence_starts, the sentences of each byte range)."""
+    starts = sentence_starts(path, parts)
+    offsets = [0, *(offset for offset, _ in starts), None]
+    return starts, [load_conllu(path, a, b) for a, b in zip(offsets, offsets[1:])]
+
+
+@pytest.mark.parametrize("copy", ["plain", "crlf", "bom"])
+@pytest.mark.parametrize("name", RANGED)
+def test_byte_ranges_parse_to_the_sentences_of_the_whole_file(tmp_path, block_size, name, copy):
+    data = (FIXTURES / name).read_bytes()
+    path = tmp_path / name
+    path.write_bytes({"plain": data, "crlf": data.replace(b"\n", b"\r\n"), "bom": BOM + data}[copy])
+    for n in RANGE_SIZES:
+        block_size(n)
+        whole = load_conllu(path)
+        for parts in range(2, 7):
+            starts, ranges = _ranges(path, parts)
+            assert len(starts) == parts - 1 and all(ranges), (n, parts)
+            assert [sent for part in ranges for sent in part] == whole, (n, parts)
+            assert [sent_id for _, sent_id in starts] == [part[0].sent_id for part in ranges[1:]]
+
+
+def test_a_named_pipe_has_no_cuts_and_is_not_opened(tmp_path, monkeypatch):
+    fifo = tmp_path / "parses.conllu"
+    os.mkfifo(fifo)  # opening it to read would wait for a writer
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("opened")
+
+    monkeypatch.setattr(conllu, "open", no_open, raising=False)
+    assert sentence_starts(fifo, 2) is None
+
+
+def _sentence(sent_id_line, form):
+    return f"{sent_id_line}\n{_row(1, form, 0, 'root')}\n"
+
+
+def test_a_cut_with_no_whitespace_only_line_after_it_gives_none(tmp_path):
+    path = tmp_path / "parses.conllu"
+    rows = "".join(_row(i, "w", 0 if i == 1 else 1) + "\n" for i in range(1, 40))
+    path.write_text("# sent_id = a\n" + rows, encoding="utf-8")
+    assert sentence_starts(path, 2) is None
+    path.write_text(f"{_sentence('# sent_id = a', 'Hi')}\n# sent_id = b\n{rows}", encoding="utf-8")
+    assert sentence_starts(path, 2) is None  # the only blank line lies before the cut
+
+
+# (case, the comment lines of the sentence after the cut, the sent_id read there)
+OPENING_COMMENTS = [
+    ("spaced", "# sent_id = b", "b"),
+    ("unspaced", "#sent_id=x", "x"),
+    ("after-text", "# text = Hi\n# sent_id = b", "b"),
+    ("none", "# text = Hi", None),
+    ("no-comment", "", None),
+]
+
+
+@pytest.mark.parametrize(
+    "comments, sent_id", [case[1:] for case in OPENING_COMMENTS],
+    ids=[case[0] for case in OPENING_COMMENTS],
+)
+def test_the_sent_id_at_a_cut_is_that_of_its_comment_lines(tmp_path, block_size, comments, sent_id):
+    path = tmp_path / "parses.conllu"
+    first = _sentence("# sent_id = a\n# text = " + "x" * 200, "Hi")
+    path.write_text(f"{first}\n{comments + chr(10) if comments else ''}{_row(1, 'Yo', 0)}\n",
+                    encoding="utf-8")
+    for n in RANGE_SIZES:
+        block_size(n)
+        ((offset, found),) = sentence_starts(path, 2)
+        assert (offset, found) == (len(first) + 1, sent_id), n
+        assert [sent.sent_id for sent in load_conllu(path, offset)] == [sent_id], n
+
+
+def test_a_bad_byte_in_a_comment_at_a_cut_names_the_path(tmp_path, block_size):
+    path = tmp_path / "parses.conllu"
+    first = _sentence("# sent_id = a\n# text = " + "x" * 200, "Hi").encode("utf-8")
+    path.write_bytes(first + b"\n# caf\xe9\n" + _sentence("# sent_id = b", "Yo").encode("utf-8"))
+    for n in RANGE_SIZES:
+        block_size(n)
+        with pytest.raises(DatasetError) as err:
+            sentence_starts(path, 2)
+        assert str(err.value) == f"{path}: line 1: not valid UTF-8", n
+
+
+def test_a_bad_byte_later_in_the_block_at_a_cut_lets_its_sent_id_be_read(tmp_path, block_size):
+    """At the default block size the bad byte lies in the block that holds
+    the cut; the reader yields the whole lines before it first."""
+    path = tmp_path / "parses.conllu"
+    first = _sentence("# sent_id = a\n# text = " + "x" * 200, "Hi")
+    second = _sentence("# sent_id = b", "Yo")
+    path.write_bytes(f"{first}\n{second}\n".encode("utf-8") + b"# caf\xe9\n")
+    for n in RANGE_SIZES:
+        block_size(n)
+        assert sentence_starts(path, 2) == [(len(first) + 1, "b")], n
+        with pytest.raises(DatasetError):
+            load_conllu(path)
 
 
 # -- sent_id and text comments ------------------------------------------------
