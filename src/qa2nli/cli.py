@@ -27,24 +27,31 @@ With N > 1 slices the CoNLL-U file is cut into as many byte ranges
 (conllu.sentence_starts), and the sent_id of the sentence at cut i names
 the example that opens slice i. One worker process is forked per slice
 after the first, before any parse is read; each process, this one
-included, parses its own range and rewrites its own slice. A worker first
-reports over a pipe one status byte and the sent_ids of its range that
-name no example (nothing when its range did not load), then writes its
-rows to one anonymous temporary file and its result and skips, pickled,
-to another; no parse crosses between processes. The output is opened
-only once every range has parsed cleanly, no sent_id occurs twice, and
-every parse that names an example lies in that example's slice;
-otherwise the workers are killed and reaped. Then, and when there are no
+included, parses its own range and rewrites its own slice. Each worker
+has one pipe and one anonymous temporary file for its rows, and pickles
+two messages onto its pipe: first its report, the sent_ids of its range
+that name no example (None when its range did not load), then, once its
+slice is rewritten, its result and skips. No parse crosses between
+processes. The output is opened only once every report has arrived (a
+worker that ends before its report is complete counts as a failed load),
+every range has parsed cleanly, no sent_id occurs twice, and every parse
+that names an example lies in that example's slice; otherwise the
+workers are killed and reaped. Then, and when there are no
 such cuts (a CoNLL-U file that is not a regular file, such as a pipe,
 whose data one read uses up; a cut with no whitespace-only line after
 it; a cut at a sentence that names no example, or the examples out of
 order), the CoNLL-U file is loaded serially, which reports any input
 error as --jobs 1 does, and even slices of the examples are rewritten in
 forked workers. So a pipe is read once, before anything is forked. This
-process writes its own slice's rows to the output and then, reaping each
-worker in slice order, appends that worker's rows as text, so the output
-gets the bytes of one serial pass in its own encoding; every skip follows
-in input order, then one summary line of the slices' results summed.
+process writes its own slice's rows to the output and then, in slice
+order, reads each worker's pipe to its end, reaps the worker and appends
+its rows as text. The pipe is read before the reap because a result
+larger than the pipe's buffer holds the worker in its write until it is
+read. The rows are copied in blocks of whole rows, and row by row in a
+block the output cannot encode, so the output gets the bytes of one
+serial pass in its own encoding and fails at the row where --jobs 1
+does; every skip follows in input order, then one summary line of the
+slices' results summed.
 Stdout, stderr and the exit status are those of --jobs 1. Every worker
 not yet reaped when the run ends, by any path, is killed and reaped.
 
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import os
 import sys
@@ -85,9 +93,6 @@ from .nli import (
 )
 
 __all__ = ["main"]
-
-# The status byte of a worker whose slice loaded; the sent_ids follow.
-_LOADED = b"+"
 
 
 @contextlib.contextmanager
@@ -229,13 +234,12 @@ def _forked(
     """
     if n > 1:  # one slice forks nothing, so it needs none of these
         import pickle
-        import shutil
         import signal
         import tempfile
 
         sys.stdout.flush()  # a forked worker holds a copy of any unwritten buffer
         sys.stderr.flush()
-    workers = []  # (pid, report, rows file, pickled result file), one per slice after the first
+    workers = []  # (pid, pipe, rows file), one per slice after the first
     running = set()  # pids not yet reaped
     with contextlib.ExitStack() as files:
         try:
@@ -243,60 +247,61 @@ def _forked(
                 rows = files.enter_context(
                     tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
                 )
-                result = files.enter_context(tempfile.TemporaryFile())
                 read_end, write_end = os.pipe()
-                report = files.enter_context(open(read_end, "rb"))
-                reporting = files.enter_context(open(write_end, "wb"))
+                pipe = files.enter_context(open(read_end, "rb"))
+                to_parent = files.enter_context(open(write_end, "wb"))
                 pid = os.fork()
                 if pid == 0:  # the worker; it leaves only through os._exit
                     status = 1
                     try:
                         loaded = load(i)
-                        if loaded is not None:  # else the report is empty
-                            part, orphans = loaded
-                            reporting.write(_LOADED + "\n".join(orphans).encode("utf-8"))
-                            reporting.close()
+                        pickle.dump(loaded and loaded[1], to_parent)  # the report
+                        to_parent.flush()
+                        if loaded is not None:
                             part_skips: list[SkipRecord] = []
-                            value = work(part, rows, part_skips)
+                            value = work(loaded[0], rows, part_skips)
                             rows.flush()
-                            pickle.dump((value, part_skips), result)
-                            result.flush()
+                            pickle.dump((value, part_skips), to_parent)  # the result
+                            to_parent.flush()
                         status = 0
                     except Exception:
                         sys.excepthook(*sys.exc_info())
                         sys.stderr.flush()
                     finally:
                         os._exit(status)
-                reporting.close()
+                to_parent.close()
                 running.add(pid)
-                workers.append((pid, report, rows, result))
+                workers.append((pid, pipe, rows))
             loaded = load(0)
             if loaded is None:
                 return None
-            part, orphans = loaded
-            seen = set(orphans)
-            for _, report, _, _ in workers:
-                data = report.read()  # to the end: the worker has closed its side
-                if data[:1] != _LOADED:
+            seen = set(loaded[1])
+            for _, pipe, _ in workers:
+                try:
+                    orphans = pickle.load(pipe)  # the report alone; the result follows it
+                except (EOFError, pickle.UnpicklingError):  # it ended before or while it reported
                     return None
-                orphans = data[1:].decode("utf-8").split("\n") if data[1:] else ()
-                if seen.intersection(orphans):  # a sent_id in two slices
+                if orphans is None or seen.intersection(orphans):  # or a sent_id in two slices
                     return None
                 seen.update(orphans)
             skips: list[SkipRecord] = []
             with _open_out(output) as out:
-                total = work(part, out, skips)
-                for i, (pid, _, rows, result) in enumerate(workers, start=1):
+                total = work(loaded[0], out, skips)
+                for i, (pid, pipe, rows) in enumerate(workers, start=1):
+                    result = pipe.read()  # before waitpid: a worker blocks on a full pipe
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     running.discard(pid)
                     if status:
                         raise ChildProcessError(
                             f"worker {i} (pid {pid}) exited with status {status}"
                         )
-                    result.seek(0)
-                    value, part_skips = pickle.load(result)
+                    value, part_skips = pickle.loads(result)
                     rows.seek(0)
-                    shutil.copyfileobj(rows, out)
+                    while chunk := rows.read(1 << 16) + rows.readline():  # whole rows
+                        try:
+                            out.write(chunk)
+                        except UnicodeEncodeError:  # one row a write: fail where --jobs 1 fails
+                            out.writelines(io.StringIO(chunk, newline="\n"))
                     total += value
                     skips += part_skips
             return total, skips

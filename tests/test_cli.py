@@ -1270,11 +1270,14 @@ def _at_each_cut(blocks, change):
             for block in (change(one, k) if k in cuts else [one])]
 
 
-_BAD_BYTE = "# café comment\n".encode("latin-1")
+_BAD_COMMENT = "# café comment\n"
+_BAD_BYTE = _BAD_COMMENT.encode("latin-1")
 
 # name -> (QA lines, sentence blocks) -> (QA lines, CoNLL-U bytes); and whether
 # the parses are loaded in slices ("slices"), serially after the cut or the
-# slices fail ("serial"), or either, depending on where the cuts fall (None)
+# slices fail ("serial"), serially with nothing forked, as the sent_id at a
+# cut cannot be read ("unforked"), or either of the first two, depending on
+# where the cuts fall (None)
 _SLICED_CASES = {
     "in-order": (lambda qa, blocks: (qa, _joined(blocks).encode()), "slices"),
     "qa-reversed": (lambda qa, blocks: (qa[::-1], _joined(blocks).encode()), "serial"),
@@ -1302,6 +1305,10 @@ _SLICED_CASES = {
         lambda qa, blocks: (qa, _joined(blocks[:-1]).encode() + _BAD_BYTE
                             + _joined(blocks[-1:]).encode()),
         "serial"),
+    "bad-byte-opening-each-cut": (
+        lambda qa, blocks: (qa, _joined(_at_each_cut(blocks, lambda b, k: [_BAD_COMMENT + b]))
+                            .encode().replace(_BAD_COMMENT.encode(), _BAD_BYTE)),
+        "unforked"),
     "not-a-tree-in-last-slice": (
         lambda qa, blocks: (qa, (_joined(blocks) + _conllu((1, "a", 2), (2, "b", 1))).encode()),
         "serial"),
@@ -1354,12 +1361,15 @@ def test_sliced_loads_give_the_bytes_of_one_serial_pass(
             assert "whole" not in loads and len(forks) == jobs - 1, (jobs, loads)
         elif loaded == "serial":
             assert loads[-1] == "whole", jobs
+        elif loaded == "unforked":
+            assert loads == ["whole"] and not forks, (jobs, loads)
         assert list(Path(tempfile.gettempdir()).iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         forks.clear()
     bad_line = data[: data.find(_BAD_BYTE)].count(b"\n") + 1
     errors = {"bad-byte-in-last-slice": f": line {bad_line}: not valid UTF-8\n",
+              "bad-byte-opening-each-cut": f": line {bad_line}: not valid UTF-8\n",
               "not-a-tree-in-last-slice": ": sentence 'q1': expected exactly one root",
               "malformed-row-in-last-slice": ": expected 10 tab-separated columns, got 2\n"}
     if case in errors or case.startswith("duplicate"):
@@ -1555,13 +1565,126 @@ def test_a_closed_pipe_kills_and_reaps_every_worker(monkeypatch, capsys, forks, 
         os.waitpid(-1, os.WNOHANG)
 
 
+# name -> (the encoding of stdout, what replaces the "." that ends the last
+# passage of multichoice_20); U+2028 and U+0085 end a line for str.splitlines
+# but not in a JSON row, and latin-1 can encode U+0085
+_UNENCODABLE = {
+    "ascii": ("ascii", " Caf\u00e9."),
+    "ascii-line-separator-first": ("ascii", "\u2028 Caf\u00e9."),
+    "latin-1-next-line-first": ("latin-1", "\x85 Caf\u20ac."),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNENCODABLE))
+def test_an_output_that_cannot_encode_a_row_fails_at_the_row_of_jobs_1(
+    monkeypatch, tmp_path, capsys, forks, many_cpus, case
+):
+    """The last example, in the last slice, holds a character stdout cannot
+    encode: every --jobs writes the rows before its first row and fails with
+    the error of --jobs 1."""
+    encoding, ending = _UNENCODABLE[case]
+    lines = Path(MC_QA).read_text(encoding="utf-8").splitlines()
+    last = json.loads(lines[-1])
+    last["passage"] = last["passage"].removesuffix(".") + ending
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text("\n".join([*lines[:-1], json.dumps(last, ensure_ascii=False)]) + "\n",
+                  encoding="utf-8")
+    argv = ["convert", "--schema", "multichoice", "--qa", str(qa), "--parses", MC_PARSES]
+
+    def outcome(jobs):
+        written = io.BytesIO()
+        stdout = io.TextIOWrapper(written, encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main([*argv, "--jobs", str(jobs), "--output", "-"])
+        stdout.flush()
+        return code, written.getvalue(), capsys.readouterr().err
+
+    serial = outcome(1)
+    assert serial[0] == 2 and serial[1].count(b"\n") == 76  # 4 rows an example
+    assert serial[2].startswith(f"qa2nli: error: '{encoding}' codec can't encode character")
+    for jobs in (2, 3):
+        assert outcome(jobs) == serial, jobs
+        assert len(forks) == jobs - 1, jobs
+        forks.clear()
+
+
+def _waited_too_long(signum, frame):
+    raise TimeoutError("the processes deadlocked")
+
+
+def test_a_report_and_a_result_past_the_pipe_buffer_pass_while_the_processes_overlap(
+    tmp_path, forks
+):
+    """The worker's report and its result each pickle to more than a pipe
+    holds (64 KiB on Linux), and its work waits for this process's own: the
+    report must be read before this process runs its slice, and the result
+    before the worker is reaped, or the run deadlocks."""
+    parent = os.getpid()
+    go_r, go_w = os.pipe()
+    orphans = [f"orphan-{k:05d}" for k in range(20_000)]
+    worker_skips = [nli.SkipRecord(f"q{k:04d}", "transform", "no rule") for k in range(5_000)]
+    assert min(len(pickle.dumps(orphans)), len(pickle.dumps((3, worker_skips)))) > 1 << 16
+
+    def load(i):
+        return [f"row {i}.{k}" for k in range(3)], orphans if i else ["orphan-of-slice-0"]
+
+    def work(part, out, skips):
+        if os.getpid() == parent:
+            os.write(go_w, b"+")
+        else:
+            assert os.read(go_r, 1) == b"+"
+            skips += worker_skips
+        out.writelines(row + "\n" for row in part)
+        return len(part)
+
+    output = tmp_path / "out.txt"
+    previous = signal.signal(signal.SIGALRM, _waited_too_long)
+    signal.alarm(30)
+    try:
+        done = cli._forked(work, 2, load, str(output))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(go_r)
+        os.close(go_w)
+    assert done == (6, worker_skips) and len(forks) == 1
+    assert output.read_text(encoding="utf-8") == "".join(
+        f"row {i}.{k}\n" for i in (0, 1) for k in range(3))
+
+
+def _half_a_pickle(obj, file):
+    """pickle.dump that writes the first half of the pickle and ends the process."""
+    data = pickle.dumps(obj)
+    file.write(data[: len(data) // 2])
+    file.flush()
+    os._exit(0)
+
+
+@pytest.mark.parametrize("end", ["in-load", "in-report"])
+def test_a_worker_that_ends_before_its_report_is_complete_fails_the_load(
+    monkeypatch, tmp_path, forks, end
+):
+    def load(i):
+        if i and end == "in-load":
+            os._exit(0)
+        return [f"row {i}"], [f"orphan-{i}.{k}" for k in range(100)]
+
+    def work(part, out, skips):
+        out.writelines(row + "\n" for row in part)
+        return len(part)
+
+    if end == "in-report":
+        monkeypatch.setattr(pickle, "dump", _half_a_pickle)
+    output = tmp_path / "out.txt"
+    assert cli._forked(work, 2, load, str(output)) is None
+    assert not output.exists() and len(forks) == 1
+
+
 def test_cli_import_loads_none_of_the_worker_modules(tmp_path, child_env):
     """--jobs N > 1 imports its temporary-file, serialization and signal
     modules only when it forks, so neither importing the CLI nor a run of one
     slice (--jobs 1, or --jobs 4 on one example) pays for them. Only modules
-    added after start-up count: site may load tempfile. shutil, which the
-    forked runs import too, is not checked: argparse imports it to size its
-    help whenever a parser gets an argument."""
+    added after start-up count: site may load tempfile."""
     one = tmp_path / "one.jsonl"
     one.write_text(Path(QA).read_text(encoding="utf-8").splitlines(keepends=True)[0],
                    encoding="utf-8")

@@ -236,6 +236,17 @@ def test_a_cut_with_no_whitespace_only_line_after_it_gives_none(tmp_path):
     assert sentence_starts(path, 2) is None  # the only blank line lies before the cut
 
 
+@pytest.mark.parametrize("end", ["\n", ""], ids=["line-end", "no-line-end"])
+def test_a_cut_whose_comment_lines_run_to_the_end_has_no_sent_id(tmp_path, block_size, end):
+    path = tmp_path / "parses.conllu"
+    first = "# sent_id = a\n" + "".join(
+        _row(i, "w", 0 if i == 1 else 1) + "\n" for i in range(1, 40)) + "\n"
+    path.write_text(f"{first}# sent_id = z{end}", encoding="utf-8")
+    for n in RANGE_SIZES:
+        block_size(n)
+        assert sentence_starts(path, 2) == [(len(first), None)], n
+
+
 # (case, the comment lines of the sentence after the cut, the sent_id read there)
 OPENING_COMMENTS = [
     ("spaced", "# sent_id = b", "b"),
