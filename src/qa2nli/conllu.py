@@ -64,14 +64,17 @@ class _Record:
     """Base of a record that is not a tuple, because it stores its fields in
     another form, keeps more than its fields, or leaves some out of its hash.
 
-    _fields names the constructor's arguments in order: they make up the
-    record's value, which == compares, _replace copies and pickle saves.
-    _shown names the fields that hash and repr read. Like a NamedTuple, a
+    Four tuples of attribute names say what each step reads: _fields, the
+    constructor's arguments in order, which make up the record's value that
+    _replace copies and pickle saves; _compared, what == compares; _hashed,
+    what hash reads; and _shown, what repr shows. Like a NamedTuple, a
     record refuses every assignment and deletion.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+    _compared: tuple[str, ...]
+    _hashed: tuple[str, ...]
     _shown: tuple[str, ...]
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -88,11 +91,11 @@ class _Record:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values(self._fields) == other._values(self._fields)
+            return self._values(self._compared) == other._values(self._compared)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self._shown))
+        return hash(self._values(self._hashed))
 
     def __repr__(self) -> str:
         shown = (f"{name}={getattr(self, name)!r}" for name in self._shown)
@@ -172,13 +175,11 @@ class DepSentence(_Record):
     # _children[i]: ids of the dependents of token i in surface order;
     # _children[0] holds the root. Derived from the heads, so it takes no part
     # in ==, hash or repr.
-    __slots__ = (
-        "form", "lemma", "upos", "xpos", "head", "deprel", "text", "sent_id", "_children",
-    )
+    __slots__ = (*_DepTokenFields._fields[1:], "text", "sent_id", "_children")
     _fields = _shown = ("tokens", "text", "sent_id")
     # What == and hash read: the same values as tokens, whose ids are always
     # 1..n, with no DepToken built.
-    _compared = __slots__[:8]
+    _compared = _hashed = __slots__[:8]
     form: tuple[str, ...]
     lemma: tuple[str | None, ...]
     upos: tuple[str, ...]
@@ -194,7 +195,6 @@ class DepSentence(_Record):
     ) -> None:
         # No tokens give seven empty columns, which __post_init__ refuses.
         self._store(tuple(zip(*tokens)) or ((),) * 7, text, sent_id)
-        self.__post_init__()
 
     @classmethod
     def _columnar(
@@ -205,7 +205,6 @@ class DepSentence(_Record):
         ids."""
         self = object.__new__(cls)
         self._store(columns, text, sent_id)
-        self.__post_init__()
         return self
 
     def _store(self, columns: Iterable[tuple], text: str | None, sent_id: str | None) -> None:
@@ -216,6 +215,7 @@ class DepSentence(_Record):
             raise ConlluStructureError(
                 f"{self._name()}: token ids are not exactly 1..{len(ids)}: {list(ids)}"
             )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         """Index the tree, or raise ConlluStructureError. A method of its
@@ -233,14 +233,6 @@ class DepSentence(_Record):
             return f"sentence starting {' '.join(self.form[:4])!r}"
         return "empty sentence"
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values(self._compared) == other._values(self._compared)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values(self._compared))
-
     def __len__(self) -> int:
         return len(self.form)
 
@@ -251,15 +243,10 @@ class DepSentence(_Record):
 
     def _rows(self) -> Iterator[tuple]:
         """Each token's values, in DepToken's field order, with no DepToken built."""
-        columns = (self.form, self.lemma, self.upos, self.xpos, self.head, self.deprel)
-        return zip(range(1, len(self.form) + 1), *columns)
+        return zip(range(1, len(self.form) + 1), *self._values(self.__slots__[:6]))
 
     def _token(self, token_id: int) -> DepToken:
-        i = token_id - 1
-        return DepToken(
-            token_id, self.form[i], self.lemma[i], self.upos[i], self.xpos[i], self.head[i],
-            self.deprel[i],
-        )
+        return DepToken(token_id, *(c[token_id - 1] for c in self._values(self.__slots__[:6])))
 
     def token(self, token_id: int) -> DepToken:
         """Return the token with the given 1-based id."""

@@ -249,8 +249,8 @@ class EngineConfig(_Record):
     in == but not in hash or repr.
     """
 
-    __slots__ = _fields = ("copy_wh_phrase", "emit_alternatives", "lexicon", "table")
-    _shown = ("copy_wh_phrase", "emit_alternatives")
+    __slots__ = _fields = _compared = ("copy_wh_phrase", "emit_alternatives", "lexicon", "table")
+    _shown = _hashed = ("copy_wh_phrase", "emit_alternatives")
     copy_wh_phrase: bool
     emit_alternatives: int
     lexicon: VerbLexicon
@@ -267,10 +267,8 @@ class EngineConfig(_Record):
             raise ValueError("emit_alternatives must be >= 1")
         lexicon = VerbLexicon.bundled() if lexicon is None else lexicon
         table = PrepositionTable.bundled() if table is None else table
-        object.__setattr__(self, "copy_wh_phrase", copy_wh_phrase)
-        object.__setattr__(self, "emit_alternatives", emit_alternatives)
-        object.__setattr__(self, "lexicon", lexicon)
-        object.__setattr__(self, "table", table)
+        for name, value in zip(self.__slots__, (copy_wh_phrase, emit_alternatives, lexicon, table)):
+            object.__setattr__(self, name, value)
 
 
 def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:

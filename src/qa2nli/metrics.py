@@ -178,13 +178,7 @@ def topk_match(
 
 
 def length_bucket(n: int) -> str:
-    if n < 10:
-        return "1-9"
-    if n < 20:
-        return "10-19"
-    if n < 30:
-        return "20-29"
-    return "30+"
+    return LENGTH_BUCKETS[min(max(n, 0) // 10, len(LENGTH_BUCKETS) - 1)]
 
 
 class EvalRecord(NamedTuple):
@@ -253,6 +247,11 @@ def _row(rank1: Sequence[tuple[bool, tuple]]) -> dict:
     return {"n": len(rank1), "exact_match": exact, "bleu": bleu}
 
 
+def _breakdown(keys: Sequence, rank1: Sequence[tuple[bool, tuple]], order: Sequence) -> dict:
+    """The row of each key of order that some record has, over those records."""
+    return {k: _row([s for key, s in zip(keys, rank1) if key == k]) for k in order if k in keys}
+
+
 def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
     """Aggregate scores over records.
 
@@ -275,17 +274,8 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
     overall = _row(rank1)
     topk_exact, topk_bleu = _rates(best)
 
-    by_qtype: dict = {}
-    for qtype in sorted({r.qtype for r in records if r.qtype is not None}):
-        by_qtype[qtype] = _row([s for r, s in zip(records, rank1) if r.qtype == qtype])
-
-    by_length: dict = {}
+    qtypes = [r.qtype for r in records]
     buckets = [None if r.qa_length is None else length_bucket(r.qa_length) for r in records]
-    for bucket in LENGTH_BUCKETS:
-        group = [s for b, s in zip(buckets, rank1) if b == bucket]
-        if group:
-            by_length[bucket] = _row(group)
-
     return EvalReport(
         n=len(records),
         k=depth,
@@ -293,8 +283,8 @@ def evaluate(records: Sequence[EvalRecord], k: int | None = None) -> EvalReport:
         bleu=overall["bleu"],
         topk_exact=topk_exact,
         topk_bleu=topk_bleu,
-        by_qtype=by_qtype,
-        by_length=by_length,
+        by_qtype=_breakdown(qtypes, rank1, sorted(set(qtypes) - {None})),
+        by_length=_breakdown(buckets, rank1, LENGTH_BUCKETS),
     )
 
 

@@ -117,6 +117,23 @@ def test_qa2d_copy_wh_phrase_flag(tmp_path):
     assert by_id["f45"] == "50 People attended the meeting."
 
 
+def test_convert_copy_wh_phrase_flag(tmp_path):
+    decl, plain, copied = (tmp_path / name for name in ("d.jsonl", "plain.jsonl", "copy.jsonl"))
+    assert _qa2d(decl, "--copy-wh-phrase") == 0
+    span = ["convert", "--qa", QA, "--parses", PARSES, "--schema", "span"]
+    assert main([*span, "--output", str(plain)]) == 0
+    assert main([*span, "--copy-wh-phrase", "--output", str(copied)]) == 0
+    rank1 = {r["id"]: r["declarative"] for r in _rows(decl) if r["rank"] == 1}
+    rows, plain_rows = _rows(copied), _rows(plain)
+    hypotheses = {r["id"].partition(":")[0]: r["hypothesis"] for r in rows}
+    assert len(rows) == len(rank1) == 52 and hypotheses == rank1
+    assert [r["id"] for r in plain_rows] == [r["id"] for r in rows]
+    changed = {r["id"].partition(":")[0] for r, p in zip(rows, plain_rows) if r != p}
+    assert changed == {"f05", "f17", "f36", "f40", "f45"}
+    assert hypotheses["f36"] == "Berlin city hosted the 1936 Olympics."
+    assert hypotheses["f45"] == "50 People attended the meeting."
+
+
 def test_qa2d_reports_missing_parse_as_skip(tmp_path, capsys):
     qa = tmp_path / "qa.jsonl"
     qa.write_text(

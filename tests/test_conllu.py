@@ -70,7 +70,7 @@ def test_writing_and_checking_ids_build_no_token(monkeypatch):
         parse_conllu(written.replace("\n4\t", "\n5\t"))
 
 
-def test_comparing_and_hashing_sentences_build_no_token(monkeypatch):
+def test_comparing_and_hashing_sentences_build_no_token(monkeypatch, fixtures_dir):
     sent = parse_conllu(GOOD)[0]
     twin = parse_conllu(GOOD)[0]
     others = [
@@ -83,7 +83,10 @@ def test_comparing_and_hashing_sentences_build_no_token(monkeypatch):
         parse_conllu(GOOD.replace("sent_id = q1", "sent_id = q2"))[0],
         parse_conllu(GOOD.replace("\n4\t?\t?\tPUNCT\t_\t_\t2\tpunct\t_\t_", ""))[0],
     ]
+    first, second = load_conllu(fixtures_dir / "qa2d_fixtures.conllu")[:2]
+    built = first._replace(text=first.text)  # through __init__, not the parser's _columnar
     monkeypatch.setattr(conllu, "DepToken", None)
+    assert built == first and first != second and hash(built) == hash(first)
     assert twin == sent and twin is not sent and hash(twin) == hash(sent)
     assert not twin != sent
     for other in others:
