@@ -132,13 +132,6 @@ def _report_skips(skips: Sequence[SkipRecord], written: str) -> None:
     print(f"qa2nli: {written}, {len(skips)} skipped", file=sys.stderr)
 
 
-def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        copy_wh_phrase=args.copy_wh_phrase,
-        emit_alternatives=getattr(args, "alternatives", 1),
-    )
-
-
 def _attached(examples: list[QAExample], parses: str) -> list[QAExample]:
     """The examples with their parses, loaded serially from the whole file."""
     sentences = load_conllu(parses)
@@ -313,7 +306,7 @@ def _forked(
 
 def _cmd_qa2d(args: argparse.Namespace) -> int:
     examples = load_qa_jsonl(args.qa, "span")
-    config = _engine_config(args)
+    config = EngineConfig(copy_wh_phrase=args.copy_wh_phrase, emit_alternatives=args.alternatives)
 
     def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> int:
         written = 0
@@ -328,7 +321,7 @@ def _cmd_qa2d(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     examples = load_qa_jsonl(args.qa, args.schema)
-    config = _engine_config(args)
+    config = EngineConfig(copy_wh_phrase=args.copy_wh_phrase)
 
     def rewrite(part: list[QAExample], out: TextIO, skips: list[SkipRecord]) -> Counter:
         pairs = iter_pairs(part, config, skips, negatives=args.negatives, seed=args.seed)

@@ -16,13 +16,13 @@ spacing: the words before the slot, and the words after it but the first.
 That spacing depends only on a token and the character before it, so a
 plan's realize joins just the preposition, answer and residual nouns onto
 the words before, then the first word after (the second seam), appends the
-rest as it is, and capitalizes and ends the sentence as realize does. Its
-Python-level steps follow the answer's length, not the question's; each
-candidate still copies or scans the whole sentence once in C, for the
-capitalization, the '?' check and the tokens tuple. The copular-flip
-candidate is the exception: under emit_alternatives > 1, each answer that
-can be flipped joins the whole flipped body anew (_frame(flip_body, 0)),
-so its steps follow the question's length.
+rest as it is, and capitalizes and ends the sentence as realize does.
+Every candidate fills a frame its plan built: the slot, or, for a copular
+flip, the flipped sentence with its slot first, which plan_question joins
+only when emit_alternatives > 1. So realize's Python-level steps follow
+the answer's length, not the question's; each candidate still copies or
+scans the whole sentence once in C, for the capitalization, the '?' check
+and the tokens tuple.
 
 Where the answer lands depends on what the wh phrase was doing:
 
@@ -500,7 +500,9 @@ class QuestionPlan(NamedTuple):
     # stranded-preposition questions; the answer goes in bare), ("pied",
     # prep), ("when", ""), ("where", attachment lemma) or ("none", "").
     link: tuple[str, str] | None
-    flip_body: tuple[str, ...] | None  # copula + subject for "Answer is X's Y."
+    # The copula and the subject, joined with the slot first, for "Answer is
+    # X's Y."; None unless the question flips and config.emit_alternatives > 1.
+    flip: _Frame | None
     slot: _Frame  # body joined around insert_index, as _frame(body, insert_index)
 
     def realize(self, answer: str) -> list[DeclarativeCandidate]:
@@ -523,9 +525,8 @@ class QuestionPlan(NamedTuple):
 
         candidates = [self._placed(answer_tokens, options[0] if options else None, rules, 1)]
         cap = self.config.emit_alternatives
-        if cap > 1 and self.flip_body is not None and answer_tokens[0][:1].isupper():
-            flip = _frame(self.flip_body, 0)
-            candidates.append(flip.fill(answer_tokens, (*rules, "insert:copular_flip"), 2))
+        if cap > 1 and self.flip is not None and answer_tokens[0][:1].isupper():
+            candidates.append(self.flip.fill(answer_tokens, (*rules, "insert:copular_flip"), 2))
         for prep in options[1 : cap - len(candidates) + 1]:  # up to cap candidates
             candidates.append(self._placed(answer_tokens, prep, rules, len(candidates) + 1))
         return candidates
@@ -623,14 +624,14 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
             link = ("none", "")
 
     body = tuple([forms.get(tid, form[tid - 1]) for tid in seq])
-    flip_body = None
+    flip = None
     identity = copular_identity and analysis.qtype in _IDENTITY_QTYPES
-    if identity and seq and seq[-1] == analysis.copula:
+    if identity and config.emit_alternatives > 1 and seq and seq[-1] == analysis.copula:
         # the flip fronts the copula with the auxiliaries right before it
         cut = len(seq) - 1
         while cut and seq[cut - 1] in analysis.verbs:
             cut -= 1
-        flip_body = (*body[cut:], *body[:cut])
+        flip = _frame((*body[cut:], *body[:cut]), 0)
     return QuestionPlan(
         analysis=analysis,
         config=config,
@@ -640,7 +641,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
         insert_rules=insert_rules,
         residual=residual,
         link=link,
-        flip_body=flip_body,
+        flip=flip,
         slot=_frame(body, insert_index),
     )
 

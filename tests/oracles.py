@@ -305,10 +305,10 @@ def oracle_plan_realize(plan, answer):
         extra = (*extra, "prep:none")
     candidates = [candidate(tokens, rules + extra, 1)]
     if plan.config.emit_alternatives > 1:
-        if plan.flip_body is not None and answer_tokens[0][:1].isupper():
+        if plan.flip is not None and answer_tokens[0][:1].isupper():
             candidates.append(
                 candidate(
-                    [*answer_tokens, *plan.flip_body],
+                    [*answer_tokens, *plan.flip.tail_tokens],
                     rules + ("insert:copular_flip",),
                     len(candidates) + 1,
                 )

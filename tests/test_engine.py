@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from qa2nli import engine
 from qa2nli.analysis import _UD_LABELS, QuestionType, _as_ud, analyze
-from qa2nli.conllu import DepSentence, DepToken, parse_conllu
+from qa2nli.conllu import DepSentence, DepToken, load_conllu, parse_conllu
 from qa2nli.engine import (
     DeclarativeCandidate,
     EngineConfig,
@@ -737,6 +737,36 @@ def test_plan_realize_matches_recorded_transform(fixtures_dir, qa2d_parses, mult
                     got = plan.realize(rec["answer"])
                     assert _as_rows(got) == want[:cap], (qid, rec["answer"], copy, cap)
                     assert transform(analysis, rec["answer"], config) == got
+
+
+def test_realize_fills_frames_its_plan_built(monkeypatch, fixtures_dir):
+    # The slot and the copular flip are joined once, in plan_question; the
+    # flip only when alternatives are asked for, as convert plans at 1.
+    analyses = []
+    for name in ("qa2d_fixtures", "gen_qa2d_long_100", "multichoice_20"):
+        for sent in load_conllu(fixtures_dir / f"{name}.conllu"):
+            try:
+                analyses.append(analyze(sent))
+            except NotWhQuestionError:
+                pass
+    config = EngineConfig(copy_wh_phrase=True, emit_alternatives=3)
+    plans = [plan_question(analysis, config) for analysis in analyses]
+    assert len(plans) == 168
+    defaults = [plan_question(analysis) for analysis in analyses]
+
+    def no_frame(words, cut):
+        raise AssertionError("realize built a frame")
+
+    monkeypatch.setattr(engine, "_frame", no_frame)
+    flips = [
+        candidate
+        for plan in plans
+        for answer in ("Zorblat", "milk")
+        for candidate in plan.realize(answer)
+        if "insert:copular_flip" in candidate.applied_rules
+    ]
+    assert len(flips) == 12
+    assert all(plan.flip is None for plan in defaults)
 
 
 # -- config and candidate validation ---------------------------------------

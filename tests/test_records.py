@@ -151,7 +151,7 @@ def test_question_plan_is_a_record(qa2d_parses):
     assert plan == plan_question(analysis) and plan is not plan_question(analysis)
     assert plan._fields == (
         "analysis", "config", "rules", "body", "insert_index", "insert_rules", "residual",
-        "link", "flip_body", "slot",
+        "link", "flip", "slot",
     )
     assert repr(plan).startswith(f"QuestionPlan(analysis={analysis!r}, config={EngineConfig()!r},")
     for name in QuestionPlan._fields:
