@@ -9,9 +9,11 @@ ordered audit trail of the rules that fired.
 Only the answer substitution and realization depend on the answer.
 plan_question does everything else once per question and returns a
 QuestionPlan; its realize method then rewrites one answer at a time.
-transform does both steps for a single answer.
+transform does both steps for a single answer. A plan holds what realize
+reads, once: the config, the answer-independent rules, the copied nouns,
+the preposition link and the frames realize fills. It keeps no analysis.
 
-A plan also pre-joins its sentence around the answer slot, with realize's
+A plan pre-joins its sentence around the answer slot, with realize's
 spacing: the words before the slot, and the words after it but the first.
 That spacing depends only on a token and the character before it, so a
 plan's realize joins just the preposition, answer and residual nouns onto
@@ -238,10 +240,11 @@ class EngineConfig(_Record):
     """Knobs and word lists for the rewrite.
 
     copy_wh_phrase keeps residual nouns of Which/How phrases after the
-    answer ("How many people ..." -> "50 people ..."). emit_alternatives
-    caps how many ranked candidates transform may return; extra candidates
-    vary the preposition in table order, or flip a copular Who/What/
-    Which/Whose sentence when the answer starts with a capitalized phrase.
+    answer ("How many people attended?" + "50" -> "50 People attended.").
+    emit_alternatives caps how many ranked candidates transform may return;
+    extra candidates vary the preposition in table order, or flip a copular
+    Who/What/Which/Whose sentence when the answer starts with a capitalized
+    phrase.
 
     lexicon re-inflects do-support verbs and table decides prepositions
     and articles; None, the default, stands for the bundled lists, and
@@ -263,8 +266,8 @@ class EngineConfig(_Record):
         lexicon: VerbLexicon | None = None,
         table: PrepositionTable | None = None,
     ) -> None:
-        if emit_alternatives < 1:
-            raise ValueError("emit_alternatives must be >= 1")
+        if not isinstance(emit_alternatives, int) or emit_alternatives < 1:
+            raise ValueError("emit_alternatives must be an int >= 1")
         lexicon = VerbLexicon.bundled() if lexicon is None else lexicon
         table = PrepositionTable.bundled() if table is None else table
         for name, value in zip(self.__slots__, (copy_wh_phrase, emit_alternatives, lexicon, table)):
@@ -485,25 +488,23 @@ class QuestionPlan(NamedTuple):
 
     A plan is built once per question and realized once per answer, so a
     multichoice item pays for de-inversion, wh-phrase deletion, the
-    insertion-site search and joining the body around the answer slot once
-    rather than once per option.
+    insertion-site search and joining the sentence around the answer slot
+    once rather than once per option.
     """
 
-    analysis: WhAnalysis
     config: EngineConfig
     rules: tuple[str, ...]  # qtype, inversion, copy_wh_nouns, delete_wh_phrase
-    body: tuple[str, ...]  # declarative-order forms, wh phrase deleted
-    insert_index: int  # where in body the answer goes
     insert_rules: tuple[str, ...]  # the insert:* rule, after prep:*(stranded)
     residual: tuple[str, ...]  # copied Which/How nouns, placed after the answer
     # Where a preposition before the answer comes from: None (subject and
     # stranded-preposition questions; the answer goes in bare), ("pied",
-    # prep), ("when", ""), ("where", attachment lemma) or ("none", "").
+    # prep), ("pied_to_where", "to"), whose "to" a place adverb drops,
+    # ("when", ""), ("where", attachment lemma) or ("none", "").
     link: tuple[str, str] | None
     # The copula and the subject, joined with the slot first, for "Answer is
     # X's Y."; None unless the question flips and config.emit_alternatives > 1.
     flip: _Frame | None
-    slot: _Frame  # body joined around insert_index, as _frame(body, insert_index)
+    slot: _Frame  # declarative-order forms, wh phrase deleted, joined around the answer slot
 
     def realize(self, answer: str) -> list[DeclarativeCandidate]:
         """Ranked declaratives for one answer, exactly as transform gives them.
@@ -534,13 +535,13 @@ class QuestionPlan(NamedTuple):
     def _prepositions(self, answer: str, table: PrepositionTable) -> list[str]:
         """This answer's preposition options, in rank order."""
         kind, word = self.link or ("none", "")
-        if kind == "pied":
-            # A place adverb drops only a pied-piped "to" ("to where" +
-            # "there"); "from abroad" and "until next week" keep theirs. The
-            # answer's own preposition replaces any.
-            where_to = self.analysis.qtype is QuestionType.WHERE and word == _TOWARD
-            own = table.starts_suppressed(answer, QuestionType.WHERE if where_to else None)
-            return [] if own else [word]
+        if kind in ("pied", "pied_to_where"):
+            # A place adverb drops only the "to" of "to where" ("there");
+            # "from abroad", "until next week" and "to which country" +
+            # "South Korea" keep theirs. The answer's own preposition
+            # replaces any.
+            place = QuestionType.WHERE if kind == "pied_to_where" else None
+            return [] if table.starts_suppressed(answer, place) else [word]
         if kind == "when":
             return table.when_options(answer)
         if kind == "where":
@@ -552,7 +553,7 @@ class QuestionPlan(NamedTuple):
         if prep is None:
             none = ("prep:none",) if self.link is not None else ()
             return self.slot.fill((*answer_tokens, *self.residual), rules + self.insert_rules + none, rank)
-        source = "pied" if self.link[0] == "pied" else "table"
+        source = "pied" if self.link[0].startswith("pied") else "table"
         rules += (f"prep:{prep}({source})", *self.insert_rules)
         return self.slot.fill((prep, *answer_tokens, *self.residual), rules, rank)
 
@@ -591,7 +592,6 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     # and re-emitted before the answer. Without one, When and Where answers
     # take a preposition from the table.
     prep_id = analysis.dangling_preps[-1] if analysis.dangling_preps else None
-    pied = prep_id is not None and start <= prep_id <= end
     copular_identity = (
         analysis.copula is not None
         and not analysis.subject_wh
@@ -613,8 +613,10 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
         else:
             insert_index, rule = _insertion_site(analysis, seq)
         insert_rules = (rule,)
-        if pied:
-            link = ("pied", form[prep_id - 1].lower())
+        if prep_id is not None and start <= prep_id <= end:
+            word = form[prep_id - 1].lower()
+            to_where = analysis.qtype is QuestionType.WHERE and word == _TOWARD
+            link = ("pied_to_where" if to_where else "pied", word)
         elif analysis.qtype is QuestionType.WHEN:
             link = ("when", "")
         elif analysis.qtype is QuestionType.WHERE:
@@ -633,11 +635,8 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
             cut -= 1
         flip = _frame((*body[cut:], *body[:cut]), 0)
     return QuestionPlan(
-        analysis=analysis,
         config=config,
         rules=tuple(rules),
-        body=body,
-        insert_index=insert_index,
         insert_rules=insert_rules,
         residual=residual,
         link=link,

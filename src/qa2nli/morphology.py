@@ -62,11 +62,16 @@ class VerbLexicon(NamedTuple):
                 third[key[len("3sg:"):]] = value
             else:
                 raise DatasetError(f"unknown key prefix {key!r}", line_no, path)
-        return cls(irregular_past=past, irregular_third_singular=third)
+        return _read_only(cls, past, third)
 
     @classmethod
     def bundled(cls) -> "VerbLexicon":
         return _load_bundled(cls, "irregular_verbs.tsv")
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: each list travels as a dict and
+        # comes back read-only.
+        return _read_only, (type(self), *map(dict, self))
 
     def past(self, lemma: str) -> str:
         lemma = lemma.lower()
@@ -77,6 +82,11 @@ class VerbLexicon(NamedTuple):
         return self.irregular_third_singular.get(
             lemma
         ) or _regular_third_singular(lemma)
+
+
+def _read_only(cls, past: dict[str, str], third: dict[str, str]) -> VerbLexicon:
+    """cls holding read-only views of past and third, which it alone holds."""
+    return cls(MappingProxyType(past), MappingProxyType(third))
 
 
 def _key_value_lines(path: str) -> Iterator[tuple[int, str, str]]:

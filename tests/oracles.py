@@ -265,9 +265,10 @@ def oracle_realize(tokens):
 
 def oracle_plan_realize(plan, answer):
     """plan.realize(answer) as it was before plans pre-joined their body: each
-    candidate splices the answer into the plan's whole body and realizes the
-    result with oracle_realize. Returns (text, tokens, applied_rules, rank)
-    per candidate, or raises TransformError with the package's message.
+    candidate splices the answer between the words before and after the
+    plan's slot and realizes the whole token list with oracle_realize.
+    Returns (text, tokens, applied_rules, rank) per candidate, or raises
+    TransformError with the package's message.
     """
     from qa2nli import engine
     from qa2nli.errors import TransformError
@@ -282,10 +283,10 @@ def oracle_plan_realize(plan, answer):
         return text, tuple(t for t in tokens if t and t != "?"), (*rules, "realize"), rank
 
     def splice(answer_tokens, prep):
-        head, tail = plan.body[: plan.insert_index], plan.body[plan.insert_index :]
+        head, tail = plan.slot.head_tokens, plan.slot.tail_tokens
         if prep is None:
             return [*head, *answer_tokens, *plan.residual, *tail], plan.insert_rules
-        source = "pied" if plan.link[0] == "pied" else "table"
+        source = "pied" if plan.link[0].startswith("pied") else "table"
         return (
             [*head, prep, *answer_tokens, *plan.residual, *tail],
             (f"prep:{prep}({source})", *plan.insert_rules),

@@ -143,7 +143,21 @@ def test_bundled_table_is_cached():
     assert PrepositionTable.bundled() is PrepositionTable.bundled()
 
 
-@pytest.mark.parametrize("make", [EngineConfig, PrepositionTable.bundled])
+@pytest.mark.parametrize(
+    "make",
+    [
+        EngineConfig,
+        PrepositionTable.bundled,
+        PrepositionTable,
+        VerbLexicon,
+        VerbLexicon.bundled,
+        lambda: EngineConfig(lexicon=VerbLexicon(), table=PrepositionTable()),
+    ],
+    ids=[
+        "EngineConfig", "bundled", "PrepositionTable", "VerbLexicon", "VerbLexicon.bundled",
+        "EngineConfig-empty-lists",
+    ],
+)
 def test_table_survives_pickle_and_deepcopy(make):
     original = make()
     for copy in (pickle.loads(pickle.dumps(original)), deepcopy(original)):
@@ -323,6 +337,40 @@ def test_pied_piped_where_preposition_before_a_place_answer(prep, answer, expect
     ))
     assert transform(a, answer)[0].text == expected
     assert _prep_rules(a, answer) == rules
+    # the plan decides once that a place adverb may drop this "to"
+    assert plan_question(a).link == ("pied_to_where" if prep == "To" else "pied", prep.lower())
+
+
+@pytest.mark.parametrize(
+    "answer, expected",
+    [
+        ("South Korea", "They flew to South Korea."),
+        ("West Ham", "They flew to West Ham."),
+        ("Paris", "They flew to Paris."),
+    ],
+)
+def test_pied_piped_to_outside_a_where_question_keeps_it_before_a_compass_name(answer, expected):
+    # Only "to where" lets a place adverb stand in for its "to": a name that
+    # opens with a compass word is no adverb after "to which country".
+    a = analyze(_ud(  # To which country did they fly?
+        "To to ADP 3 case", "which which DET 3 det", "country country NOUN 6 obl",
+        "did do AUX 6 aux", "they they PRON 6 nsubj", "fly fly VERB 0 root",
+        "? ? PUNCT 6 punct",
+    ))
+    assert plan_question(a).link == ("pied", "to")
+    assert transform(a, answer)[0].text == expected
+    assert _prep_rules(a, answer) == ["prep:to(pied)"]
+
+
+def test_a_dangling_question_mark_outside_the_wh_phrase_is_not_pied_piped():
+    # Every "?" leaves the sentence, so a dangling one is not stranded, and
+    # outside the wh phrase it was not pied-piped either: the table decides.
+    a = analyze(_ud(
+        "Where where ADV 4 advmod", "did do AUX 4 aux", "Sam Sam PROPN 4 nsubj",
+        "go go VERB 0 root", "? ? ADP 4 case",
+    ))
+    assert a.dangling_preps == (5,)
+    assert _prep_rules(a, "the store") == ["prep:to(table)"]
 
 
 def test_select_preposition_other_types(qa2d_parses):
@@ -900,7 +948,7 @@ def test_rewrite_fails_only_with_its_own_errors(sent, answer):
         assert [c.rank for c in cands] == list(range(1, len(cands) + 1))
         assert all(c.text.endswith(".") and "?" not in c.text for c in cands)
         assert plan.realize(answer) == cands
-        _assert_answer_spliced(plan, cands[0], answer)
+        _assert_answer_spliced(a, plan, cands[0], answer)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -918,30 +966,49 @@ def test_as_ud_reads_any_tree_in_ud_labels(sent):
     assert _as_ud(ud) is ud
 
 
-def _assert_answer_spliced(plan, cand, answer):
-    """The answer is one run of cand.tokens, and removing it, the preposition
-    its rules put before it, and the plan's residual nouns after it leaves
-    the plan's body. realize drops '?' tokens, so they are ignored."""
+def _assert_answer_spliced(analysis, plan, cand, answer):
+    """cand is the plan's slot filled with the preposition its rules name,
+    the answer and the plan's residual nouns, and the slot's words keep the
+    question's order: they interleave its words outside the wh phrase that
+    are not in the verb group and those that are, each in question order.
+    '?' tokens are dropped, and under do-support the auxiliary goes and the
+    root reads as its do_support rule's form."""
 
     def spoken(words):
         return [w for w in words if w != "?"]
 
-    body, residual = spoken(plan.body), spoken(plan.residual)
     prep = spoken(
         rule.split(":", 1)[1].split("(")[0]
         for rule in cand.applied_rules
         if rule.startswith("prep:") and rule.endswith(("(pied)", "(table)"))
     )
     run = insert_article(engine._clean_answer(answer), plan.config.table.article_orgs).split()
-    tokens = list(cand.tokens)
-    splices = [
-        tokens[i - len(prep) : i] == prep
-        and tokens[i + len(run) : i + len(run) + len(residual)] == residual
-        and tokens[: i - len(prep)] + tokens[i + len(run) + len(residual) :] == body
-        for i in range(len(prep), len(tokens) - len(run) + 1)
-        if tokens[i : i + len(run)] == run
-    ]
-    assert True in splices, (tokens, run, prep, plan.body, plan.residual)
+    head, tail = list(plan.slot.head_tokens), list(plan.slot.tail_tokens)
+    filled = head + prep + spoken(run) + spoken(plan.residual) + tail
+    assert list(cand.tokens) == filled, (cand.tokens, filled)
+
+    start, end = analysis.wh_phrase
+    form = list(analysis.question.form)
+    kept = [tid for tid, word in enumerate(form, 1) if not start <= tid <= end and word != "?"]
+    support = [rule for rule in plan.rules if rule.startswith("do_support:")]
+    if support:
+        kept = [tid for tid in kept if tid != analysis.verbs[0]]
+        form[analysis.root - 1] = support[0].partition("->")[2]
+    others = [form[tid - 1] for tid in kept if tid not in analysis.verbs]
+    verbs = [form[tid - 1] for tid in kept if tid in analysis.verbs]
+    assert _interleaves(head + tail, others, verbs), (head + tail, others, verbs)
+
+
+def _interleaves(words, first, second):
+    """words is first and second merged, each kept in its order."""
+    if len(words) != len(first) + len(second):
+        return False
+    taken = {0}  # how many of first the words so far may hold
+    for k, word in enumerate(words):
+        taken = {i + 1 for i in taken if i < len(first) and first[i] == word} | {
+            i for i in taken if k - i < len(second) and second[k - i] == word
+        }
+    return bool(taken)
 
 
 def test_fixture_rewrites_splice_the_answer(qa2d_parses):
@@ -950,9 +1017,10 @@ def test_fixture_rewrites_splice_the_answer(qa2d_parses):
     answers = ("Paris", "in 1945", "Monday", "UN", "a draw", "August 16, 1958")
     for config in (EngineConfig(), EngineConfig(copy_wh_phrase=True, emit_alternatives=3)):
         for sent in qa2d_parses.values():
-            plan = plan_question(analyze(sent), config)
+            analysis = analyze(sent)
+            plan = plan_question(analysis, config)
             for answer in answers:
-                _assert_answer_spliced(plan, plan.realize(answer)[0], answer)
+                _assert_answer_spliced(analysis, plan, plan.realize(answer)[0], answer)
 
 
 # -- pre-joined realization against the token-by-token oracle -----------------
@@ -1014,8 +1082,7 @@ def _assert_seams_match_oracle(sent):
             plan = plan_question(analysis, config)
         except TransformError:
             continue
-        head = "".join(t for t in plan.body[: plan.insert_index] if t != "?")
-        tail = [t for t in plan.body[plan.insert_index :] if t != "?"]
+        head, tail = "".join(plan.slot.head_tokens), plan.slot.tail_tokens
         if not head:
             seen.add("empty head")
         else:
@@ -1030,7 +1097,7 @@ def _assert_seams_match_oracle(sent):
         for answer in _SEAM_ANSWERS:
             got = _outcome(lambda: [tuple(c) for c in plan.realize(answer)])
             assert got == _outcome(lambda: oracles.oracle_plan_realize(plan, answer)), (
-                plan.body, plan.insert_index, answer, config
+                plan.slot, answer, config
             )
             seen.add(got if isinstance(got, str) else f"{len(got)} candidates")
     return seen

@@ -25,7 +25,6 @@ from qa2nli.engine import (
     EngineConfig,
     PrepositionTable,
     QuestionPlan,
-    _frame,
     plan_question,
 )
 from qa2nli.errors import ConlluStructureError
@@ -149,15 +148,11 @@ def test_question_plan_is_a_record(qa2d_parses):
     analysis = analyze(qa2d_parses["f02"])  # "What did Liz buy at the store?"
     plan = plan_question(analysis)
     assert plan == plan_question(analysis) and plan is not plan_question(analysis)
-    assert plan._fields == (
-        "analysis", "config", "rules", "body", "insert_index", "insert_rules", "residual",
-        "link", "flip", "slot",
-    )
-    assert repr(plan).startswith(f"QuestionPlan(analysis={analysis!r}, config={EngineConfig()!r},")
+    assert plan._fields == ("config", "rules", "insert_rules", "residual", "link", "flip", "slot")
+    assert repr(plan).startswith(f"QuestionPlan(config={EngineConfig()!r}, rules=(")
     for name in QuestionPlan._fields:
         with pytest.raises(AttributeError):
             setattr(plan, name, None)
-    assert plan.slot == _frame(plan.body, plan.insert_index)
     assert plan.realize("milk")[0].text == "Liz bought milk at the store."
 
 
@@ -168,6 +163,10 @@ def test_empty_lexicon_shares_no_mutable_mapping():
         with pytest.raises(TypeError):
             forms["go"] = "went"
     assert VerbLexicon().irregular_past == {}
+    # every EngineConfig shares the cached bundled lexicon, so it is read-only too
+    for forms in VerbLexicon.bundled():
+        with pytest.raises(TypeError):
+            forms["go"] = "goed"
 
 
 _PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
@@ -223,6 +222,7 @@ _BAD = [
     (_CANDIDATE, {"text": "Who bought milk?."}, ValueError),
     (_CANDIDATE, {"text": "Liz bought milk"}, ValueError),
     (EngineConfig(), {"emit_alternatives": 0}, ValueError),
+    (EngineConfig(), {"emit_alternatives": 1.0}, ValueError),
     (_SENTENCE, {"tokens": (_LIZ._replace(head=3), _BOUGHT, _MILK._replace(head=1))},
      ConlluStructureError),
     (_SENTENCE, {"tokens": (_LIZ, _BOUGHT, _MILK._replace(head=0))}, ConlluStructureError),
@@ -230,8 +230,8 @@ _BAD = [
 _BAD_IDS = [
     "DepToken-id-0", "DepToken-head-negative", "DepToken-own-head", "DepToken-empty-form",
     "DeclarativeCandidate-rank-0", "DeclarativeCandidate-question-mark",
-    "DeclarativeCandidate-no-full-stop", "EngineConfig-no-alternatives", "DepSentence-cycle",
-    "DepSentence-two-roots",
+    "DeclarativeCandidate-no-full-stop", "EngineConfig-no-alternatives",
+    "EngineConfig-float-alternatives", "DepSentence-cycle", "DepSentence-two-roots",
 ]
 
 
