@@ -279,7 +279,13 @@ def insert_article(answer: str, exceptions: Iterable[str] | None = None) -> str:
 
     "UN" -> "the UN"; "WHO" (not listed) and "the UN" (already articled,
     multi-token) pass through, so the operation is idempotent.
+
+    Raises:
+        TypeError: exceptions is a str, which would read as a set of its
+            characters.
     """
+    if isinstance(exceptions, str):
+        raise TypeError(f"exceptions must be an iterable of names, not the str {exceptions!r}")
     orgs = frozenset(exceptions) if exceptions is not None else PrepositionTable.bundled().article_orgs
     bare = answer.strip()
     if bare and " " not in bare and bare in orgs:

@@ -183,26 +183,16 @@ def load_qa_jsonl(path: str, schema: str) -> list[QAExample]:
             correct = require_key(obj, "correct", int, line_no, path)
             if not 0 <= correct < len(raw):
                 raise DatasetError(f"'correct' index {correct} out of range", line_no, path)
-            options = tuple(
-                AnswerOption(text, correct=(i == correct)) for i, text in enumerate(raw)
-            )
+            options = tuple([AnswerOption(text, i == correct) for i, text in enumerate(raw)])
         elif answerable:  # span, or an answerable unanswerable-schema item
             answer = require_key(obj, "answer", str, line_no, path)
-            options = (AnswerOption(answer, correct=True),)
+            options = (AnswerOption(answer, True),)
         else:
             plausible = obj.get("plausible_answer")
             if plausible is not None and not isinstance(plausible, str):
                 raise DatasetError("'plausible_answer' must be a string", line_no, path)
-            options = (AnswerOption(plausible, correct=False),) if plausible else ()
-        examples.append(
-            QAExample(
-                id=ex_id,
-                question=question,
-                passage=passage,
-                options=options,
-                answerable=answerable,
-            )
-        )
+            options = (AnswerOption(plausible, False),) if plausible else ()
+        examples.append(QAExample(ex_id, question, passage, options, answerable))
     return examples
 
 
@@ -296,8 +286,10 @@ def iter_rewrites(
             except TransformError as exc:  # the question itself cannot be rewritten
                 steps[i] = SkipRecord(example.id, "transform", str(exc))
 
-        # 3. realize every answer, keeping each TransformError
-        for i, step in enumerate(steps):
+        # 3. realize every answer, or say why not. The skip keeps only the
+        # message: a kept exception's traceback would hold this frame, a
+        # reference cycle, and the cli runs with the collector off
+        for i, (example, step) in enumerate(zip(batch, steps)):
             if isinstance(step, SkipRecord):
                 continue
             plan, todo = step
@@ -306,7 +298,9 @@ def iter_rewrites(
                 try:
                     outcomes.append(plan.realize(option.text))
                 except TransformError as exc:
-                    outcomes.append(exc)
+                    outcomes.append(
+                        SkipRecord(example.id, "transform", str(exc), option=option.text)
+                    )
             steps[i] = zip(todo, outcomes)
 
         # 4. report each skip and yield each rewrite, in input order
@@ -317,10 +311,8 @@ def iter_rewrites(
             n = 0
             yielded: dict[str, AnswerOption] = {}  # rank-1 text -> the answer yielded with it
             for (option, provenance), candidates in step:
-                if isinstance(candidates, TransformError):
-                    skips.append(
-                        SkipRecord(example.id, "transform", str(candidates), option=option.text)
-                    )
+                if isinstance(candidates, SkipRecord):
+                    skips.append(candidates)
                     continue
                 text = candidates[0].text
                 earlier = yielded.get(text)

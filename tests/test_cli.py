@@ -4,6 +4,7 @@ Most tests drive main() in-process for speed; one subprocess test proves the
 module entry point works end to end.
 """
 
+import gc
 import io
 import json
 import os
@@ -1728,3 +1729,123 @@ def test_cli_import_loads_none_of_the_worker_modules(tmp_path, child_env):
     worker_modules = {"pickle", "signal", "tempfile"}
     for loaded in (at_import, *after_runs):
         assert not loaded & worker_modules, loaded & worker_modules
+
+
+# -- the cyclic garbage collector ---------------------------------------------
+
+
+def _copies(path, k, folder, tail=""):
+    """The file at path k times over in folder, each copy's ids (a JSONL "id",
+    a CoNLL-U sent_id) suffixed with its number, then tail."""
+    text = Path(path).read_text(encoding="utf-8")
+    copies = (re.sub(r'(^# sent_id = |"id": ")([^"\n]+)', rf"\g<1>\g<2>-{j}", text, flags=re.M)
+              for j in range(k))
+    copy = folder / Path(path).name
+    copy.write_text("\n".join(copies) + tail, encoding="utf-8")
+    return str(copy)
+
+
+# name -> (argv, exit status); every .jsonl and .conllu file it names is read k times over
+_CYCLE_RUNS = {
+    "qa2d-alt3-copy": (["qa2d", "--qa", QA, "--parses", PARSES, "--alternatives", "3",
+                        "--copy-wh-phrase"], 0),
+    "convert-multichoice-all": (["convert", "--schema", "multichoice", "--negatives", "all",
+                                 "--qa", MC_QA, "--parses", MC_PARSES], 0),
+    "convert-span": (["convert", "--schema", "span", "--qa", QA, "--parses", PARSES], 0),
+    # holds answers that are empty after trimming: per-option transform skips
+    "convert-unanswerable": (["convert", "--schema", "unanswerable", "--parses", PARSES,
+                              "--qa", str(_FIXTURES / "unanswerable_fixtures.jsonl")], 0),
+    "eval": (["eval", "--hypotheses", str(_FIXTURES / "scoring_hypotheses.jsonl"),
+              "--references", str(_FIXTURES / "scoring_references.jsonl")], 0),
+    "analyze": (["analyze", "--pairs", str(_FIXTURES / "scoring_pairs.jsonl")], 0),
+    "qa2d-all-skip": (None, 0),  # the all-skip inputs of the --jobs tests
+    "qa2d-input-error": (["qa2d", "--qa", QA, "--parses", PARSES], 2),  # the parses end badly
+}
+
+
+@pytest.mark.parametrize("name", list(_CYCLE_RUNS))
+def test_a_run_leaves_no_more_cycles_on_more_input(tmp_path, capsys, name):
+    """main runs each command with the collector off, which is safe only if
+    no command makes a reference cycle per item: what a run leaves for the
+    collector (its argument parser) must not grow with the input. An
+    exception kept with its traceback in a local of the frame that caught it
+    is such a cycle."""
+    argv, status = _CYCLE_RUNS[name]
+    if argv is None:
+        qa, parses, _ = _jobs_inputs(tmp_path, "span", "all-skip")
+        argv = ["qa2d", "--qa", str(qa), "--parses", str(parses)]
+    tail = "# sent_id = broken\n1\tWho\n" if name == "qa2d-input-error" else ""
+    unreachable = {}
+    for k in (1, 4):
+        folder = tmp_path / f"x{k}"
+        folder.mkdir()
+        copies = [_copies(a, k, folder, tail if a.endswith(".conllu") else "")
+                  if a.endswith((".jsonl", ".conllu")) else a for a in argv]
+        gc.collect()
+        gc.disable()
+        try:
+            assert main([*copies, "--output", str(folder / "out")]) == status
+        finally:
+            unreachable[k] = gc.collect()
+            gc.enable()
+        err = capsys.readouterr().err
+        if name == "qa2d-all-skip":
+            assert err.endswith(f"qa2nli: 0 declaratives written, {52 * k} skipped\n")
+    assert unreachable[4] <= unreachable[1], unreachable
+
+
+def _collector_off(example_id):
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "path", ["0", "0-jobs-2", "1-closed-stdout", "2-input-error", "2-bad-flag", "interrupt-jobs-2"]
+)
+def test_a_run_restores_the_collector_state_it_found(
+    monkeypatch, tmp_path, forks, many_cpus, path, enabled
+):
+    """The command runs with the collector off, in the forked workers too,
+    and main leaves it as it found it on every way out."""
+    states = []
+    build_parser = cli._build_parser
+
+    def recording_build_parser():
+        states.append(gc.isenabled())
+        return build_parser()
+
+    def interrupt(example_id):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_build_parser", recording_build_parser)
+    argv = ["qa2d", "--qa", QA, "--parses", PARSES]
+    out = ["--output", str(tmp_path / "out.jsonl")]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if path == "0":
+            assert main([*argv, *out]) == 0
+        elif path == "0-jobs-2":  # a worker with the collector on fails the run
+            _in_workers(monkeypatch, _nothing, _collector_off)
+            assert main([*argv, *out, "--jobs", "2"]) == 0
+        elif path == "1-closed-stdout":
+            read_end, write_end = os.pipe()
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
+            try:
+                assert main(argv) == 1
+            finally:
+                os.close(read_end)
+                os.close(write_end)
+        elif path == "2-input-error":
+            assert main(["qa2d", "--qa", QA, "--parses", "no-such.conllu"]) == 2
+        elif path == "2-bad-flag":
+            with pytest.raises(SystemExit, match="^2$"):
+                main([*argv, *out, "--jobs", "0"])
+        else:
+            _in_workers(monkeypatch, interrupt, _stall)
+            with pytest.raises(KeyboardInterrupt):
+                main([*argv, *out, "--jobs", "2"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert states == [False]
+    assert len(forks) == path.endswith("jobs-2")

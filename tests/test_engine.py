@@ -112,6 +112,13 @@ def test_insert_article_custom_exceptions():
     assert insert_article("UN", exceptions={"Guild"}) == "UN"
 
 
+@pytest.mark.parametrize("answer", ["U", "UN"])
+def test_insert_article_refuses_a_str_of_exceptions(answer):
+    """A str would read as the set of its characters: "U" would become "the U"."""
+    with pytest.raises(TypeError, match="^exceptions must be an iterable of names, not the str"):
+        insert_article(answer, "UN")
+
+
 def test_table_rejects_unknown_keys(tmp_path):
     with pytest.raises(TypeError, match="tuesdays"):
         PrepositionTable(tuesdays=frozenset({"x"}))
