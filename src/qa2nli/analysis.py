@@ -104,7 +104,6 @@ _PHRASE_CUT_BASES = {
 }
 
 _SUBJECT_BASES = {"nsubj", "csubj"}
-_AUX_BASES = {"aux"}
 _PREP_DEPRELS = {"case", "compound:prt"}
 _PREP_UPOS = {"ADP", "PART", "ADV"}
 
@@ -173,17 +172,19 @@ def classify_question(sentence: DepSentence) -> QuestionType:
     Raises:
         NotWhQuestionError: no wh word anywhere in the sentence.
     """
-    return _WH_FORMS[sentence.form[_wh_token(sentence) - 1].lower()]
+    return _wh(sentence)[1]
 
 
 # Helpers below take and return token ids and read the sentence's columns:
 # sentence.form[i - 1] is the form of token i.
 
 
-def _wh_token(sentence: DepSentence) -> int:
+def _wh(sentence: DepSentence) -> tuple[int, QuestionType]:
+    """The leftmost wh word and its question type."""
     for i, form in enumerate(sentence.form, 1):
-        if form.lower() in _WH_FORMS:
-            return i
+        qtype = _WH_FORMS.get(form.lower())
+        if qtype is not None:
+            return i, qtype
     raise NotWhQuestionError("no wh word")
 
 
@@ -222,28 +223,6 @@ def _phrase_span(sentence: DepSentence, head: int, wh: int) -> tuple[int, int]:
     return (start, end)
 
 
-def _first_child(sentence: DepSentence, token_id: int, bases: set[str]) -> int | None:
-    """The first dependent of a token whose base relation is in bases."""
-    deprels = sentence.deprel
-    return next(
-        (c for c in sentence.child_ids(token_id) if _base(deprels[c - 1]) in bases), None
-    )
-
-
-def _find_copula(sentence: DepSentence, root: int, subject: int | None) -> int | None:
-    copula = _first_child(sentence, root, {"cop"})
-    if copula is not None:
-        return copula
-    # Parses that keep "be" as the clause head: the root doubles as copula.
-    if (
-        sentence.lemma[root - 1] == "be"
-        and sentence.upos[root - 1] in ("AUX", "VERB")
-        and subject is not None
-    ):
-        return root
-    return None
-
-
 def _as_ud(sentence: DepSentence) -> DepSentence:
     """The sentence in UD labels (see the module docstring); the sentence
     itself when it holds none of _UD_LABELS."""
@@ -271,16 +250,6 @@ def _as_ud(sentence: DepSentence) -> DepSentence:
     return DepSentence._columnar(columns, sentence.text, sentence.sent_id)
 
 
-def _dangling_preps(sentence: DepSentence, wh: int, head: int, root: int) -> tuple[int, ...]:
-    deprels, upos = sentence.deprel, sentence.upos
-    found: set[int] = set()
-    for holder in {wh, head, root}:
-        for child in sentence.child_ids(holder):
-            if deprels[child - 1] in _PREP_DEPRELS and upos[child - 1] in _PREP_UPOS:
-                found.add(child)
-    return tuple(sorted(found))
-
-
 def analyze(sentence: DepSentence) -> WhAnalysis:
     """Analyze a wh question for declarative rewriting.
 
@@ -291,37 +260,59 @@ def analyze(sentence: DepSentence) -> WhAnalysis:
         AnalysisError: a wh word exists but the parse is degenerate.
     """
     sentence = _as_ud(sentence)
-    wh = _wh_token(sentence)
-    qtype = _WH_FORMS[sentence.form[wh - 1].lower()]
+    wh, qtype = _wh(sentence)
     root = sentence.root_id
-    if sentence.upos[root - 1] == "PUNCT":
+    deprels, upos = sentence.deprel, sentence.upos
+    if upos[root - 1] == "PUNCT":
         raise AnalysisError(
             f"degenerate parse: root of {sentence.sent_id or 'sentence'} is punctuation"
         )
 
     head = _phrase_head(sentence, wh)
-    span = _phrase_span(sentence, head, wh)
-    subject = _first_child(sentence, root, _SUBJECT_BASES)
-    deprels = sentence.deprel
-    auxes = [c for c in sentence.child_ids(root) if _base(deprels[c - 1]) in _AUX_BASES]
-    copula = _find_copula(sentence, root, subject)
+    # One pass over the root's dependents: its first subject, every
+    # auxiliary and its first copula, whose base relations are disjoint.
+    subject = copula = None
+    auxes = []
+    for child in sentence.child_ids(root):
+        base = deprels[child - 1].partition(":")[0]
+        if base == "aux":
+            auxes.append(child)
+        elif base in _SUBJECT_BASES and subject is None:
+            subject = child
+        elif base == "cop" and copula is None:
+            copula = child
+    # Parses that keep "be" as the clause head: the root doubles as copula.
+    if (
+        copula is None
+        and subject is not None
+        and sentence.lemma[root - 1] == "be"
+        and upos[root - 1] in ("AUX", "VERB")
+    ):
+        copula = root
     verbs = auxes if copula is None else sorted([*auxes, copula])
+    # A token has one head, so the dependents of distinct holders are distinct.
+    dangling = sorted([
+        child
+        for holder in {wh, head, root}
+        for child in sentence.child_ids(holder)
+        if deprels[child - 1] in _PREP_DEPRELS and upos[child - 1] in _PREP_UPOS
+    ])
 
     # A copular clause with no other subject has the wh phrase as subject.
     subject_wh = subject == head or (subject is None and copula is not None and head == root)
 
     return WhAnalysis(
-        question=sentence,
-        wh_token=wh,
-        wh_phrase=span,
-        qtype=qtype,
-        root=root,
-        aux=auxes[0] if auxes else None,  # an inverted one when there is one
-        copula=copula,
-        verbs=tuple(verbs),
-        subject=subject,
-        wh_attachment=sentence.head[head - 1] or head,  # the root attaches to itself
-        dangling_preps=_dangling_preps(sentence, wh, head, root),
-        subject_wh=subject_wh,
-        wh_head=head,
+        sentence,
+        wh,
+        _phrase_span(sentence, head, wh),
+        qtype,
+        root,
+        auxes[0] if auxes else None,  # an inverted one when there is one
+        copula,
+        tuple(verbs),
+        subject,
+        sentence.head[head - 1] or head,  # the root attaches to itself
+        tuple(dangling),
+        subject_wh,
+        head,
     )

@@ -14,7 +14,6 @@ command does.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from collections import Counter, defaultdict
@@ -208,6 +207,8 @@ class CorpusReport(NamedTuple):
 
     def to_csv(self) -> str:
         """The PMI table as CSV rows (label, rank, word, pmi, count, percent)."""
+        import csv  # not at module level: only the csv format writes CSV
+
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["label", "rank", "word", "pmi", "count", "percent"])

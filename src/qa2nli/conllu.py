@@ -58,6 +58,9 @@ _COLUMNS = 10
 # Bytes per read of an input file, before the rest of its last line.
 _BLOCK_BYTES = 1 << 16
 _BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+# string.punctuation, written out for engine and metrics: importing string
+# costs start-up the compile of string.Template's pattern.
+_PUNCTUATION = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
 
 
 class _Record:

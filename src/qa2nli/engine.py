@@ -14,17 +14,19 @@ reads, once: the config, the answer-independent rules, the copied nouns,
 the preposition link and the frames realize fills. It keeps no analysis.
 
 A plan pre-joins its sentence around the answer slot, with realize's
-spacing: the words before the slot, and the words after it but the first.
-That spacing depends only on a token and the character before it, so a
-plan's realize joins just the preposition, answer and residual nouns onto
-the words before, then the first word after (the second seam), appends the
-rest as it is, and capitalizes and ends the sentence as realize does.
-Every candidate fills a frame its plan built: the slot, or, for a copular
-flip, the flipped sentence with its slot first, which plan_question joins
-only when emit_alternatives > 1. So realize's Python-level steps follow
-the answer's length, not the question's; each candidate still copies or
-scans the whole sentence once in C, for the capitalization, the '?' check
-and the tokens tuple.
+spacing: the words before the slot, and the words after it. That spacing
+depends only on a token and the character before it, so the plan also
+keeps the words before with their first letter uppercased, and the words
+after with the sentence's period. A plain slot (no empty, '?' or closing
+token, no apostrophe or bracket, and a letter before it or as its first
+character) then costs one " ".join of its tokens and one concatenation.
+Any other slot is joined a token at a time onto the words before, then
+the first word after (the second seam), and the rest is appended as it
+is; the sentence is capitalized and ended as realize does. Every
+candidate fills a frame its plan built: the slot, or, for a copular flip,
+the flipped sentence with its slot first, which plan_question joins only
+when emit_alternatives > 1. So realize's Python-level steps follow the
+answer's length, not the question's.
 
 Where the answer lands depends on what the wh phrase was doing:
 
@@ -60,7 +62,7 @@ from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import QuestionType, WhAnalysis, _base, _cut_subtree
-from .conllu import _Checked, _Record
+from .conllu import _PUNCTUATION, _Checked, _Record
 from .errors import DatasetError, TransformError
 from .morphology import VerbLexicon, _key_value_lines, _load_bundled, reinflect
 
@@ -81,9 +83,8 @@ _CLAUSE_SKIP_BASES = {"advcl", "parataxis"}
 # Questions asking who or what something is, whose copular sentence can flip
 # ("Ann is the mayor."); a When or Where answer cannot be the subject.
 _IDENTITY_QTYPES = {QuestionType.WHO, QuestionType.WHAT, QuestionType.WHICH, QuestionType.WHOSE}
-# string.punctuation, written out: importing string costs every command's
-# start-up the compile of string.Template's pattern.
-_PUNCTUATION = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
+# Each question type's qtype rule, formatted once rather than per plan.
+_QTYPE_RULES = {qtype: f"qtype:{qtype}" for qtype in QuestionType}
 # The preposition of motion toward a place ("went to Paris"). A place
 # adverb already holds it ("went there"), so it is the one pied-piped
 # preposition such an answer drops ("To where did he go?" + "there").
@@ -114,17 +115,7 @@ class DeclarativeCandidate(_Checked, _CandidateFields):
         return tuple.__new__(cls, (text, tokens, applied_rules, rank))
 
 
-class PrepositionTable(NamedTuple):
-    """Word lists driving preposition selection, loaded from a TSV file.
-
-    Rule application is first-match in the order coded in when_options /
-    where_options; the file only supplies vocabulary. Matching is
-    case-insensitive except article_orgs.
-
-    A list's key in the file is its field name without the final "s":
-    lines keyed "month" fill months, "article_org" fills article_orgs.
-    """
-
+class _PrepositionTableFields(NamedTuple):
     prepositions: frozenset[str] = frozenset()
     temporal_adverbs: frozenset[str] = frozenset()
     place_adverbs: frozenset[str] = frozenset()
@@ -135,6 +126,29 @@ class PrepositionTable(NamedTuple):
     motion_verbs: frozenset[str] = frozenset()
     at_locations: frozenset[str] = frozenset()
     article_orgs: frozenset[str] = frozenset()
+
+
+class PrepositionTable(_Checked, _PrepositionTableFields):
+    """Word lists driving preposition selection, loaded from a TSV file.
+
+    Rule application is first-match in the order coded in when_options /
+    where_options; the file only supplies vocabulary. Matching is
+    case-insensitive except article_orgs.
+
+    A list's key in the file is its field name without the final "s":
+    lines keyed "month" fill months, "article_org" fills article_orgs.
+    Every list is a frozenset of str: a dict or a str, whose "in" would
+    test keys or substrings, raises TypeError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: frozenset[str], **lists: frozenset[str]) -> PrepositionTable:
+        table = super().__new__(cls, *args, **lists)
+        for name, words in zip(cls._fields, table):
+            if not (isinstance(words, frozenset) and all(isinstance(w, str) for w in words)):
+                raise TypeError(f"{name} must be a frozenset of str, not {words!r}")
+        return table
 
     @classmethod
     def from_file(cls, path: str) -> "PrepositionTable":
@@ -408,14 +422,19 @@ def _join(tokens: Sequence[str], text: str = "") -> str:
     return text
 
 
+def _capitalized(text: str) -> str:
+    """text with its first letter uppercased."""
+    for i, ch in enumerate(text):
+        if ch.isalpha():
+            return text[:i] + ch.upper() + text[i + 1 :]
+    return text
+
+
 def _sentence(text: str) -> str:
     """text with its first letter uppercased, ending with "."."""
     if not text:
         raise ValueError("nothing to realize")
-    for i, ch in enumerate(text):
-        if ch.isalpha():
-            text = text[:i] + ch.upper() + text[i + 1 :]
-            break
+    text = _capitalized(text)
     return text if text.endswith(".") else text + "."
 
 
@@ -442,30 +461,71 @@ class _Frame(NamedTuple):
 
     A token's space depends only on the token and the character before it,
     so fill joins the slot's tokens and the tail's first token onto head,
-    then appends the rest of the tail as it is.
+    then appends the rest of the tail as it is. A plain slot (see fill)
+    needs no join at the seams: lead and end are already spaced, and they
+    hold the sentence's capital (when head has a letter) and its period.
     """
 
     head: str
     head_tokens: tuple[str, ...]
     tail_tokens: tuple[str, ...]
     rest: str  # the joined tail after its first token
+    lead: str  # head, its first letter uppercased, and the space a plain slot takes after it
+    capped: bool  # head has a letter, so lead holds the sentence's capital
+    end: str  # the joined tail after a plain slot, ending with ".", or "" when there is none
 
-    def fill(self, middle: Iterable[str], rules: tuple[str, ...], rank: int) -> DeclarativeCandidate:
+    def fill(self, middle: tuple[str, ...], rules: tuple[str, ...], rank: int) -> DeclarativeCandidate:
         """The candidate with middle's tokens in the slot."""
-        middle = _spoken(middle)
-        text = _join((*middle, *self.tail_tokens[:1]), self.head) + self.rest
-        tokens = self.head_tokens + middle + self.tail_tokens
+        joined = " ".join(middle)
         try:
-            return DeclarativeCandidate(_sentence(text), tokens, (*rules, "realize"), rank)
+            # A plain slot holds no empty, '?' or closing token and no
+            # apostrophe or bracket, so each of its tokens but the first
+            # takes one space, and lead and end fit both seams; its first
+            # letter is the sentence's capital when head has none.
+            if (
+                joined
+                and (self.capped or joined[0].isalpha())
+                and "'" not in joined
+                and "?" not in joined
+                and "(" not in joined
+                and "[" not in joined
+                and "{" not in joined
+                and "" not in middle
+                and _CLOSING.isdisjoint(middle)
+            ):
+                if not self.capped:
+                    joined = joined[0].upper() + joined[1:]
+                text = self.lead + joined + self.end
+                if not text.endswith("."):  # no tail, and no period on the slot
+                    text += "."
+            else:
+                middle = _spoken(middle)
+                text = _sentence(_join((*middle, *self.tail_tokens[:1]), self.head) + self.rest)
+            tokens = self.head_tokens + middle + self.tail_tokens
+            return DeclarativeCandidate(text, tokens, (*rules, "realize"), rank)
         except ValueError as exc:  # nothing left, or a '?' inside an answer token
             raise TransformError(str(exc)) from exc
 
 
 def _frame(words: Sequence[str], cut: int) -> _Frame:
-    """The frame of an answer slot before words[cut]."""
-    head_tokens, tail_tokens = _spoken(words[:cut]), _spoken(words[cut:])
-    rest = _join(tail_tokens)[len(tail_tokens[0]) :] if tail_tokens else ""
-    return _Frame(_join(head_tokens), head_tokens, tail_tokens, rest)
+    """The frame of an answer slot before words[cut]; words are a plan's,
+    with no empty token and no '?' but a do-support verb's."""
+    head_tokens, tail_tokens = tuple(words[:cut]), tuple(words[cut:])
+    if "?" in words:  # a verb re-inflected to '?', which is no word
+        head_tokens, tail_tokens = _spoken(head_tokens), _spoken(tail_tokens)
+    head, tail = _join(head_tokens), _join(tail_tokens)
+    if tail_tokens:
+        first = tail_tokens[0]
+        rest = tail[len(first) :]
+        # A plain slot ends in no opening bracket, so the tail's first token
+        # takes a space unless it is a closing token or a clitic.
+        end = tail if first in _CLOSING or first.startswith("'") else " " + tail
+        if not end.endswith("."):
+            end += "."
+    else:
+        rest = end = ""
+    lead = _capitalized(head) + (" " if head and head[-1] not in "([{" else "")
+    return _Frame(head, head_tokens, tail_tokens, rest, lead, any(map(str.isalpha, head)), end)
 
 
 def _insertion_site(analysis: WhAnalysis, seq: list[int]) -> tuple[int, str]:
@@ -533,7 +593,9 @@ class QuestionPlan(NamedTuple):
         candidates = [self._placed(answer_tokens, options[0] if options else None, rules, 1)]
         cap = self.config.emit_alternatives
         if cap > 1 and self.flip is not None and answer_tokens[0][:1].isupper():
-            candidates.append(self.flip.fill(answer_tokens, (*rules, "insert:copular_flip"), 2))
+            candidates.append(
+                self.flip.fill(tuple(answer_tokens), (*rules, "insert:copular_flip"), 2)
+            )
         for prep in options[1 : cap - len(candidates) + 1]:  # up to cap candidates
             candidates.append(self._placed(answer_tokens, prep, rules, len(candidates) + 1))
         return candidates
@@ -578,7 +640,7 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
     form = sent.form
     seq, forms, inv_rules = _deinverted(analysis, config.lexicon)
     start, end = analysis.wh_phrase
-    rules = [f"qtype:{analysis.qtype}", *inv_rules]
+    rules = [_QTYPE_RULES[analysis.qtype], *inv_rules]
 
     residual: tuple[str, ...] = ()
     if config.copy_wh_phrase and analysis.qtype in (QuestionType.WHICH, QuestionType.HOW):
@@ -631,7 +693,10 @@ def plan_question(analysis: WhAnalysis, config: EngineConfig | None = None) -> Q
         else:
             link = ("none", "")
 
-    body = tuple([forms.get(tid, form[tid - 1]) for tid in seq])
+    body = [form[tid - 1] for tid in seq]
+    for tid, word in forms.items():  # the do-support verb, unless deleted with the wh phrase
+        if tid in seq:
+            body[seq.index(tid)] = word
     flip = None
     identity = copular_identity and analysis.qtype in _IDENTITY_QTYPES
     if identity and config.emit_alternatives > 1 and seq and seq[-1] == analysis.copula:

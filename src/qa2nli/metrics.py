@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-import string
 from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .conllu import read_jsonl, require_key
+from .conllu import _PUNCTUATION, read_jsonl, require_key
 from .errors import DatasetError
 
 __all__ = [
@@ -43,7 +42,7 @@ __all__ = [
     "topk_match",
 ]
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT_TABLE = str.maketrans("", "", _PUNCTUATION)
 LENGTH_BUCKETS = ("1-9", "10-19", "20-29", "30+")
 
 

@@ -188,6 +188,66 @@ def oracle_root(tokens):
     return [t.id for t in tokens if t.head == 0][0]
 
 
+_WH_TYPES = {
+    "who": "Who", "whom": "Who", "whose": "Whose", "what": "What", "which": "Which",
+    "when": "When", "where": "Where", "why": "Why", "how": "How",
+}
+
+
+def oracle_analyze(question, wh_head):
+    """The fields of an analysis that the WhAnalysis docstring defines by the
+    question's words and the root's dependents, given the UD question and
+    the head of its wh phrase: the leftmost wh word and its type; the first
+    subject child of the root; every aux child, in order, the first being
+    aux; the first cop child, or else a "be" root that has a subject; the
+    verb group; the dangling prepositions under the wh word, the phrase
+    head and the root; whether the wh phrase is the subject; and what the
+    phrase head attaches to.
+    """
+    tokens = question.tokens
+
+    def base(token):
+        return token.deprel.split(":")[0]
+
+    wh = [t.id for t in tokens if t.form.lower() in _WH_TYPES][0]
+    root = oracle_root(tokens)
+    dependents = [t for t in tokens if t.head == root]
+    subjects = [t.id for t in dependents if base(t) in ("nsubj", "csubj")]
+    auxes = [t.id for t in dependents if base(t) == "aux"]
+    copulas = [t.id for t in dependents if base(t) == "cop"]
+    subject = subjects[0] if subjects else None
+    copula = None
+    if copulas:
+        copula = copulas[0]
+    elif (
+        tokens[root - 1].lemma == "be"
+        and tokens[root - 1].upos in ("AUX", "VERB")
+        and subject is not None
+    ):
+        copula = root
+    verbs = sorted(auxes + ([] if copula is None else [copula]))
+    preps = [
+        t.id
+        for t in tokens
+        if t.head in (wh, wh_head, root)
+        and t.deprel in ("case", "compound:prt")
+        and t.upos in ("ADP", "PART", "ADV")
+    ]
+    return {
+        "wh_token": wh,
+        "qtype": _WH_TYPES[tokens[wh - 1].form.lower()],
+        "root": root,
+        "aux": auxes[0] if auxes else None,
+        "copula": copula,
+        "verbs": tuple(verbs),
+        "subject": subject,
+        "wh_attachment": tokens[wh_head - 1].head or wh_head,
+        "dangling_preps": tuple(preps),
+        "subject_wh": subject == wh_head
+        or (subject is None and copula is not None and wh_head == root),
+    }
+
+
 def oracle_span_head(tokens, span):
     """The head of an inclusive (start, end) span of token ids, by the rule
     the rewrite engine applied to the wh phrase before analyze reported its

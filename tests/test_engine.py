@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qa2nli import engine
+from qa2nli import conllu, engine
 from qa2nli.analysis import _UD_LABELS, QuestionType, _as_ud, analyze
 from qa2nli.conllu import DepSentence, DepToken, load_conllu, parse_conllu
 from qa2nli.engine import (
@@ -195,8 +195,9 @@ def test_when_and_where_options_tokenize_the_answer_once(monkeypatch, table):
 
 
 def test_punctuation_constant_is_string_punctuation():
-    # engine writes the constant out rather than import string at start-up
-    assert engine._PUNCTUATION == string.punctuation
+    # conllu writes the constant out, for engine and metrics, rather than
+    # import string at start-up
+    assert conllu._PUNCTUATION == string.punctuation
 
 
 def test_starts_suppressed(table):
@@ -824,6 +825,39 @@ def test_realize_fills_frames_its_plan_built(monkeypatch, fixtures_dir):
     assert all(plan.flip is None for plan in defaults)
 
 
+def test_realize_fills_a_plain_slot_with_one_concatenation(monkeypatch, fixtures_dir):
+    # A plain answer needs neither a token-by-token join nor a scan of the
+    # sentence for its capital: the frame holds its capitalized head and its
+    # tail with the period, and the answer's own first letter is the capital
+    # after a head with none.
+    plans = []
+    for name in ("qa2d_fixtures", "gen_qa2d_long_100", "multichoice_20"):
+        for sent in load_conllu(fixtures_dir / f"{name}.conllu"):
+            try:
+                analysis = analyze(sent)
+            except NotWhQuestionError:
+                continue
+            for config in (EngineConfig(), EngineConfig(copy_wh_phrase=True, emit_alternatives=3)):
+                plans.append(plan_question(analysis, config))
+
+    def no_scan(*args):
+        raise AssertionError("realize joined or scanned the whole sentence")
+
+    monkeypatch.setattr(engine, "_sentence", no_scan)
+    monkeypatch.setattr(engine, "_join", no_scan)
+    slots = set()
+    for plan in plans:
+        lettered = any(map(str.isalpha, "".join(plan.slot.head_tokens)))
+        for answer in ("Zorblat", "milk", "the old mill"):
+            for candidate in plan.realize(answer):
+                assert candidate.text.endswith(".") and candidate.text[:1].isupper()
+                if "insert:subject_position" in candidate.applied_rules:
+                    slots.add("subject")
+                elif lettered:
+                    slots.add("after a head with a letter")
+    assert slots == {"subject", "after a head with a letter"}
+
+
 # -- config and candidate validation ---------------------------------------
 
 
@@ -878,6 +912,19 @@ def test_word_lists_override_through_config(tmp_path, qa2d_parses):
     assert {p.id: p.hypothesis for p in build_pairs(examples, config).pairs} == {
         f"{fid}:0": text for fid, text in expected.items()
     }
+
+
+def test_a_verb_reinflected_to_a_question_mark_is_dropped(tmp_path, qa2d_parses):
+    # A plan's words hold no '?' but the do-support verb a lexicon gives,
+    # which its frames drop as realize drops every '?' token.
+    lexicon = tmp_path / "verbs.tsv"
+    lexicon.write_text("past:buy\t?\n", encoding="utf-8")
+    config = EngineConfig(lexicon=VerbLexicon.from_file(lexicon))
+    buy = analyze(qa2d_parses["f02"])  # "What did Liz buy at the store?"
+    (candidate,) = transform(buy, "milk", config)
+    assert candidate.text == "Liz milk at the store."
+    assert candidate.tokens == ("Liz", "milk", "at", "the", "store")
+    assert "do_support:did->?" in candidate.applied_rules
 
 
 def test_candidate_validation():
@@ -973,6 +1020,22 @@ def test_as_ud_reads_any_tree_in_ud_labels(sent):
     assert _as_ud(ud) is ud
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(questions(deprels=_DEPRELS + ("pobj", "pcomp", "agent")))
+@example(_ud(  # Where will Sam have gone?   (two auxiliaries, which trees seldom draw)
+    "Where where ADV 5 advmod", "will will AUX 5 aux", "Sam Sam PROPN 5 nsubj",
+    "have have AUX 5 aux", "gone go VERB 0 root", "? ? PUNCT 5 punct",
+))
+def test_analyze_equals_the_oracle_on_generated_trees(sent):
+    try:
+        a = analyze(sent)
+    except (NotWhQuestionError, AnalysisError):
+        return
+    want = oracles.oracle_analyze(a.question, a.wh_head)
+    got = {name: getattr(a, name) for name in want}
+    assert {**got, "qtype": a.qtype.value} == want
+
+
 def _assert_answer_spliced(analysis, plan, cand, answer):
     """cand is the plan's slot filled with the preposition its rules name,
     the answer and the plan's residual nouns, and the slot's words keep the
@@ -1035,11 +1098,13 @@ def test_fixture_rewrites_splice_the_answer(qa2d_parses):
 # Answers that put each kind of token at a seam of the answer slot: closing
 # punctuation and clitics first or last, "(" last, a standalone "?" (dropped)
 # and a "?" inside a token (a TransformError), a digit first, a lowercase
-# first letter, a final ".", and an answer that cleans down to a lone "?".
+# first letter, a final ".", an answer that cleans down to a lone "?", and
+# an apostrophe inside a word and a word with "(" after it, which keep an
+# answer that starts with a letter off the plain-slot path of _Frame.fill.
 _SEAM_ANSWERS = (
     ", Paris", "Paris ,", ") Paris", "Paris )", "'s dog", "the dog 's", "n't go", "go n't",
     "the (", "( 1945", "Paris ? now", "Par?is", "1945", "50 people", "ann", "UN", "Monday",
-    "in 1945", "August 16, 1958", "9 a.m.", "the city .", "? .",
+    "in 1945", "August 16, 1958", "9 a.m.", "the city .", "? .", "Bo's", "Paris (",
 )
 # Words that put closing punctuation, clitics, brackets, digits, a "?" inside
 # a word, an apostrophe or bracket inside a word, and a space next to the

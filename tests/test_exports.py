@@ -132,13 +132,16 @@ _SCORING = [
         (["convert", *_QA2D, "--schema", "span"], set()),
         (_SCORING, {"qa2nli.metrics"}),
         (["analyze", "--pairs", str(_FIXTURES / "scoring_pairs.jsonl")],
+         {"qa2nli.metrics", "qa2nli.artifacts"}),
+        (["analyze", "--pairs", str(_FIXTURES / "scoring_pairs.jsonl"), "--format", "csv"],
          {"qa2nli.metrics", "qa2nli.artifacts", "csv"}),
     ],
-    ids=["import", "qa2d", "convert", "eval", "analyze"],
+    ids=["import", "qa2d", "convert", "eval", "analyze", "analyze-csv"],
 )
 def test_cli_loads_scoring_code_only_in_eval_and_analyze(child_env, tmp_path, argv, scoring):
-    # qa2d and convert never load metrics, artifacts or csv; the modules
-    # benchmarks/run.py reads are loaded all the same
+    # qa2d and convert never load metrics, artifacts or csv, and only the
+    # csv format loads csv; the modules benchmarks/run.py reads are loaded
+    # all the same
     run = "" if argv is None else f"qa2nli.cli.main({[*argv, '--output', str(tmp_path / 'out')]!r})"
     code = (
         f"import sys, qa2nli.cli\n{run}\n"

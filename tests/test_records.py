@@ -2,10 +2,10 @@
 
 Seventeen records are NamedTuples: each keeps its constructor (field order,
 keywords, defaults), its repr text, equality by value and immutability.
-DepToken and DeclarativeCandidate check their values, and so do
-DepSentence and EngineConfig, which are not tuples: DepSentence keeps an
-index beside its fields, and EngineConfig leaves its word lists out of its
-hash and repr. Every record offers _fields and _replace, and no way to
+DepToken, DeclarativeCandidate and PrepositionTable check their values,
+and so do DepSentence and EngineConfig, which are not tuples: DepSentence
+keeps an index beside its fields, and EngineConfig leaves its word lists
+out of its hash and repr. Every record offers _fields and _replace, and no way to
 build one skips its checks. A fresh interpreter checks that start-up loads
 no dataclass machinery.
 """
@@ -131,9 +131,11 @@ def test_record_keeps_its_constructor_and_repr(cls, kwargs, defaults, text):
 def test_record_compares_by_value_and_is_immutable(cls, kwargs, defaults, text):
     record, twin = cls(**kwargs), cls(**kwargs)
     assert record == twin and record is not twin
-    # the first field of DepToken and DeclarativeCandidate has a check "other" fails
+    # the first field of DepToken and DeclarativeCandidate has a check "other"
+    # fails, and every field of PrepositionTable holds a frozenset
     second = cls._fields[1]
-    assert record != record._replace(**{second: "other"})
+    other = frozenset({"other"}) if cls is PrepositionTable else "other"
+    assert record != record._replace(**{second: other})
     # a record is a tuple of its values, so it equals a plain tuple of them
     assert record == (*kwargs.values(), *defaults.values())
     for name in cls._fields:
@@ -223,6 +225,9 @@ _BAD = [
     (_CANDIDATE, {"text": "Liz bought milk"}, ValueError),
     (EngineConfig(), {"emit_alternatives": 0}, ValueError),
     (EngineConfig(), {"emit_alternatives": 1.0}, ValueError),
+    # a dict's "in" would test its keys, and a str's substrings
+    (PrepositionTable(), {"prepositions": {"months": frozenset({"may"})}}, TypeError),
+    (PrepositionTable(), {"months": "may"}, TypeError),
     (_SENTENCE, {"tokens": (_LIZ._replace(head=3), _BOUGHT, _MILK._replace(head=1))},
      ConlluStructureError),
     (_SENTENCE, {"tokens": (_LIZ, _BOUGHT, _MILK._replace(head=0))}, ConlluStructureError),
@@ -231,7 +236,8 @@ _BAD_IDS = [
     "DepToken-id-0", "DepToken-head-negative", "DepToken-own-head", "DepToken-empty-form",
     "DeclarativeCandidate-rank-0", "DeclarativeCandidate-question-mark",
     "DeclarativeCandidate-no-full-stop", "EngineConfig-no-alternatives",
-    "EngineConfig-float-alternatives", "DepSentence-cycle", "DepSentence-two-roots",
+    "EngineConfig-float-alternatives", "PrepositionTable-dict-list", "PrepositionTable-str-list",
+    "DepSentence-cycle", "DepSentence-two-roots",
 ]
 
 
@@ -269,22 +275,26 @@ def test_checked_record_refuses_bad_values_on_every_path(record, changes, error)
 # The dataclasses module costs every command's start-up its import and the
 # inspect module under it (ast, dis, tokenize), and each decorated class an
 # exec of generated source. The string module compiles string.Template's
-# pattern at import, and a module-level regex is compiled on every import
-# whether or not a call reads it. Reading a file as "utf-8-sig" imports
-# that codec's module on its first open.
+# pattern at import, csv loads its C module and the dialect machinery, and a
+# module-level regex is compiled on every import whether or not a call
+# reads it. Reading a file as "utf-8-sig" imports that codec's module on its
+# first open.
 _DATACLASS_MACHINERY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 @pytest.mark.parametrize(
-    "code",
+    ("code", "stack"),
     [
-        "import qa2nli.cli",
-        # what every command's set-up runs: the bundled word lists
-        "import qa2nli; qa2nli.VerbLexicon.bundled(); qa2nli.PrepositionTable.bundled()",
+        ("import qa2nli.cli", "qa2nli.engine"),
+        # what every rewrite's set-up runs: the bundled word lists
+        ("import qa2nli; qa2nli.VerbLexicon.bundled(); qa2nli.PrepositionTable.bundled()",
+         "qa2nli.engine"),
+        # what eval and analyze import when they run
+        ("import qa2nli.metrics, qa2nli.artifacts", "qa2nli.artifacts"),
     ],
-    ids=["cli", "word-lists"],
+    ids=["cli", "word-lists", "scoring"],
 )
-def test_start_up_loads_no_dataclass_machinery(child_env, code):
+def test_start_up_loads_no_dataclass_machinery(child_env, code, stack):
     script = (
         f"import sys\nbefore = set(sys.modules)\n{code}\n"
         "print(*sorted(set(sys.modules) - before))\n"
@@ -299,8 +309,8 @@ def test_start_up_loads_no_dataclass_machinery(child_env, code):
     )
     modules, patterns = proc.stdout.split("\n")[:2]
     loaded = set(modules.split())
-    assert {"qa2nli.conllu", "qa2nli.engine"} <= loaded
+    assert {"qa2nli.conllu", stack} <= loaded
     assert not loaded & _DATACLASS_MACHINERY, loaded & _DATACLASS_MACHINERY
-    assert "string" not in loaded
+    assert not loaded & {"string", "csv"}, loaded & {"string", "csv"}
     assert "encodings.utf_8_sig" not in loaded
     assert patterns == ""
